@@ -163,29 +163,47 @@ def fully_undefined_letters(dfa: PartialDfa) -> list[int]:
             if all(dfa.trans[q][a] is UNDEF for q in range(dfa.n))]
 
 
-def _reachable(n, adj, start=0):
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
+def _reach_mask(adj) -> int:
+    """Bit mask of the states reachable from state 0; adj[q] is the bit
+    mask of the neighbours of q."""
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        mm = frontier
+        while mm:
+            low = mm & -mm
+            nxt |= adj[low.bit_length() - 1]
+            mm ^= low
+        frontier = nxt & ~seen
+        seen |= nxt
     return seen
+
+
+def strongly_connected_masks(succ, n) -> bool:
+    """Strong connectivity of the digraph whose state q has the successor
+    bit mask succ[q]: everything is reachable from state 0, forwards and
+    backwards."""
+    full = (1 << n) - 1
+    if _reach_mask(succ) != full:
+        return False
+    pred = [0] * n
+    for q in range(n):
+        mm = succ[q]
+        while mm:
+            low = mm & -mm
+            pred[low.bit_length() - 1] |= 1 << q
+            mm ^= low
+    return _reach_mask(pred) == full
 
 
 def is_strongly_connected(dfa: PartialDfa) -> bool:
     """Strong connectivity of the digraph of defined transitions."""
-    fwd = [set() for _ in range(dfa.n)]
-    bwd = [set() for _ in range(dfa.n)]
+    succ = [0] * dfa.n
     for q, row in enumerate(dfa.trans):
         for t in row:
             if t is not UNDEF:
-                fwd[q].add(t)
-                bwd[t].add(q)
-    return (len(_reachable(dfa.n, fwd)) == dfa.n
-            and len(_reachable(dfa.n, bwd)) == dfa.n)
+                succ[q] |= 1 << t
+    return strongly_connected_masks(succ, dfa.n)
 
 
 def is_eulerian(dfa: PartialDfa) -> bool:
@@ -229,6 +247,58 @@ def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
     raise NotStronglyConnected(f"state {q} not reachable from state {p}")
 
 
+def pair_bfs(trans, k, seeds):
+    """Backward BFS over unordered pairs of the states of a table.
+
+    trans[q][a] is a state or UNDEF; seeds is an ordered {(p, q): letter}
+    (p < q) of the pairs a single letter settles.  A pair that some letter
+    maps onto a distinct pair at distance d gets distance d + 1, with the
+    first such letter in (queue, letter, predecessor) order.  Returns the
+    dicts (dist, letter) keyed by (p, q) with p < q; pairs that never reach
+    a seed are absent.
+    """
+    n = len(trans)
+    inv = [[[] for _ in range(n)] for _ in range(k)]
+    for q in range(n):
+        for a in range(k):
+            t = trans[q][a]
+            if t is not UNDEF:
+                inv[a][t].append(q)
+    dist = dict.fromkeys(seeds, 1)
+    letter = dict(seeds)
+    queue = deque(seeds)
+    while queue:
+        tp, tq = queue.popleft()
+        d = dist[(tp, tq)] + 1
+        for a in range(k):
+            for p in inv[a][tp]:
+                for q in inv[a][tq]:
+                    if p == q:
+                        continue
+                    key = (p, q) if p < q else (q, p)
+                    if key not in dist:
+                        dist[key] = d
+                        letter[key] = a
+                        queue.append(key)
+    return dist, letter
+
+
+def pair_witness(trans, letter_of, p: int, q: int) -> Word:
+    """The word a pair_bfs result records for the pair {p, q}.
+
+    letter_of maps an ordered pair to its recorded first letter.  The walk
+    follows those letters until the pair is settled, that is until the two
+    states merge or at least one of them dies.
+    """
+    out = []
+    while True:
+        a = letter_of((p, q) if p < q else (q, p))
+        out.append(a)
+        p, q = trans[p][a], trans[q][a]
+        if p is UNDEF or q is UNDEF or p == q:
+            return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # dfa v1 file format
 #
@@ -239,6 +309,11 @@ def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
 #
 # UTF-8, LF, '#' starts a comment; each (src, tok) at most once.
 # ---------------------------------------------------------------------------
+
+def _is_decimal(tok: str) -> bool:
+    # str.isdigit alone also passes non-ASCII digits such as '²' or '０'
+    return tok.isascii() and tok.isdigit()
+
 
 def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
     """Parse a `dfa v1` document; errors carry the offending line number."""
@@ -256,7 +331,7 @@ def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
 
     no, states_line = items[1]
     parts = states_line.split()
-    if len(parts) != 2 or parts[0] != "states" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "states" or not _is_decimal(parts[1]):
         raise FormatError("expected 'states <n>'", line=no)
     n = int(parts[1])
     if n < 1:
@@ -279,7 +354,7 @@ def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
         if len(parts) != 3:
             raise FormatError("expected '<src> <tok> <dst>'", line=no)
         src_s, tok, dst_s = parts
-        if not src_s.isdigit() or not dst_s.isdigit():
+        if not _is_decimal(src_s) or not _is_decimal(dst_s):
             raise FormatError("states must be decimal", line=no)
         src, dst = int(src_s), int(dst_s)
         if src >= n or dst >= n:

@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Exit codes: 0 success / positive decision, 1 negative decision, 2 usage or
-input error, 3 internal assertion failure.  All randomness flows through an
+input error, 3 internal error.  All randomness flows through an
 explicit --seed.  --format summary emits stable key=value lines.
 """
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 
 from . import automaton, codes, constructions, equivalence, generators
 from . import oracle as oracle_mod
@@ -476,7 +477,9 @@ def run(argv) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, SyncwordError) as exc:
+    except Exception as exc:  # anything else is a bug, never a decision
+        if not isinstance(exc, SyncwordError):
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

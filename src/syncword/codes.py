@@ -346,7 +346,7 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
     <= |x|/2).  Otherwise: the log-rank word followed by greedy pair
     compression of its image in the base automaton.
     """
-    from .synchronization import _min_pair, pair_table, pair_word
+    from .synchronization import compress_pairs, pair_table
 
     dfa = lit.dfa
     if len(lit.code.words) == 1:
@@ -357,7 +357,8 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
                 f"literal automaton of {x!r} has minimal non-zero rank {k}")
         u, v = weinbaum_conjugate(x, lit)
         word = dfa.word(u if len(u) <= len(v) else v)
-        assert dfa.rank(word) == 1
+        if dfa.rank(word) != 1:
+            raise SyncwordError("conjugate split must give a reset word")
         return word
 
     table = pair_table(dfa)
@@ -368,14 +369,11 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
             f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
             "is incompressible")
     word = list(log_rank_word(lit))
-    S = dfa.image(dfa.states, tuple(word))
-    while len(S) > 1:
-        _, p, q = _min_pair(table, S)
-        sub = pair_word(dfa, table, p, q)
-        word.extend(sub)
-        S = dfa.image(S, sub)
-    assert dfa.rank(tuple(word)) == 1
-    return tuple(word)
+    compress_pairs(dfa, table, dfa.image(dfa.states, tuple(word)), word, [])
+    word = tuple(word)
+    if dfa.rank(word) != 1:
+        raise SyncwordError("greedy compression must end in a reset word")
+    return word
 
 
 def parse_code(text: str) -> PrefixCode:

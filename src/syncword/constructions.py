@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
                         is_complete, is_strongly_connected)
 from .equivalence import Partition, quotient
-from .errors import InputError, NotStronglyConnected
+from .errors import InputError, NotStronglyConnected, SyncwordError
 
 
 def fixing(dfa: PartialDfa) -> PartialDfa:
@@ -77,7 +77,9 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
                     parent[c] = (a, target)
                     seen.add(c)
                     queue.append(c)
-    assert len(seen) == qdfa.n, "quotient of a strongly connected automaton is strongly connected"
+    if len(seen) != qdfa.n:
+        raise SyncwordError(
+            "quotient of a strongly connected automaton must be strongly connected")
     return CollectingTree(root_class, parent, part)
 
 

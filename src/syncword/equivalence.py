@@ -8,11 +8,10 @@ and reconstructed recursively.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .automaton import UNDEF, PartialDfa, Word
-from .errors import InputError
+from .automaton import UNDEF, PartialDfa, Word, pair_bfs, pair_witness
+from .errors import InputError, SyncwordError
 
 
 @dataclass(frozen=True)
@@ -23,12 +22,13 @@ class Partition:
     its class id, and levels maps each separated (unordered) class-id pair to
     a (letter, level) witness: level is the length of a shortest word whose
     definedness distinguishes the two classes, and the letter is its first
-    letter.
+    letter.  qtable is the class-level transition table (the quotient).
     """
 
     class_of: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
     levels: dict = field(compare=False)
+    qtable: tuple = field(compare=False, repr=False)
 
     def kappa(self, S) -> int:
         """Number of classes intersecting S."""
@@ -83,7 +83,7 @@ def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
 
 
 def _quotient_table(dfa: PartialDfa, class_of, classes):
-    """Class-level transition table; asserts well-definedness.
+    """Class-level transition table; checks well-definedness.
 
     A failure here means the partition is wrong, i.e. an implementation bug.
     """
@@ -94,56 +94,26 @@ def _quotient_table(dfa: PartialDfa, class_of, classes):
         for a in range(k):
             targets = {dfa.trans[q][a] for q in cls}
             defined = {t for t in targets if t is not UNDEF}
-            assert not defined or len(defined) == len(targets), \
-                f"class {sorted(cls)} splits on definedness of letter {a}"
+            if defined and len(defined) != len(targets):
+                raise SyncwordError(
+                    f"class {sorted(cls)} splits on definedness of letter {a}")
             if not defined:
                 row.append(UNDEF)
             else:
                 tclasses = {class_of[t] for t in defined}
-                assert len(tclasses) == 1, \
-                    f"class {sorted(cls)} maps into several classes on letter {a}"
+                if len(tclasses) != 1:
+                    raise SyncwordError(
+                        f"class {sorted(cls)} maps into several classes on letter {a}")
                 row.append(tclasses.pop())
         table.append(tuple(row))
     return tuple(table)
 
 
-def _pair_levels(qtable, kappa_, k):
-    """BFS over class pairs: shortest definedness-separating word lengths.
-
-    Returns {(c1, c2): (letter, level)} for c1 < c2; every pair of distinct
-    classes is separated, so every pair gets an entry.
-    """
-    levels = {}
-    queue = deque()
-    for c1 in range(kappa_):
-        for c2 in range(c1 + 1, kappa_):
-            for a in range(k):
-                if (qtable[c1][a] is UNDEF) != (qtable[c2][a] is UNDEF):
-                    levels[(c1, c2)] = (a, 1)
-                    queue.append((c1, c2))
-                    break
-    inv = [[[] for _ in range(kappa_)] for _ in range(k)]
-    for c in range(kappa_):
-        for a in range(k):
-            t = qtable[c][a]
-            if t is not UNDEF:
-                inv[a][t].append(c)
-    while queue:
-        d1, d2 = queue.popleft()
-        lvl = levels[(d1, d2)][1]
-        for a in range(k):
-            for p1 in inv[a][d1]:
-                for p2 in inv[a][d2]:
-                    if p1 == p2:
-                        continue
-                    key = (min(p1, p2), max(p1, p2))
-                    if key not in levels:
-                        levels[key] = (a, lvl + 1)
-                        queue.append(key)
-    return levels
-
-
 def inseparability_partition(dfa: PartialDfa) -> Partition:
+    """Inseparability classes, with a shortest separation witness per class
+    pair from a pair BFS over the quotient seeded by the pairs on which one
+    letter is defined for exactly one of the two classes.
+    """
     blocks = _hopcroft_classes(dfa)
     blocks.sort(key=min)
     classes = tuple(frozenset(b) for b in blocks)
@@ -152,10 +122,19 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
         for q in cls:
             class_of[q] = cid
     qtable = _quotient_table(dfa, class_of, classes)
-    levels = _pair_levels(qtable, len(classes), len(dfa.alphabet))
-    assert len(levels) == len(classes) * (len(classes) - 1) // 2, \
-        "distinct classes must all be separable"
-    return Partition(tuple(class_of), classes, levels)
+    kappa_, k = len(classes), len(dfa.alphabet)
+    seeds = {}
+    for c1 in range(kappa_):
+        for c2 in range(c1 + 1, kappa_):
+            for a in range(k):
+                if (qtable[c1][a] is UNDEF) != (qtable[c2][a] is UNDEF):
+                    seeds[(c1, c2)] = a
+                    break
+    dist, letter = pair_bfs(qtable, k, seeds)
+    if len(dist) != kappa_ * (kappa_ - 1) // 2:
+        raise SyncwordError("distinct classes must all be separable")
+    levels = {key: (letter[key], d) for key, d in dist.items()}
+    return Partition(tuple(class_of), classes, levels, qtable)
 
 
 def refinement_levels(dfa: PartialDfa):
@@ -199,14 +178,7 @@ def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     c1, c2 = part.class_of[p], part.class_of[q]
     if c1 == c2:
         raise InputError(f"states {p} and {q} are inseparable")
-    out = []
-    while True:
-        a, lvl = part.levels[(min(c1, c2), max(c1, c2))]
-        out.append(a)
-        if lvl == 1:
-            return tuple(out)
-        c1 = part.class_of[dfa.trans[min(part.classes[c1])][a]]
-        c2 = part.class_of[dfa.trans[min(part.classes[c2])][a]]
+    return pair_witness(part.qtable, lambda key: part.levels[key][0], c1, c2)
 
 
 def kappa(part: Partition, S) -> int:
@@ -252,6 +224,5 @@ def collapse_to_single_class_word(dfa: PartialDfa, part: Partition, S) -> Word:
 
 def quotient(dfa: PartialDfa, part: Partition) -> tuple[PartialDfa, tuple[int, ...]]:
     """The automaton on inseparability classes, plus the state->class map."""
-    qtable = _quotient_table(dfa, part.class_of, part.classes)
-    qdfa = PartialDfa(len(part.classes), dfa.alphabet, qtable)
+    qdfa = PartialDfa(len(part.classes), dfa.alphabet, part.qtable)
     return qdfa, part.class_of

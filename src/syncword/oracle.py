@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .automaton import UNDEF, PartialDfa, is_strongly_connected
+from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
+                        strongly_connected_masks)
 from .constructions import duplicating
 from .errors import InputError, SyncwordError
 from . import _bfs_py
@@ -90,7 +91,9 @@ def subset_bfs(dfa: PartialDfa, backend: str | None = None) -> OracleReport:
     for size, letters in enumerate(raw):
         if letters is not None:
             word = tuple(letters)
-            assert dfa.rank(word) == size, "witness must re-validate"
+            if dfa.rank(word) != size:
+                raise SyncwordError(
+                    f"kernel witness for rank {size} does not re-validate")
             thresholds[size] = (len(word), word)
     return OracleReport(dfa.n, thresholds)
 
@@ -165,41 +168,6 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
     return None
 
 
-def _strongly_connected_masks(succ, n) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        mm = frontier
-        while mm:
-            low = mm & -mm
-            nxt |= succ[low.bit_length() - 1]
-            mm ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    if seen != (1 << n) - 1:
-        return False
-    pred = [0] * n
-    for q in range(n):
-        mm = succ[q]
-        while mm:
-            low = mm & -mm
-            pred[low.bit_length() - 1] |= 1 << q
-            mm ^= low
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        mm = frontier
-        while mm:
-            low = mm & -mm
-            nxt |= pred[low.bit_length() - 1]
-            mm ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def _extremal_candidates_exhaustive(n):
     """All binary tables with exactly one undefined (state, letter) slot."""
     slots = [(q, a) for q in range(n) for a in range(2)]
@@ -244,7 +212,7 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
         rows_a = [0 if row[0] is UNDEF else 1 << row[0] for row in table]
         rows_b = [0 if row[1] is UNDEF else 1 << row[1] for row in table]
         succ = [rows_a[q] | rows_b[q] for q in range(n)]
-        if not _strongly_connected_masks(succ, n):
+        if not strongly_connected_masks(succ, n):
             continue
         count += 1
         rt = _rt_bitmask(rows_a, rows_b, n)

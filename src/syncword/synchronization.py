@@ -13,17 +13,17 @@ attempted.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automaton import (EPSILON, UNDEF, PartialDfa, Word, connecting_word,
-                        is_strongly_connected)
+                        is_strongly_connected, pair_bfs, pair_witness)
 from .constructions import (CollectingTree, collecting, collecting_tree,
                             fixing, lift_word_to_partial, strip_gamma)
 from .equivalence import (Partition, class_reducing_word,
                           collapse_to_single_class_word,
                           inseparability_partition, quotient)
-from .errors import InputError, NotStronglyConnected, NotSynchronizing
+from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
+                     SyncwordError)
 
 
 @dataclass(frozen=True)
@@ -48,41 +48,16 @@ class PairTable:
 
 def pair_table(dfa: PartialDfa) -> PairTable:
     n, k = dfa.n, len(dfa.alphabet)
-    dist = {}
-    letter = {}
-    queue = deque()
-
     # distance-1 seeds: merge, or exactly one of the two dying
+    seeds = {}
     for p in range(n):
         for q in range(p + 1, n):
             for a in range(k):
                 tp, tq = dfa.trans[p][a], dfa.trans[q][a]
                 if (tp is UNDEF) != (tq is UNDEF) or (tp is not UNDEF and tp == tq):
-                    dist[(p, q)] = 1
-                    letter[(p, q)] = a
-                    queue.append((p, q))
+                    seeds[(p, q)] = a
                     break
-
-    inv = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        for a in range(k):
-            t = dfa.trans[q][a]
-            if t is not UNDEF:
-                inv[a][t].append(q)
-
-    while queue:
-        tp, tq = queue.popleft()
-        d = dist[(tp, tq)]
-        for a in range(k):
-            for p in inv[a][tp]:
-                for q in inv[a][tq]:
-                    if p == q:
-                        continue
-                    key = (min(p, q), max(p, q))
-                    if key not in dist:
-                        dist[key] = d + 1
-                        letter[key] = a
-                        queue.append(key)
+    dist, letter = pair_bfs(dfa.trans, k, seeds)
     return PairTable(n, dist, letter)
 
 
@@ -91,14 +66,7 @@ def pair_word(dfa: PartialDfa, table: PairTable, p: int, q: int) -> Word:
     key = (min(p, q), max(p, q))
     if key not in table.dist:
         raise InputError(f"pair {key} is not compressible")
-    out = []
-    while True:
-        a = table.letter[key]
-        out.append(a)
-        if table.dist[key] == 1:
-            return tuple(out)
-        tp, tq = dfa.trans[key[0]][a], dfa.trans[key[1]][a]
-        key = (min(tp, tq), max(tp, tq))
+    return pair_witness(dfa.trans, table.letter.__getitem__, p, q)
 
 
 def is_synchronizing(dfa: PartialDfa) -> bool:
@@ -147,24 +115,31 @@ def _min_pair(table: PairTable, S):
     return best
 
 
+def compress_pairs(dfa: PartialDfa, table: PairTable, S, word, trace):
+    """Greedy pair compression of S: while some pair of S is compressible,
+    apply the recorded word of the pair minimizing (distance, p, q).
+
+    Extends word and trace in place and returns the final image.
+    """
+    while True:
+        best = _min_pair(table, S)
+        if best is None:
+            return S
+        sub = pair_word(dfa, table, best[1], best[2])
+        S = dfa.image(S, sub)
+        word.extend(sub)
+        trace.append((len(S), sub))
+
+
 def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
     """Repeatedly apply a shortest word compressing a pair of the current
     image, starting from the full set; stops at the minimal non-zero rank.
     """
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("greedy compression needs strong connectivity")
-    table = pair_table(dfa)
-    S = dfa.states
     word = []
     trace = []
-    while True:
-        best = _min_pair(table, S)
-        if best is None:
-            break
-        sub = pair_word(dfa, table, best[1], best[2])
-        S = dfa.image(S, sub)
-        word.extend(sub)
-        trace.append((len(S), sub))
+    S = compress_pairs(dfa, pair_table(dfa), dfa.states, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -174,7 +149,8 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     Pipeline: greedy word on the fixing automaton, lifted back to the
     partial automaton, then while the image spans several inseparability
     classes shrink their number with voiding words, and finally compress
-    pairs inside the single remaining class.
+    pairs inside the single remaining class.  Classes map into classes, so
+    the number of classes the image meets never grows again.
     """
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("needs strong connectivity")
@@ -184,18 +160,12 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     word = list(lifted)
     trace = [(len(S), lifted)]
     part = inseparability_partition(dfa)
-    table = pair_table(dfa)
-    while True:
-        if part.kappa(S) >= 2:
-            sub = class_reducing_word(dfa, part, S)
-        else:
-            best = _min_pair(table, S)
-            if best is None:
-                break
-            sub = pair_word(dfa, table, best[1], best[2])
+    while part.kappa(S) >= 2:
+        sub = class_reducing_word(dfa, part, S)
         S = dfa.image(S, sub)
         word.extend(sub)
         trace.append((len(S), sub))
+    S = compress_pairs(dfa, pair_table(dfa), S, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -235,11 +205,13 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     S = dfa.image(S, u)
 
     coll_result = greedy_min_rank(coll)
-    assert coll_result.final_rank == 1, "collecting automaton must be synchronizing"
+    if coll_result.final_rank != 1:
+        raise SyncwordError("collecting automaton must be synchronizing")
     w = strip_gamma(dfa, tree, coll_result.word)
 
     out = v + u + w
-    assert dfa.rank(out) == 1, "pipeline must emit a reset word"
+    if dfa.rank(out) != 1:
+        raise SyncwordError("pipeline must emit a reset word")
     return out
 
 

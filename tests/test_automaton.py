@@ -48,6 +48,15 @@ def test_parse_bad_header():
         parse_dfa("nfa v1\nstates 1\nalphabet a\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("dfa v1\nstates \u00b2\nalphabet a\n", 2),      # superscript two
+    ("dfa v1\nstates 1\nalphabet a\n\uff10 a 0\n", 4),  # full-width zero
+])
+def test_parse_rejects_non_ascii_digits(text, line):
+    with pytest.raises(FormatError, match=f"line {line}"):
+        parse_dfa(text)
+
+
 def test_parse_rejects_reserved_gamma_by_default():
     text = "dfa v1\nstates 1\nalphabet @g\n0 @g 0\n"
     with pytest.raises(FormatError, match="reserved"):

@@ -1,7 +1,9 @@
 import subprocess
 import sys
 
-from syncword import parse_dfa, parse_code
+import pytest
+
+from syncword import cli, parse_dfa, parse_code
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -22,6 +24,25 @@ def test_unknown_command_is_usage_error():
 def test_missing_file_is_input_error(capsys):
     assert run(["sync", "check", "/nonexistent.dfa"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "dfa v1\nstates \u00b2\nalphabet a\n",
+    "dfa v1\nstates 1\nalphabet a\n\uff10 a 0\n",
+])
+def test_non_ascii_digits_are_input_errors(capsys, tmp_path, text):
+    path = tmp_path / "digits.dfa"
+    path.write_text(text, encoding="utf-8")
+    assert run(["sync", "check", str(path)]) == 2
+    assert "error: line" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_cmd_classes", boom)
+    assert run(["classes", FIG1]) == 3
+    assert "internal error: boom" in capsys.readouterr().err
 
 
 def test_sync_check_positive(capsys):

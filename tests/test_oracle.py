@@ -1,12 +1,20 @@
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import product
 
 import pytest
+
+import syncword
 
 from syncword import (InputError, PartialDfa, duplicating,
                       duplicating_identity_check, extremal_search, gen_cerny,
                       gen_oneword_code, gen_random_partial, greedy_min_rank,
                       literal_automaton, parse_dfa, subset_bfs)
 from syncword.oracle import _bfs_c, MAX_ORACLE_STATES
+
+from conftest import FIXTURES
 
 
 def test_fig1_report(fig1):
@@ -162,3 +170,39 @@ def test_extremal_random_candidates_match_oracle():
     res = extremal_search(3, exhaustive=False, seed=3, trials=500)
     if res.best_dfa is not None:
         assert subset_bfs(res.best_dfa).reset_threshold == res.best_rt
+
+
+# Runs under `python -O`: the witness re-validation must not be an assert.
+WRONG_WITNESS_SCRIPT = """
+import sys
+from syncword import SyncwordError, _bfs_py, gen_cerny, oracle
+from syncword.cli import run
+
+real = _bfs_py.bfs_thresholds
+
+def wrong(n, k, trans_flat):
+    out = real(n, k, trans_flat)
+    out[1] = []  # claim that the empty word has rank 1
+    return out
+
+_bfs_py.bfs_thresholds = wrong
+oracle._DEFAULT_KERNEL = _bfs_py
+print("optimize", sys.flags.optimize)
+try:
+    oracle.subset_bfs(gen_cerny(4))
+    print("accepted")
+except SyncwordError:
+    print("raised")
+print("exit", run(["oracle", sys.argv[1]]))
+"""
+
+
+def test_wrong_kernel_witness_is_caught_under_optimize():
+    src = str(pathlib.Path(syncword.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_WITNESS_SCRIPT,
+         str(FIXTURES / "fig1left.dfa")],
+        capture_output=True, text=True, env=env)
+    assert proc.stdout.split("\n") == ["optimize 1", "raised", "exit 3", ""]
+    assert "internal error" in proc.stderr
