@@ -5,7 +5,9 @@ index or UNDEF (None); no implicit sink state exists.  Words are tuples of
 letter indices into the automaton's alphabet.
 
 All values are immutable after construction and all operations are pure, so
-everything here can be shared freely across threads.
+everything here can be shared freely across threads.  The one exception is
+the cache of chunk actions inside PartialDfa, which image fills on use; it
+never changes a result, and concurrent fills store equal values.
 """
 from __future__ import annotations
 
@@ -36,6 +38,10 @@ class PartialDfa:
     alphabet: tuple[str, ...]
     trans: tuple[tuple[int | None, ...], ...]
     _letter_index: dict = field(init=False, repr=False, compare=False, hash=False)
+    #: columns[a][q] == trans[q][a]
+    columns: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _chunk_len: int = field(init=False, repr=False, compare=False, hash=False)
+    _chunks: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -56,6 +62,9 @@ class PartialDfa:
                     raise InputError(f"state {q}: target {t} out of range")
         object.__setattr__(self, "_letter_index",
                            {tok: i for i, tok in enumerate(self.alphabet)})
+        object.__setattr__(self, "columns", tuple(zip(*self.trans)))
+        object.__setattr__(self, "_chunk_len", _chunk_length(len(self.alphabet)))
+        object.__setattr__(self, "_chunks", {})
 
     @classmethod
     def build(cls, n, alphabet, edges):
@@ -83,10 +92,31 @@ class PartialDfa:
         return q
 
     def image(self, S, w: Word) -> frozenset[int]:
-        """{delta(q, w) : q in S, delta(q, w) defined}."""
+        """{delta(q, w) : q in S, delta(q, w) defined}.
+
+        w is applied in chunks of _chunk_len letters whose actions are
+        cached (at most 256 per automaton), the leftover letters one column
+        at a time.
+        """
+        w = tuple(w)
         cur = set(S)
-        for a in w:
-            cur = {t for q in cur if (t := self.trans[q][a]) is not UNDEF}
+        L = self._chunk_len
+        whole = len(w) - len(w) % L if L > 1 else 0
+        chunks = self._chunks
+        for i in range(0, whole, L):
+            chunk = w[i:i + L]
+            act = chunks.get(chunk)
+            if act is None:
+                act = chunks[chunk] = _ChunkAction(self.trans, chunk)
+            cur = set(map(act.__getitem__, cur))
+            cur.discard(UNDEF)
+            if not cur:
+                return frozenset()
+        cols = self.columns
+        for a in w[whole:]:
+            col = cols[a]
+            cur = {col[q] for q in cur}
+            cur.discard(UNDEF)
             if not cur:
                 break
         return frozenset(cur)
@@ -122,6 +152,36 @@ class PartialDfa:
         if not w:
             return "-"
         return " ".join(self.alphabet[a] for a in w)
+
+
+def _chunk_length(k: int) -> int:
+    """The largest L <= 8 with k**L <= 256 (at least 1), so an automaton
+    over k letters caches at most 256 chunk actions."""
+    L = 1
+    while L < 8 and k ** (L + 1) <= 256:
+        L += 1
+    return L
+
+
+class _ChunkAction(dict):
+    """The action of a fixed short word, filled state by state on first
+    use: self[q] == run(q, chunk)."""
+
+    __slots__ = ("trans", "chunk")
+
+    def __init__(self, trans, chunk):
+        super().__init__()
+        self.trans = trans
+        self.chunk = chunk
+
+    def __missing__(self, q):
+        t = q
+        for a in self.chunk:
+            t = self.trans[t][a]
+            if t is UNDEF:
+                break
+        self[q] = t
+        return t
 
 
 def image(dfa: PartialDfa, S, w: Word) -> frozenset[int]:

@@ -97,12 +97,16 @@ def _cmd_sync_check(args):
     return 1
 
 
-def _word_output(args, dfa, word):
-    r = dfa.rank(word)
+def _require(ok, message):
+    """A correctness check that also runs under python -O."""
+    if not ok:
+        raise SyncwordError(message)
+
+
+def _word_output(args, dfa, word, r):
     _emit(args.format,
           [dfa.format_word(word), f"rank={r} len={len(word)}"],
           [("word", dfa.format_word(word)), ("rank", r), ("len", len(word))])
-    return r
 
 
 def _cmd_sync_word(args):
@@ -120,22 +124,23 @@ def _cmd_sync_word(args):
         word = sync_mod.reset_word_via_collecting(dfa)
     else:  # oracle
         word = oracle_mod.subset_bfs(dfa).witness(1)
-    assert dfa.rank(word) == 1
-    _word_output(args, dfa, word)
+    r = dfa.rank(word)
+    _require(r == 1, f"{args.method} word has rank {r}, not 1")
+    _word_output(args, dfa, word, r)
     return 0
 
 
 def _cmd_rank_min(args):
     dfa = _load_dfa(args.file)
-    result = sync_mod.greedy_min_rank(dfa)
-    _word_output(args, dfa, result.word)
+    word = sync_mod.greedy_min_rank(dfa).word
+    _word_output(args, dfa, word, dfa.rank(word))
     return 0
 
 
 def _cmd_rank_word(args):
     dfa = _load_dfa(args.file)
     word = sync_mod.rank_target_word(dfa, args.target, method=args.method)
-    _word_output(args, dfa, word)
+    _word_output(args, dfa, word, dfa.rank(word))
     return 0
 
 
@@ -182,7 +187,8 @@ def _cmd_verify_all(args):
     def cerny_check():
         for n in range(3, min(cap, 8) + 1):
             rep = oracle_mod.subset_bfs(generators.gen_cerny(n))
-            assert rep.reset_threshold == (n - 1) ** 2
+            _require(rep.reset_threshold == (n - 1) ** 2,
+                     f"n={n}: reset threshold {rep.reset_threshold}")
         return f"n<={min(cap, 8)}"
 
     def duplicating_check():
@@ -199,8 +205,11 @@ def _cmd_verify_all(args):
                                                 0.7 + (i % 4) * 0.1, seed + i)
             res = sync_mod.greedy_min_rank(dfa)
             rep = oracle_mod.subset_bfs(dfa)
-            assert res.final_rank == rep.min_nonzero_rank
-            assert dfa.rank(res.word) == res.final_rank
+            _require(res.final_rank == rep.min_nonzero_rank,
+                     f"automaton {i}: greedy rank {res.final_rank} != "
+                     f"minimal rank {rep.min_nonzero_rank}")
+            _require(dfa.rank(res.word) == res.final_rank,
+                     f"automaton {i}: greedy word does not replay")
         return "20 random automata"
 
     def lemma_check():
@@ -213,13 +222,15 @@ def _cmd_verify_all(args):
                 S = frozenset(q for q in range(dfa.n) if rng.below(2))
                 if part.kappa(S) >= 2:
                     w = equivalence.class_reducing_word(dfa, part, S)
-                    assert len(w) <= part.kappa(dfa.states) - part.kappa(S) + 1
+                    _require(len(w) <= part.kappa(dfa.states) - part.kappa(S) + 1,
+                             f"automaton {i}: class-reducing word too long")
                 if S:
                     w = tuple(rng.below(2) for _ in range(6))
                     lifted = constructions.lift_word_to_partial(dfa, S, w)
                     fixed = constructions.fixing(dfa)
                     img = dfa.image(S, lifted)
-                    assert img and img <= fixed.image(S, w)
+                    _require(img and img <= fixed.image(S, w),
+                             f"automaton {i}: lifted word breaks the lemma")
         return "10 automata x 20 subsets"
 
     def reduction_check():
@@ -227,7 +238,9 @@ def _cmd_verify_all(args):
             dfa = generators.gen_random_partial(3 + i % (min(cap, 8) - 2), 2,
                                                 0.65 + (i % 3) * 0.1, seed + 200 + i)
             complete, _ = sync_mod.reduction_to_complete(dfa)
-            assert sync_mod.is_synchronizing(dfa) == sync_mod.is_synchronizing(complete)
+            _require(sync_mod.is_synchronizing(dfa)
+                     == sync_mod.is_synchronizing(complete),
+                     f"automaton {i}: reduction changes synchronizability")
         return "20 random automata"
 
     def logrank_check():
@@ -240,8 +253,9 @@ def _cmd_verify_all(args):
             lit = codes.literal_automaton(code)
             if lit.height == 0:
                 continue
-            w = codes.log_rank_word(lit)  # bounds asserted inside
-            assert len(w) <= 2 * lit.height
+            w = codes.log_rank_word(lit)  # bounds checked inside
+            _require(len(w) <= 2 * lit.height,
+                     f"code {attempt - 1}: log-rank word too long")
             done += 1
         return "10 random codes"
 
@@ -249,14 +263,14 @@ def _cmd_verify_all(args):
         for k in range(1, 4):
             code = generators.gen_oneword_code(k)
             lit = codes.literal_automaton(code)
-            assert codes.one_word_rank(code) == 1
+            _require(codes.one_word_rank(code) == 1, f"k={k}: rank is not 1")
             word = codes.literal_reset_word(lit)
-            assert len(word) == k + 1
+            _require(len(word) == k + 1, f"k={k}: reset word length {len(word)}")
         return "k=1..3"
 
     def extremal_check():
         res = oracle_mod.extremal_search(3, exhaustive=True)
-        assert res.attained, f"best {res.best_rt} < target {res.target}"
+        _require(res.attained, f"best {res.best_rt} < target {res.target}")
         return f"n=3 best={res.best_rt}"
 
     check("cerny-thresholds", cerny_check)
@@ -349,7 +363,7 @@ def _cmd_code(args):
     except NotSynchronizing as exc:
         _emit(args.format, [str(exc)], [("synchronizing", "false")])
         return 1
-    _word_output(args, lit.dfa, word)
+    _word_output(args, lit.dfa, word, lit.dfa.rank(word))
     return 0
 
 

@@ -331,8 +331,9 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
         v = compress_path_word(lit, R)
         word = u + v
         r = lit.dfa.rank(word)
-        assert r > 0, "log-rank word must be non-mortal"
-        assert len(word) <= 2 * h
+        if r == 0 or len(word) > 2 * h:
+            raise SyncwordError("log-rank word must be non-mortal and of "
+                                "length <= 2h")
         if r <= bound:
             return word
     raise SyncwordError("no candidate met the rank bound"

@@ -35,8 +35,11 @@ def lift_word_to_partial(dfa: PartialDfa, S, w: Word) -> Word:
     if not cur:
         raise InputError("empty subset")
     out = []
+    cols = dfa.columns
     for a in w:
-        nxt = dfa.image(cur, (a,))
+        col = cols[a]
+        nxt = {col[q] for q in cur}
+        nxt.discard(UNDEF)
         if nxt:
             out.append(a)
             cur = nxt
@@ -102,7 +105,9 @@ def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
         else:
             a, _ = tree.parent[cls]
             g = dfa.trans[q][a]
-            assert g is not UNDEF, "tree edge letter must be defined on the whole class"
+            if g is UNDEF:
+                raise SyncwordError(
+                    "tree edge letter must be defined on the whole class")
         table.append(fixed.trans[q] + (g,))
     return PartialDfa(dfa.n, dfa.alphabet + (GAMMA_TOKEN,), tuple(table))
 
@@ -125,6 +130,7 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     root = frozenset(part.classes[tree.root_class])
     if len(coll.image(root, w)) != 1:
         raise InputError("word does not synchronize the root class in the collecting automaton")
+    reps = [min(c) for c in part.classes]
     out = []
     cls = tree.root_class
     for a in w:
@@ -134,12 +140,12 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
             a, cls = tree.parent[cls]
             out.append(a)
         else:
-            rep = min(part.classes[cls])
-            t = dfa.trans[rep][a]
+            t = dfa.trans[reps[cls]][a]
             if t is not UNDEF:
                 out.append(a)
                 cls = part.class_of[t]
-    assert len(dfa.image(root, tuple(out))) == 1
+    if len(dfa.image(root, tuple(out))) != 1:
+        raise SyncwordError("stripped word must synchronize the root class")
     return tuple(out)
 
 

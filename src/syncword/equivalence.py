@@ -205,7 +205,8 @@ def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
                 best = (lvl, p, q)
     w = separating_word(dfa, part, best[1], best[2])
     img = dfa.image(S, w)
-    assert img and part.kappa(img) < part.kappa(S), "voiding word failed"
+    if not img or part.kappa(img) >= part.kappa(S):
+        raise SyncwordError("voiding word failed")
     return w
 
 

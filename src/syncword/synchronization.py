@@ -14,6 +14,7 @@ attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .automaton import (EPSILON, UNDEF, PartialDfa, Word, connecting_word,
                         is_strongly_connected, pair_bfs, pair_witness)
@@ -104,7 +105,22 @@ class SyncResult:
 
 
 def _min_pair(table: PairTable, S):
-    """Compressible pair of S minimizing (distance, p, q), or None."""
+    """Compressible pair of S minimizing (distance, p, q), or None.
+
+    pair_bfs fills table.dist in non-decreasing distance order, so the
+    first distance level holding a pair of S, walked to its end, gives the
+    answer.  The walk gets as many checks as the pairs of S number; when
+    they run out first, the pairs of S are scanned instead.
+    """
+    budget = len(S) * (len(S) - 1) // 2
+    best = None
+    for (p, q), d in islice(table.dist.items(), budget):
+        if best is not None and d > best[0]:
+            return best
+        if p in S and q in S and (best is None or (d, p, q) < best):
+            best = (d, p, q)
+    if budget >= len(table.dist):
+        return best
     best = None
     states = sorted(S)
     for i, p in enumerate(states):
@@ -228,14 +244,23 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
     if r == dfa.n:
         return EPSILON
     if method == "greedy":
+        # image sizes never grow along a word, so the shortest prefix ends
+        # inside the first trace step that reaches the target
         result = greedy_min_rank(dfa)
-        S = dfa.states
-        for i, a in enumerate(result.word):
+        done = 0
+        for size, sub in result.trace:
+            if size <= r:
+                break
+            done += len(sub)
+        else:
+            raise InputError(
+                f"minimal non-zero rank is {result.final_rank}, above target {r}")
+        S = dfa.image(dfa.states, result.word[:done])
+        for i, a in enumerate(sub, start=done + 1):
             S = dfa.image(S, (a,))
             if len(S) <= r:
-                return result.word[:i + 1]
-        raise InputError(
-            f"minimal non-zero rank is {result.final_rank}, above target {r}")
+                return result.word[:i]
+        raise SyncwordError("greedy trace disagrees with its word")
     if method == "oracle":
         from .oracle import subset_bfs
         report = subset_bfs(dfa)

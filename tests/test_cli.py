@@ -1,8 +1,11 @@
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import syncword
 from syncword import cli, parse_dfa, parse_code
 from syncword.cli import run
 
@@ -43,6 +46,57 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_classes", boom)
     assert run(["classes", FIG1]) == 3
     assert "internal error: boom" in capsys.readouterr().err
+
+
+def run_python(*args):
+    """Run a child interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(syncword.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def run_optimized(script, *args):
+    """Run a script under `python -O`, where assert statements are gone."""
+    return run_python("-O", "-c", script, *args)
+
+
+FAILED_BOUND_SCRIPT = """
+import dataclasses, sys
+from syncword import cli, oracle
+
+real = oracle.extremal_search
+oracle.extremal_search = lambda *a, **kw: dataclasses.replace(
+    real(*a, **kw), attained=False)
+assert False, "assert statements must be off"
+sys.exit(cli.run(["verify", "all"]))
+"""
+
+
+def test_verify_all_fails_under_optimize():
+    proc = run_optimized(FAILED_BOUND_SCRIPT)
+    assert proc.returncode == 3
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    assert [line for line in lines if "status=ok" not in line] == [
+        "check=extremal-bound status=fail (best 3 < target 3)"]
+
+
+NON_RESET_SCRIPT = """
+import sys
+from syncword import cli, synchronization
+
+synchronization.reset_word_via_collecting = lambda dfa: ()
+assert False, "assert statements must be off"
+sys.exit(cli.run(["sync", "word", "--method", "collecting", sys.argv[1]]))
+"""
+
+
+def test_sync_word_rank_check_under_optimize():
+    proc = run_optimized(NON_RESET_SCRIPT, FIG1)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "internal error: collecting word has rank 6, not 1" in proc.stderr
 
 
 def test_sync_check_positive(capsys):
@@ -216,7 +270,6 @@ def test_fully_undefined_letter_flagged(capsys, tmp_path):
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "syncword.cli", "sync",
-                           "check", FIG1], capture_output=True, text=True)
+    proc = run_python("-m", "syncword.cli", "sync", "check", FIG1)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "synchronizing"
