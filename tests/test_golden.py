@@ -10,11 +10,12 @@ import hashlib
 
 import pytest
 
-from syncword import (NotSynchronizing, gen_cerny, gen_random_partial,
-                      gen_random_prefix_code, greedy_min_rank,
-                      inseparability_partition, literal_automaton,
-                      literal_reset_word, min_rank_word_via_fixing,
-                      pair_table, reset_word_via_collecting, separating_word)
+from syncword import (UNDEF, NotSynchronizing, PartialDfa, extremal_search,
+                      gen_cerny, gen_random_partial, gen_random_prefix_code,
+                      greedy_min_rank, inseparability_partition,
+                      literal_automaton, literal_reset_word,
+                      min_rank_word_via_fixing, pair_table,
+                      reset_word_via_collecting, separating_word, subset_bfs)
 
 
 def _digest(obj):
@@ -188,3 +189,66 @@ def test_golden_words(name):
 def test_golden_literal_reset_word():
     lit = _literal()
     assert lit.dfa.format_word(literal_reset_word(lit)) == LITERAL_RESET
+
+
+# ---------------------------------------------------------------- oracle
+
+def _twin_letters():
+    """Cycle family n=7 plus c, a copy of the merge letter b, and d, the
+    rotation undefined on state 3: on many subsets two letters have the
+    same image, and the witness must name the least of them."""
+    rot = [(q + 1) % 7 for q in range(7)]
+    merge = [1 if q == 0 else q for q in range(7)]
+    return PartialDfa(7, ("a", "b", "c", "d"), tuple(
+        (rot[q], merge[q], merge[q], UNDEF if q == 3 else rot[q])
+        for q in range(7)))
+
+
+ORACLE_CASES = {
+    "cerny7": lambda: gen_cerny(7),
+    "rand-9-0.75-3": lambda: gen_random_partial(9, 2, 0.75, 3),
+    "rand3-9-0.75-2": lambda: gen_random_partial(9, 3, 0.75, 2),
+    "twin-letters": _twin_letters,
+}
+
+ORACLE_GOLDEN = {
+    "cerny7": {
+        1: (36, '36:0c78014f2c7080949ea66acb4d6cce2c3b9f8206a523a9c4f86a15063c55b5fb'),
+        2: (17, 'b a a a b a a a b a a a b a a a b'),
+        3: (10, 'b a a b a a b a a b'),
+        4: (7, 'b a a b a a b'), 5: (4, 'b a a b'), 6: (1, 'b'), 7: (0, '-'),
+    },
+    "rand-9-0.75-3": {
+        0: (4, 'b b b b'), 1: (3, 'b b b'), 2: (4, 'a a b b'), 3: (2, 'b b'),
+        4: (2, 'b a'), 5: (1, 'b'), 6: (2, 'a a'), 7: (1, 'a'), 9: (0, '-'),
+    },
+    "rand3-9-0.75-2": {
+        0: (4, 'b b b b'), 1: (3, 'a b b'), 2: (2, 'b b'), 3: (2, 'a b'),
+        4: (1, 'b'), 5: (2, 'a c'), 6: (1, 'c'), 7: (1, 'a'), 9: (0, '-'),
+    },
+    "twin-letters": {
+        0: (7, 'd d d b d d d'), 1: (6, 'd b d d b d'), 2: (5, 'b d d b d'),
+        3: (4, 'b d d b'), 4: (3, 'b d d'), 5: (2, 'b d'), 6: (1, 'b'),
+        7: (0, '-'),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_golden_oracle_thresholds(name):
+    dfa = ORACLE_CASES[name]()
+    rep = subset_bfs(dfa)
+    got = {r: (length, _word(dfa, w))
+           for r, (length, w) in rep.thresholds.items()}
+    assert got == ORACLE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("args, best_rt, candidates, trans", [
+    ((4,), 6, 26304, ((UNDEF, 1), (2, 2), (3, 0), (1, 3))),
+    ((5, False, 5, 3000), 9, 498,
+     ((1, 4), (2, 3), (3, UNDEF), (0, 1), (4, 0))),
+])
+def test_golden_extremal(args, best_rt, candidates, trans):
+    res = extremal_search(*args)
+    assert (res.best_rt, res.candidates) == (best_rt, candidates)
+    assert res.best_dfa.trans == trans
