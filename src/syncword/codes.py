@@ -91,7 +91,8 @@ def literal_automaton(code: PrefixCode) -> LiteralAutomaton:
                 row.append(UNDEF)
         table.append(tuple(row))
     dfa = PartialDfa(len(prefixes), alphabet, tuple(table))
-    assert is_strongly_connected(dfa), "literal automata are strongly connected"
+    if not is_strongly_connected(dfa):
+        raise SyncwordError("literal automata are strongly connected")
     height = max(len(w) for w in codewords) - 1
     return LiteralAutomaton(code, dfa, tuple(prefixes), state_of, height)
 
@@ -204,7 +205,8 @@ def filtering_alpha(lit: LiteralAutomaton, pivot: int, w: Word) -> Word:
                      if dfa.image(active, (b,)))
         active = dfa.image(active, (a,))
         out.append(a)
-        assert active, "filtering never applies a mortal letter"
+        if not active:
+            raise SyncwordError("filtering never applies a mortal letter")
     return tuple(out)
 
 
@@ -289,9 +291,11 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
             q = dfa.trans[q][a]
         moved = dfa.image(active, tuple(ell))
         out.extend(ell)
-        assert p in moved
+        if p not in moved:
+            raise SyncwordError("the forced letters must reach the pivot")
         survivors = {q for q in moved if q in depth}           # drop the pivot
-        assert len(survivors) <= max(0, len(active) - 1)
+        if len(survivors) > max(0, len(active) - 1):
+            raise SyncwordError("routing to the pivot must drop a path state")
         if not survivors:
             break
         half = (len(survivors) + 1) // 2
@@ -300,11 +304,13 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
         choice = next(a for a in sorted((la, lb)) if kills[a] >= half)
         out.append(choice)
         nxt = dfa.image(survivors, (choice,))
-        assert len(nxt & frozenset(depth)) <= len(active) // 2
+        if len(nxt & frozenset(depth)) > len(active) // 2:
+            raise SyncwordError("the pivot letter must halve the path states")
         active = set(nxt) & set(depth)
         if len(out) >= lit.height or not active:
             break
-    assert len(out) <= lit.height
+    if len(out) > lit.height:
+        raise SyncwordError("path word must not exceed the height")
     return tuple(out)
 
 

@@ -199,8 +199,8 @@ def induced(dfa: PartialDfa, W1, W2) -> InducedAutomaton:
         for w1 in W1:
             word = w2 + w1
             action = tuple(dfa.run(q, word) for q in R)
-            assert all(t is UNDEF or t in local for t in action), \
-                "a W2 W1 word must map into R or die"
+            if not all(t is UNDEF or t in local for t in action):
+                raise SyncwordError("a W2 W1 word must map into R or die")
             key = (len(word), word)
             if action not in by_action or key < by_action[action][0]:
                 by_action[action] = (key, action)

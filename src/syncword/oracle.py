@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import or_
 
 from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
                         strongly_connected_masks)
@@ -169,26 +170,27 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
 
 
 def _extremal_candidates_exhaustive(n):
-    """All binary tables with exactly one undefined (state, letter) slot."""
-    slots = [(q, a) for q in range(n) for a in range(2)]
-    for dq, da in slots:
-        rest = [s for s in slots if s != (dq, da)]
-        for assign in product(range(n), repeat=len(rest)):
-            table = [[UNDEF, UNDEF] for _ in range(n)]
-            for (q, a), t in zip(rest, assign):
-                table[q][a] = t
-            yield table
+    """All binary tables with exactly one undefined (state, letter) slot, as
+    per-letter rows of target bit masks (0 at the undefined slot).
+
+    Slots are numbered row-major, 2*q + a; the undefined slot runs over them
+    in order and the other slots take every assignment in product order.
+    """
+    targets = [1 << t for t in range(n)]
+    for hole in range(2 * n):
+        for assign in product(targets, repeat=2 * n - 1):
+            flat = assign[:hole] + (0,) + assign[hole:]
+            yield flat[0::2], flat[1::2]
 
 
 def _extremal_candidates_random(n, seed, trials):
     from .generators import Lcg64
     rng = Lcg64(seed)
     for _ in range(trials):
-        dq = rng.below(n)
-        da = rng.below(2)
-        table = [[rng.below(n), rng.below(n)] for _ in range(n)]
-        table[dq][da] = UNDEF
-        yield table
+        hole = 2 * rng.below(n) + rng.below(2)
+        flat = [1 << rng.below(n) for _ in range(2 * n)]
+        flat[hole] = 0
+        yield flat[0::2], flat[1::2]
 
 
 def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
@@ -206,20 +208,19 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     gen = (_extremal_candidates_exhaustive(n) if exhaustive
            else _extremal_candidates_random(n, seed, trials))
     best_rt = -1
-    best_table = None
+    best_rows = None
     count = 0
-    for table in gen:
-        rows_a = [0 if row[0] is UNDEF else 1 << row[0] for row in table]
-        rows_b = [0 if row[1] is UNDEF else 1 << row[1] for row in table]
-        succ = [rows_a[q] | rows_b[q] for q in range(n)]
-        if not strongly_connected_masks(succ, n):
+    for rows_a, rows_b in gen:
+        if not strongly_connected_masks(list(map(or_, rows_a, rows_b)), n):
             continue
         count += 1
         rt = _rt_bitmask(rows_a, rows_b, n)
         if rt is not None and rt > best_rt:
             best_rt = rt
-            best_table = [tuple(row) for row in table]
+            best_rows = (rows_a, rows_b)
     best = None
-    if best_table is not None:
-        best = PartialDfa(n, ("a", "b"), tuple(tuple(r) for r in best_table))
+    if best_rows is not None:
+        best = PartialDfa(n, ("a", "b"), tuple(
+            tuple(UNDEF if m == 0 else m.bit_length() - 1 for m in row)
+            for row in zip(*best_rows)))
     return ExtremalResult(n, target, best_rt, best, best_rt >= target, count)

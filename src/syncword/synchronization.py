@@ -181,7 +181,8 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
         S = dfa.image(S, sub)
         word.extend(sub)
         trace.append((len(S), sub))
-    S = compress_pairs(dfa, pair_table(dfa), S, word, trace)
+    if len(S) >= 2:
+        S = compress_pairs(dfa, pair_table(dfa), S, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 

@@ -11,6 +11,8 @@ from syncword import (EPSILON, InputError, NotSynchronizing, all_through_root_wo
                       validate_code, weinbaum_conjugate)
 from syncword.codes import path_states, pivot_letters
 
+from test_cli import run_optimized
+
 
 # -------------------------------------------------------------- validation
 
@@ -83,6 +85,26 @@ def test_codeword_actions_loop_on_root():
         lit = literal_automaton(validate_code(words))
         for w in words:
             assert lit.dfa.image({lit.root}, lit.dfa.word(w)) == {lit.root}
+
+
+# Runs under `python -O`: the connectivity check must not be an assert.
+DISCONNECTED_LITERAL_SCRIPT = """
+from syncword import SyncwordError, codes, validate_code
+
+codes.is_strongly_connected = lambda dfa: False
+assert False, "assert statements must be off"
+try:
+    codes.literal_automaton(validate_code(["ab", "b"]))
+    print("accepted")
+except SyncwordError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_literal_connectivity_check_under_optimize():
+    proc = run_optimized(DISCONNECTED_LITERAL_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: literal automata are strongly connected\n"
 
 
 # ----------------------------------------------------------- one-word codes

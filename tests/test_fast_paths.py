@@ -3,19 +3,24 @@
 PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
 (a budgeted walk of the pair table), rank_target_word (a scan of the greedy
 trace) and lift_word_to_partial (a loop on the columns) are checked against
-the letter-by-letter set code they replace.
+the letter-by-letter set code they replace; the subset-BFS kernel (byte
+tables, mask-only parents) against a set-based BFS, and extremal search (bit
+mask rows) against an enumeration of transition tables.
 """
 import random
+from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (UNDEF, InputError, PartialDfa, gen_cerny,
-                      gen_random_prefix_code, greedy_min_rank,
-                      literal_automaton, pair_table, pair_word, parse_dfa,
-                      rank_target_word)
-from syncword.automaton import _chunk_length
+from syncword import (UNDEF, InputError, Lcg64, PartialDfa, _bfs_py,
+                      extremal_search, gen_cerny, gen_random_prefix_code,
+                      greedy_min_rank, literal_automaton, pair_table,
+                      pair_word, parse_dfa, rank_target_word)
+from syncword.automaton import _chunk_length, strongly_connected_masks
 from syncword.constructions import lift_word_to_partial
+from syncword.oracle import _rt_bitmask
 from syncword.synchronization import PairTable, _min_pair
 
 from test_golden import CASES
@@ -208,3 +213,128 @@ def test_rank_target_word_matches_prefix_scan(name):
                 rank_target_word(dfa, r)
         else:
             assert rank_target_word(dfa, r) == expected
+
+
+# ------------------------------------------------------------- subset BFS
+
+def ref_bfs_thresholds(n, k, trans_flat):
+    """Set-based BFS from the full set; the first discovery in (queue,
+    letter) order gives each subset its word."""
+    full = frozenset(range(n))
+    word = {full: ()}
+    queue = deque([full])
+    while queue:
+        S = queue.popleft()
+        for a in range(k):
+            T = frozenset(trans_flat[q * k + a] for q in S) - {-1}
+            if T not in word:
+                word[T] = word[S] + (a,)
+                queue.append(T)
+    out = [None] * (n + 1)
+    for T, w in word.items():
+        if out[len(T)] is None:
+            out[len(T)] = list(w)
+    return out
+
+
+@st.composite
+def flat_tables(draw):
+    """Row-major tables with undefined entries, fully undefined letters and
+    letters that copy an earlier letter's column."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 17]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = []
+    for a in range(k):
+        kind = draw(st.sampled_from(["random", "random", "undefined", "copy"]))
+        if kind == "undefined":
+            columns.append([-1] * n)
+        elif kind == "copy" and columns:
+            columns.append(list(rng.choice(columns)))
+        else:
+            density = rng.choice([0.6, 0.9, 1.0])
+            columns.append([rng.randrange(n) if rng.random() < density else -1
+                            for _ in range(n)])
+    return n, k, [columns[a][q] for q in range(n) for a in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_tables())
+def test_bfs_kernel_matches_set_bfs(table):
+    n, k, flat = table
+    assert _bfs_py.bfs_thresholds(n, k, flat) == ref_bfs_thresholds(n, k, flat)
+
+
+def test_bfs_kernel_twin_letters_give_the_least():
+    # b and c act alike, and a acts like d off state 3
+    c7 = gen_cerny(7)
+    flat = [t for q in range(7)
+            for t in (c7.trans[q][0], c7.trans[q][1], c7.trans[q][1],
+                      -1 if q == 3 else c7.trans[q][0])]
+    out = _bfs_py.bfs_thresholds(7, 4, flat)
+    assert out == ref_bfs_thresholds(7, 4, flat)
+    assert 2 not in {a for w in out if w for a in w}
+
+
+@pytest.mark.parametrize("n", [0, 25])
+def test_bfs_kernel_rejects_state_counts_beyond_three_bytes(n):
+    with pytest.raises(ValueError, match="1 <= n <= 24"):
+        _bfs_py.bfs_thresholds(n, 1, [0] * n)
+
+
+# --------------------------------------------------------------- extremal
+
+def ref_exhaustive_tables(n):
+    """All binary tables with exactly one undefined (state, letter) slot."""
+    slots = [(q, a) for q in range(n) for a in range(2)]
+    for dq, da in slots:
+        rest = [s for s in slots if s != (dq, da)]
+        for assign in product(range(n), repeat=len(rest)):
+            table = [[UNDEF, UNDEF] for _ in range(n)]
+            for (q, a), t in zip(rest, assign):
+                table[q][a] = t
+            yield table
+
+
+def ref_random_tables(n, seed, trials):
+    rng = Lcg64(seed)
+    for _ in range(trials):
+        dq = rng.below(n)
+        da = rng.below(2)
+        table = [[rng.below(n), rng.below(n)] for _ in range(n)]
+        table[dq][da] = UNDEF
+        yield table
+
+
+def ref_extremal(n, tables):
+    """(best_rt, best table, strongly connected candidates) over tables."""
+    best_rt, best, count = -1, None, 0
+    for table in tables:
+        rows_a = [0 if row[0] is UNDEF else 1 << row[0] for row in table]
+        rows_b = [0 if row[1] is UNDEF else 1 << row[1] for row in table]
+        if not strongly_connected_masks([x | y for x, y in zip(rows_a, rows_b)],
+                                        n):
+            continue
+        count += 1
+        rt = _rt_bitmask(rows_a, rows_b, n)
+        if rt is not None and rt > best_rt:
+            best_rt, best = rt, tuple(tuple(row) for row in table)
+    return best_rt, best, count
+
+
+def assert_extremal_matches(res, n, tables):
+    best_rt, best, count = ref_extremal(n, tables)
+    assert (res.best_rt, res.candidates) == (best_rt, count)
+    assert (res.best_dfa.trans if res.best_dfa else None) == best
+    assert res.attained == (best_rt >= (n * n - n) // 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extremal_exhaustive_matches_table_enumeration(n):
+    assert_extremal_matches(extremal_search(n), n, ref_exhaustive_tables(n))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (4, 9), (5, 21), (6, 4)])
+def test_extremal_random_matches_table_draws(n, seed):
+    res = extremal_search(n, exhaustive=False, seed=seed, trials=400)
+    assert_extremal_matches(res, n, ref_random_tables(n, seed, 400))

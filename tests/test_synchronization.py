@@ -7,6 +7,7 @@ from syncword import (EPSILON, InputError, NotStronglyConnected,
                       min_rank_word_via_fixing, pair_table, pair_word,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
+from syncword import synchronization
 from syncword.automaton import GAMMA_TOKEN
 
 
@@ -149,6 +150,23 @@ def test_fixing_route_matches_oracle():
         assert res.final_rank == subset_bfs(dfa).min_nonzero_rank
         assert dfa.rank(res.word) == res.final_rank
         assert res.final_rank == greedy_min_rank(dfa).final_rank
+
+
+def test_fixing_route_builds_one_pair_table(monkeypatch):
+    # the lifted word already leaves one state: the final pair compression,
+    # and its pair table, are skipped
+    calls = []
+    real = synchronization.pair_table
+
+    def counting(dfa):
+        calls.append(dfa.n)
+        return real(dfa)
+    monkeypatch.setattr(synchronization, "pair_table", counting)
+    c12 = gen_cerny(12)
+    res = min_rank_word_via_fixing(c12)
+    assert res.final_rank == 1
+    assert len(calls) == 1
+    assert res.word == greedy_min_rank(c12).word
 
 
 # -------------------------------------------------------------- reduction
