@@ -265,17 +265,6 @@ def test_bfs_kernel_matches_set_bfs(table):
     assert _bfs_py.bfs_thresholds(n, k, flat) == ref_bfs_thresholds(n, k, flat)
 
 
-def test_bfs_kernel_twin_letters_give_the_least():
-    # b and c act alike, and a acts like d off state 3
-    c7 = gen_cerny(7)
-    flat = [t for q in range(7)
-            for t in (c7.trans[q][0], c7.trans[q][1], c7.trans[q][1],
-                      -1 if q == 3 else c7.trans[q][0])]
-    out = _bfs_py.bfs_thresholds(7, 4, flat)
-    assert out == ref_bfs_thresholds(7, 4, flat)
-    assert 2 not in {a for w in out if w for a in w}
-
-
 @pytest.mark.parametrize("n", [0, 25])
 def test_bfs_kernel_rejects_state_counts_beyond_three_bytes(n):
     with pytest.raises(ValueError, match="1 <= n <= 24"):
