@@ -11,6 +11,7 @@ never changes a result, and concurrent fills store equal values.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -307,15 +308,71 @@ def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
     raise NotStronglyConnected(f"state {q} not reachable from state {p}")
 
 
+def settle_seeds(trans, k, merge):
+    """The pairs of states of a table that one letter settles, as (p, q,
+    letter) with p < q, yielded in (p, q) order: letter is the least on
+    which exactly one of p, q is undefined or, when merge is set, both go
+    to the same state.  These are the distance-1 seeds of pair_bfs; they
+    are yielded, not collected, because on automata with many undefined
+    transitions most pairs are seeds.
+    """
+    n = len(trans)
+    undef = [0] * k
+    # same[a][t]: the states that letter a maps to t
+    same = [[0] * n for _ in range(k)] if merge else None
+    for q, row in enumerate(trans):
+        bit = 1 << q
+        for a, t in enumerate(row):
+            if t is UNDEF:
+                undef[a] |= bit
+            elif merge:
+                same[a][t] |= bit
+    full = (1 << n) - 1
+    for p, row in enumerate(trans):
+        above = full ^ ((2 << p) - 1)
+        first = {}
+        taken = 0
+        for a, t in enumerate(row):
+            if t is UNDEF:
+                m = ~undef[a]
+            elif merge:
+                m = undef[a] | same[a][t]
+            else:
+                m = undef[a]
+            m &= above & ~taken
+            if not m:
+                continue
+            taken |= m
+            while m:
+                low = m & -m
+                first[low.bit_length() - 1] = a
+                m ^= low
+            if taken == above:
+                break
+        for q in sorted(first):
+            yield p, q, first[q]
+
+
+def _typecode(bound: int) -> str:
+    """An array typecode whose items hold every int in -1..bound."""
+    return "i" if bound < 2 ** 31 else "q"
+
+
 def pair_bfs(trans, k, seeds):
     """Backward BFS over unordered pairs of the states of a table.
 
-    trans[q][a] is a state or UNDEF; seeds is an ordered {(p, q): letter}
-    (p < q) of the pairs a single letter settles.  A pair that some letter
-    maps onto a distinct pair at distance d gets distance d + 1, with the
-    first such letter in (queue, letter, predecessor) order.  Returns the
-    dicts (dist, letter) keyed by (p, q) with p < q; pairs that never reach
-    a seed are absent.
+    trans[q][a] is a state or UNDEF; seeds yields (p, q, letter) (p < q)
+    for the pairs a single letter settles, in order (see settle_seeds).  A
+    pair that some letter maps onto a distinct pair at distance d gets
+    distance d + 1, with the first such letter in (queue, letter,
+    predecessor p, q) order.
+
+    A pair {p, q} with p < q is coded p * n + q.  Returns the arrays
+    (pairs, dist, letter, index): pairs holds the codes of the pairs that
+    reach a seed in BFS order, so dist is non-decreasing; dist and letter
+    run parallel to it; index[p * n + q] == index[q * n + p] is the
+    position of {p, q} in pairs plus 1, or <= 0 when the pair never
+    reaches a seed.
     """
     n = len(trans)
     inv = [[[] for _ in range(n)] for _ in range(k)]
@@ -324,35 +381,54 @@ def pair_bfs(trans, k, seeds):
             t = trans[q][a]
             if t is not UNDEF:
                 inv[a][t].append(q)
-    dist = dict.fromkeys(seeds, 1)
-    letter = dict(seeds)
-    queue = deque(seeds)
-    while queue:
-        tp, tq = queue.popleft()
-        d = dist[(tp, tq)] + 1
-        for a in range(k):
-            for p in inv[a][tp]:
-                for q in inv[a][tq]:
-                    if p == q:
-                        continue
-                    key = (p, q) if p < q else (q, p)
-                    if key not in dist:
-                        dist[key] = d
-                        letter[key] = a
-                        queue.append(key)
-    return dist, letter
+    # into[t]: (a, predecessors of t under a, inv[a]) for the letters a,
+    # ascending, under which t has a predecessor
+    into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
+            for t in range(n)]
+    code = _typecode(n * n)
+    index = array(code, bytes(array(code).itemsize * n * n))
+    for q in range(n):
+        index[q * n + q] = -1
+    pairs = array(code)
+    letter = array(_typecode(k))
+    for p, q, a in seeds:
+        pairs.append(p * n + q)
+        letter.append(a)
+        index[p * n + q] = index[q * n + p] = len(pairs)
+    dist = array(code, [1]) * len(pairs)
+    put_pair, put_dist, put_letter = pairs.append, dist.append, letter.append
+    found = len(pairs)
+    # pairs and dist grow while zip walks them: they are the queue
+    for c, d in zip(pairs, dist):
+        tp, tq = divmod(c, n)
+        d += 1
+        for a, preds_p, inv_a in into[tp]:
+            preds_q = inv_a[tq]
+            if not preds_q:
+                continue
+            for p in preds_p:
+                row = p * n
+                for q in preds_q:
+                    if not index[row + q]:
+                        put_pair(row + q if p < q else q * n + p)
+                        put_dist(d)
+                        put_letter(a)
+                        found += 1
+                        index[row + q] = index[q * n + p] = found
+    return pairs, dist, letter, index
 
 
 def pair_witness(trans, letter_of, p: int, q: int) -> Word:
     """The word a pair_bfs result records for the pair {p, q}.
 
-    letter_of maps an ordered pair to its recorded first letter.  The walk
-    follows those letters until the pair is settled, that is until the two
-    states merge or at least one of them dies.
+    letter_of(p, q) is the recorded first letter of {p, q}, in either
+    order of the two states.  The walk follows those letters until the
+    pair is settled, that is until the two states merge or at least one of
+    them dies.
     """
     out = []
     while True:
-        a = letter_of((p, q) if p < q else (q, p))
+        a = letter_of(p, q)
         out.append(a)
         p, q = trans[p][a], trans[q][a]
         if p is UNDEF or q is UNDEF or p == q:

@@ -86,15 +86,19 @@ def _cmd_build(args):
     return 0
 
 
+def _not_synchronizing(args, dfa):
+    r = sync_mod.greedy_min_rank(dfa).final_rank
+    _emit(args.format, [f"not synchronizing: minimal non-zero rank {r}"],
+          [("synchronizing", "false"), ("min_rank", r)])
+    return 1
+
+
 def _cmd_sync_check(args):
     dfa = _load_dfa(args.file)
     if sync_mod.is_synchronizing(dfa):
         _emit(args.format, ["synchronizing"], [("synchronizing", "true")])
         return 0
-    r = sync_mod.greedy_min_rank(dfa).final_rank
-    _emit(args.format, [f"not synchronizing: minimal non-zero rank {r}"],
-          [("synchronizing", "false"), ("min_rank", r)])
-    return 1
+    return _not_synchronizing(args, dfa)
 
 
 def _require(ok, message):
@@ -111,17 +115,19 @@ def _word_output(args, dfa, word, r):
 
 def _cmd_sync_word(args):
     dfa = _load_dfa(args.file)
-    if not sync_mod.is_synchronizing(dfa):
-        r = sync_mod.greedy_min_rank(dfa).final_rank
-        _emit(args.format, [f"not synchronizing: minimal non-zero rank {r}"],
-              [("synchronizing", "false"), ("min_rank", r)])
-        return 1
-    if args.method == "greedy":
+    if args.method == "collecting":
+        # decides synchronizability itself, so the input's pair table is
+        # built once
+        try:
+            word = sync_mod.reset_word_via_collecting(dfa)
+        except NotSynchronizing:
+            return _not_synchronizing(args, dfa)
+    elif not sync_mod.is_synchronizing(dfa):
+        return _not_synchronizing(args, dfa)
+    elif args.method == "greedy":
         word = sync_mod.greedy_min_rank(dfa).word
     elif args.method == "fixing":
         word = sync_mod.min_rank_word_via_fixing(dfa).word
-    elif args.method == "collecting":
-        word = sync_mod.reset_word_via_collecting(dfa)
     else:  # oracle
         word = oracle_mod.subset_bfs(dfa).witness(1)
     r = dfa.rank(word)

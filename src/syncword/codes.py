@@ -40,6 +40,10 @@ def validate_code(words) -> PrefixCode:
     for w in words:
         if not w:
             raise InputError("codewords must be non-empty")
+        # letters become tokens of the literal automaton, which whitespace
+        # would split
+        if any(ch.isspace() for ch in w):
+            raise InputError(f"codeword {w!r} contains whitespace")
     seen = {}
     for i, w in enumerate(words):
         if w in seen:
@@ -71,6 +75,11 @@ class LiteralAutomaton:
     @property
     def root(self) -> int:
         return 0
+
+    def letters(self, s: str) -> Word:
+        """The word spelling s, one letter per character (dfa.word would
+        read a lone '-' as the empty word)."""
+        return tuple(map(self.dfa.alphabet.index, s))
 
 
 def literal_automaton(code: PrefixCode) -> LiteralAutomaton:
@@ -121,7 +130,7 @@ def one_word_rank(code: PrefixCode) -> int:
 
 
 def _defined_states(lit: LiteralAutomaton, w: str) -> list[int]:
-    word = lit.dfa.word(w)
+    word = lit.letters(w)
     return [q for q in range(lit.dfa.n) if lit.dfa.run(q, word) is not UNDEF]
 
 
@@ -136,6 +145,9 @@ def weinbaum_conjugate(x: str, lit: LiteralAutomaton) -> tuple[str, str]:
         raise InputError(f"{x!r} is not primitive")
     if lit.code.words != (x,):
         raise InputError("literal automaton must belong to the one-word code")
+    if len(x) == 1:
+        # a single state, which the empty word already resets
+        return "", x
     for i in range(len(x)):
         conj = x[i:] + x[:i]
         for j in range(1, len(conj)):
@@ -363,7 +375,7 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
             raise NotSynchronizing(
                 f"literal automaton of {x!r} has minimal non-zero rank {k}")
         u, v = weinbaum_conjugate(x, lit)
-        word = dfa.word(u if len(u) <= len(v) else v)
+        word = lit.letters(u if len(u) <= len(v) else v)
         if dfa.rank(word) != 1:
             raise SyncwordError("conjugate split must give a reset word")
         return word
@@ -371,7 +383,7 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
     table = pair_table(dfa)
     if not table.all_compressible():
         p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)
-                    if (p, q) not in table.dist)
+                    if table.distance(p, q) is None)
         raise NotSynchronizing(
             f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
             "is incompressible")

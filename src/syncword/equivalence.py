@@ -9,8 +9,10 @@ and reconstructed recursively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .automaton import UNDEF, PartialDfa, Word, pair_bfs, pair_witness
+from .automaton import (UNDEF, PartialDfa, Word, pair_bfs, pair_witness,
+                        settle_seeds)
 from .errors import InputError, SyncwordError
 
 
@@ -22,7 +24,8 @@ class Partition:
     its class id, and levels maps each separated (unordered) class-id pair to
     a (letter, level) witness: level is the length of a shortest word whose
     definedness distinguishes the two classes, and the letter is its first
-    letter.  qtable is the class-level transition table (the quotient).
+    letter; its keys run in non-decreasing level order.  qtable is the
+    class-level transition table (the quotient).
     """
 
     class_of: tuple[int, ...]
@@ -123,17 +126,11 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
             class_of[q] = cid
     qtable = _quotient_table(dfa, class_of, classes)
     kappa_, k = len(classes), len(dfa.alphabet)
-    seeds = {}
-    for c1 in range(kappa_):
-        for c2 in range(c1 + 1, kappa_):
-            for a in range(k):
-                if (qtable[c1][a] is UNDEF) != (qtable[c2][a] is UNDEF):
-                    seeds[(c1, c2)] = a
-                    break
-    dist, letter = pair_bfs(qtable, k, seeds)
+    seeds = settle_seeds(qtable, k, merge=False)
+    pairs, dist, letter, _ = pair_bfs(qtable, k, seeds)
     if len(dist) != kappa_ * (kappa_ - 1) // 2:
         raise SyncwordError("distinct classes must all be separable")
-    levels = {key: (letter[key], d) for key, d in dist.items()}
+    levels = {divmod(c, kappa_): (a, d) for c, d, a in zip(pairs, dist, letter)}
     return Partition(tuple(class_of), classes, levels, qtable)
 
 
@@ -178,11 +175,45 @@ def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     c1, c2 = part.class_of[p], part.class_of[q]
     if c1 == c2:
         raise InputError(f"states {p} and {q} are inseparable")
-    return pair_witness(part.qtable, lambda key: part.levels[key][0], c1, c2)
+    levels = part.levels
+    return pair_witness(
+        part.qtable,
+        lambda c1, c2: levels[(c1, c2) if c1 < c2 else (c2, c1)][0], c1, c2)
 
 
 def kappa(part: Partition, S) -> int:
     return part.kappa(S)
+
+
+def _least_separated_pair(part: Partition, S):
+    """(level, p, q) minimizing the separation level of p < q in S lying in
+    distinct classes, ties by state order; None when S meets one class.
+
+    Only the least state of S in each class can be picked.  levels lists
+    class pairs in non-decreasing level order, so the first level holding
+    two classes of S, walked to its end, gives the answer.  The walk gets
+    as many checks as the class pairs of S number; when they run out first,
+    those pairs are scanned instead.
+    """
+    rep = {}
+    for q in sorted(S):
+        rep.setdefault(part.class_of[q], q)
+    if len(rep) < 2:
+        return None
+    budget = len(rep) * (len(rep) - 1) // 2
+    best = None
+    for (c1, c2), (_, lvl) in islice(part.levels.items(), budget):
+        if best is not None and lvl > best[0]:
+            return best
+        if c1 in rep and c2 in rep:
+            p, q = sorted((rep[c1], rep[c2]))
+            if best is None or (lvl, p, q) < best:
+                best = (lvl, p, q)
+    if budget >= len(part.levels):
+        return best
+    reps = sorted(rep.values())
+    return min((part.level(part.class_of[p], part.class_of[q]), p, q)
+               for i, p in enumerate(reps) for q in reps[i + 1:])
 
 
 def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
@@ -193,16 +224,9 @@ def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
     |w| <= min(kappa(Q) - kappa(S) + 1, n - |S| + 1).
     """
     S = frozenset(S)
-    if part.kappa(S) < 2:
+    best = _least_separated_pair(part, S)
+    if best is None:
         raise InputError("subset intersects fewer than two classes")
-    best = None
-    for p in sorted(S):
-        for q in sorted(S):
-            if q <= p or part.class_of[p] == part.class_of[q]:
-                continue
-            lvl = part.level(part.class_of[p], part.class_of[q])
-            if best is None or (lvl, p, q) < best:
-                best = (lvl, p, q)
     w = separating_word(dfa, part, best[1], best[2])
     img = dfa.image(S, w)
     if not img or part.kappa(img) >= part.kappa(S):

@@ -13,11 +13,13 @@ attempted.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
-from .automaton import (EPSILON, UNDEF, PartialDfa, Word, connecting_word,
-                        is_strongly_connected, pair_bfs, pair_witness)
+from .automaton import (EPSILON, PartialDfa, Word, connecting_word,
+                        is_strongly_connected, pair_bfs, pair_witness,
+                        settle_seeds)
 from .constructions import (CollectingTree, collecting, collecting_tree,
                             fixing, lift_word_to_partial, strip_gamma)
 from .equivalence import (Partition, class_reducing_word,
@@ -31,43 +33,51 @@ from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
 class PairTable:
     """Distance-to-compression and first letters for unordered state pairs.
 
-    dist[(p, q)] (p < q) is the length of a shortest word compressing the
-    pair; pairs admitting no such word are absent.  letter[(p, q)] is the
-    first letter of one such word.
+    The pairs admitting a compressing word are listed in the BFS order of
+    pair_bfs, so distances never decrease along the list: pairs[i] is the
+    code p * n + q (p < q) of the i-th pair, dist[i] the length of a
+    shortest word compressing it and letter[i] the first letter of one
+    such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0 when
+    {p, q} admits no compressing word.  Read the table through its
+    methods; pair_word and _min_pair below also read the arrays.
     """
 
     n: int
-    dist: dict
-    letter: dict
+    pairs: array
+    dist: array
+    letter: array
+    index: array
 
     def distance(self, p: int, q: int):
-        return self.dist.get((min(p, q), max(p, q)))
+        """Length of a shortest word compressing {p, q}, or None."""
+        i = self.index[p * self.n + q]
+        return self.dist[i - 1] if i > 0 else None
 
     def all_compressible(self) -> bool:
         return len(self.dist) == self.n * (self.n - 1) // 2
 
+    def items(self):
+        """((p, q), distance, first letter) per compressible pair (p < q),
+        in BFS (non-decreasing distance) order."""
+        n = self.n
+        for c, d, a in zip(self.pairs, self.dist, self.letter):
+            yield divmod(c, n), d, a
+
 
 def pair_table(dfa: PartialDfa) -> PairTable:
-    n, k = dfa.n, len(dfa.alphabet)
+    k = len(dfa.alphabet)
     # distance-1 seeds: merge, or exactly one of the two dying
-    seeds = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            for a in range(k):
-                tp, tq = dfa.trans[p][a], dfa.trans[q][a]
-                if (tp is UNDEF) != (tq is UNDEF) or (tp is not UNDEF and tp == tq):
-                    seeds[(p, q)] = a
-                    break
-    dist, letter = pair_bfs(dfa.trans, k, seeds)
-    return PairTable(n, dist, letter)
+    seeds = settle_seeds(dfa.trans, k, merge=True)
+    return PairTable(dfa.n, *pair_bfs(dfa.trans, k, seeds))
 
 
 def pair_word(dfa: PartialDfa, table: PairTable, p: int, q: int) -> Word:
     """The shortest compressing word recorded for {p, q}."""
-    key = (min(p, q), max(p, q))
-    if key not in table.dist:
-        raise InputError(f"pair {key} is not compressible")
-    return pair_witness(dfa.trans, table.letter.__getitem__, p, q)
+    if table.distance(p, q) is None:
+        raise InputError(f"pair {(min(p, q), max(p, q))} is not compressible")
+    n, letter, index = table.n, table.letter, table.index
+    return pair_witness(dfa.trans, lambda p, q: letter[index[p * n + q] - 1],
+                        p, q)
 
 
 def is_synchronizing(dfa: PartialDfa) -> bool:
@@ -107,27 +117,31 @@ class SyncResult:
 def _min_pair(table: PairTable, S):
     """Compressible pair of S minimizing (distance, p, q), or None.
 
-    pair_bfs fills table.dist in non-decreasing distance order, so the
-    first distance level holding a pair of S, walked to its end, gives the
+    The table lists pairs in non-decreasing distance order, so the first
+    distance level holding a pair of S, walked to its end, gives the
     answer.  The walk gets as many checks as the pairs of S number; when
     they run out first, the pairs of S are scanned instead.
     """
+    n = table.n
     budget = len(S) * (len(S) - 1) // 2
-    best = None
-    for (p, q), d in islice(table.dist.items(), budget):
-        if best is not None and d > best[0]:
-            return best
-        if p in S and q in S and (best is None or (d, p, q) < best):
-            best = (d, p, q)
+    # within a level, (p, q) order is the order of the codes p * n + q
+    level = code = None
+    for c, d in islice(zip(table.pairs, table.dist), budget):
+        if level is not None and d > level:
+            return (level, *divmod(code, n))
+        if c // n in S and c % n in S and (code is None or c < code):
+            level, code = d, c
     if budget >= len(table.dist):
-        return best
+        return None if code is None else (level, *divmod(code, n))
     best = None
+    dist, index = table.dist, table.index
     states = sorted(S)
     for i, p in enumerate(states):
+        row = p * n
         for q in states[i + 1:]:
-            d = table.dist.get((p, q))
-            if d is not None and (best is None or (d, p, q) < best):
-                best = (d, p, q)
+            j = index[row + q]
+            if j > 0 and (best is None or (dist[j - 1], p, q) < best):
+                best = (dist[j - 1], p, q)
     return best
 
 

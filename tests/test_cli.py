@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import syncword
-from syncword import cli, parse_dfa, parse_code
+from syncword import (cli, format_dfa, gen_random_partial, parse_code,
+                      parse_dfa, synchronization)
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -127,6 +128,30 @@ def test_sync_word_on_nonsynchronizing(capsys):
     assert run(["sync", "word", LIT_ABAB]) == 1
 
 
+@pytest.mark.parametrize("method", ["greedy", "fixing", "collecting", "oracle"])
+def test_sync_word_nonsynchronizing_output(capsys, tmp_path, method):
+    path = tmp_path / "rand.dfa"
+    path.write_text(format_dfa(gen_random_partial(6, 2, 0.70, 19)))
+    assert run(["sync", "word", str(path), "--method", method]) == 1
+    assert capsys.readouterr().out == "not synchronizing: minimal non-zero rank 2\n"
+    assert run(["--format", "summary", "sync", "word", str(path),
+                "--method", method]) == 1
+    assert capsys.readouterr().out == "synchronizing=false\nmin_rank=2\n"
+
+
+def test_sync_word_collecting_builds_two_pair_tables(capsys, monkeypatch):
+    # one for the input, one for its collecting automaton
+    calls = []
+    real = synchronization.pair_bfs
+
+    def counting(trans, k, seeds):
+        calls.append(len(trans))
+        return real(trans, k, seeds)
+    monkeypatch.setattr(synchronization, "pair_bfs", counting)
+    assert run(["sync", "word", FIG1, "--method", "collecting"]) == 0
+    assert len(calls) == 2
+
+
 def test_rank_min(capsys):
     assert run(["rank", "min", LIT_ABAB]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -239,6 +264,10 @@ def test_code_oneword(capsys):
     assert "power=1" in out and "reset_word=a a a len=3" in out
     assert run(["code", "oneword", "abab"]) == 1
     assert "not synchronizing" in capsys.readouterr().out
+    assert run(["code", "oneword", "a"]) == 0
+    assert "reset_word=- len=0" in capsys.readouterr().out
+    assert run(["code", "oneword", "a\na"]) == 2
+    assert "whitespace" in capsys.readouterr().err
 
 
 def test_gen_roundtrips(capsys):

@@ -35,6 +35,12 @@ def test_validate_rejects_empty_word_and_duplicates():
         validate_code([])
 
 
+@pytest.mark.parametrize("word", ["a b", "a\na", "\ta"])
+def test_validate_rejects_whitespace_letters(word):
+    with pytest.raises(InputError, match="whitespace"):
+        validate_code([word, "c"])
+
+
 def test_parse_code_comments():
     code = parse_code("# decoder\nab\nba # trailing\n\n")
     assert code.words == ("ab", "ba")
@@ -148,6 +154,21 @@ def test_weinbaum_split_property():
                        if lit.dfa.run(q, word) is not None]
             assert len(defined) == 1
         assert min(len(u), len(v)) <= len(x) / 2
+
+
+def test_single_letter_word_is_reset_by_the_empty_word():
+    lit = literal_automaton(validate_code(["a"]))
+    assert weinbaum_conjugate("a", lit) == ("", "a")
+    assert literal_reset_word(lit) == EPSILON
+
+
+def test_dash_letter_is_not_the_empty_word():
+    # '-' spells the empty word in word text, but is a letter of this code
+    lit = literal_automaton(validate_code(["a-"]))
+    u, v = weinbaum_conjugate("a-", lit)
+    assert {u, v} == {"a", "-"}
+    word = literal_reset_word(lit)
+    assert len(word) == 1 and lit.dfa.rank(word) == 1
 
 
 def test_weinbaum_rejects_imprimitive():

@@ -3,11 +3,15 @@
 PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
 (a budgeted walk of the pair table), rank_target_word (a scan of the greedy
 trace) and lift_word_to_partial (a loop on the columns) are checked against
-the letter-by-letter set code they replace; the subset-BFS kernel (byte
-tables, mask-only parents) against a set-based BFS, and extremal search (bit
-mask rows) against an enumeration of transition tables.
+the letter-by-letter set code they replace; the pair BFS (integer pair codes
+in flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks)
+and the class_reducing_word pick (a budgeted walk of the partition levels)
+against the loops they replace; the subset-BFS kernel (byte tables,
+mask-only parents) against a set-based BFS, and extremal search (bit mask
+rows) against an enumeration of transition tables.
 """
 import random
+from array import array
 from collections import deque
 from itertools import product
 
@@ -16,10 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from syncword import (UNDEF, InputError, Lcg64, PartialDfa, _bfs_py,
                       extremal_search, gen_cerny, gen_random_prefix_code,
-                      greedy_min_rank, literal_automaton, pair_table,
-                      pair_word, parse_dfa, rank_target_word)
-from syncword.automaton import _chunk_length, strongly_connected_masks
+                      greedy_min_rank, inseparability_partition,
+                      literal_automaton, pair_table, pair_word, parse_dfa,
+                      rank_target_word)
+from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
+                                strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
+from syncword.equivalence import _least_separated_pair
 from syncword.oracle import _rt_bitmask
 from syncword.synchronization import PairTable, _min_pair
 
@@ -34,8 +41,21 @@ def ref_image(dfa, S, w):
 
 
 def ref_min_pair(table, S):
-    pairs = [(d, p, q) for (p, q), d in table.dist.items() if p in S and q in S]
+    pairs = [(d, p, q) for (p, q), d, _ in table.items() if p in S and q in S]
     return min(pairs, default=None)
+
+
+def hand_table(n, dist):
+    """A PairTable listing the pairs of the ordered {(p, q): distance} dist
+    (p < q) in that order, every first letter 0."""
+    index = array("i", [0] * (n * n))
+    for q in range(n):
+        index[q * n + q] = -1
+    for i, (p, q) in enumerate(dist, start=1):
+        index[p * n + q] = index[q * n + p] = i
+    return PairTable(n, array("i", [p * n + q for p, q in dist]),
+                     array("i", dist.values()), array("i", [0] * len(dist)),
+                     index)
 
 
 # ------------------------------------------------------------------ image
@@ -146,7 +166,7 @@ def test_min_pair_budget_runs_out_mid_level():
     lit = literal_automaton(gen_random_prefix_code(12, 6, 3, 6)).dfa
     table = pair_table(lit)
     level_end = {}
-    for pos, d in enumerate(table.dist.values()):
+    for pos, (_, d, _) in enumerate(table.items()):
         level_end[d] = pos + 1
     rng = random.Random(5)
     fallbacks = 0
@@ -162,8 +182,7 @@ def test_min_pair_budget_runs_out_mid_level():
 
 def test_min_pair_finishes_the_level():
     # within a distance level pair_bfs inserts in queue order, not by (p, q)
-    dist = {(0, 1): 1, (4, 5): 2, (2, 3): 2, (1, 2): 3}
-    table = PairTable(6, dist, dict.fromkeys(dist, 0))
+    table = hand_table(6, {(0, 1): 1, (4, 5): 2, (2, 3): 2, (1, 2): 3})
     assert _min_pair(table, frozenset({2, 3, 4, 5})) == (2, 2, 3)
 
 
@@ -175,8 +194,7 @@ def test_min_pair_on_tables_in_bfs_order(n, data):
     keys = keys[:data.draw(st.integers(0, len(keys)))]
     dists = sorted(data.draw(st.lists(st.integers(1, 4), min_size=len(keys),
                                       max_size=len(keys))))
-    dist = dict(zip(keys, dists))
-    table = PairTable(n, dist, dict.fromkeys(dist, 0))
+    table = hand_table(n, dict(zip(keys, dists)))
     S = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
     assert _min_pair(table, S) == ref_min_pair(table, S)
 
@@ -269,6 +287,149 @@ def test_bfs_kernel_matches_set_bfs(table):
 def test_bfs_kernel_rejects_state_counts_beyond_three_bytes(n):
     with pytest.raises(ValueError, match="1 <= n <= 24"):
         _bfs_py.bfs_thresholds(n, 1, [0] * n)
+
+
+# --------------------------------------------------------------- pair BFS
+
+def ref_settle_seeds(trans, k, merge):
+    """The seed loops of pair_table (merge) and of the inseparability
+    partition (not merge)."""
+    n = len(trans)
+    seeds = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            for a in range(k):
+                tp, tq = trans[p][a], trans[q][a]
+                if (tp is UNDEF) != (tq is UNDEF) or \
+                        (merge and tp is not UNDEF and tp == tq):
+                    seeds[(p, q)] = a
+                    break
+    return seeds
+
+
+def ref_pair_bfs(trans, k, seeds):
+    """Backward pair BFS on tuple-keyed dicts: (dist, letter) in BFS order."""
+    n = len(trans)
+    inv = [[[] for _ in range(n)] for _ in range(k)]
+    for q in range(n):
+        for a in range(k):
+            t = trans[q][a]
+            if t is not UNDEF:
+                inv[a][t].append(q)
+    dist = dict.fromkeys(seeds, 1)
+    letter = dict(seeds)
+    queue = deque(seeds)
+    while queue:
+        tp, tq = queue.popleft()
+        d = dist[(tp, tq)] + 1
+        for a in range(k):
+            for p in inv[a][tp]:
+                for q in inv[a][tq]:
+                    if p == q:
+                        continue
+                    key = (p, q) if p < q else (q, p)
+                    if key not in dist:
+                        dist[key] = d
+                        letter[key] = a
+                        queue.append(key)
+    return dist, letter
+
+
+def nested(table):
+    n, k, flat = table
+    return tuple(tuple(UNDEF if flat[q * k + a] < 0 else flat[q * k + a]
+                       for a in range(k)) for q in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_tables(), st.booleans())
+def test_settle_seeds_match_pair_loops(table, merge):
+    trans = nested(table)
+    k = table[1]
+    assert [((p, q), a) for p, q, a in settle_seeds(trans, k, merge)] == \
+        list(ref_settle_seeds(trans, k, merge).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_tables(), st.booleans())
+def test_pair_bfs_matches_dict_bfs_in_order(table, merge):
+    trans = nested(table)
+    n, k = table[0], table[1]
+    seeds = ref_settle_seeds(trans, k, merge)
+    pairs, dist, letter, index = pair_bfs(
+        trans, k, ((p, q, a) for (p, q), a in seeds.items()))
+    ref_dist, ref_letter = ref_pair_bfs(trans, k, seeds)
+    assert [(divmod(c, n), d, a) for c, d, a in zip(pairs, dist, letter)] == \
+        [(key, d, ref_letter[key]) for key, d in ref_dist.items()]
+    for p in range(n):
+        for q in range(n):
+            i = index[p * n + q]
+            if p == q or (min(p, q), max(p, q)) not in ref_dist:
+                assert i <= 0
+            else:
+                assert pairs[i - 1] == min(p, q) * n + max(p, q)
+
+
+def test_pair_table_items_and_distance(fig1):
+    table = pair_table(fig1)
+    items = list(table.items())
+    assert [d for _, d, _ in items] == sorted(d for _, d, _ in items)
+    for (p, q), d, a in items:
+        assert table.distance(p, q) == table.distance(q, p) == d
+        assert pair_word(fig1, table, q, p)[0] == a
+    assert table.distance(3, 3) is None
+
+
+# ------------------------------------------------ class-reducing pick
+
+def ref_least_separated_pair(part, S):
+    """The pair scan class_reducing_word made over all pairs of S."""
+    best = None
+    for p in sorted(S):
+        for q in sorted(S):
+            if q <= p or part.class_of[p] == part.class_of[q]:
+                continue
+            lvl = part.level(part.class_of[p], part.class_of[q])
+            if best is None or (lvl, p, q) < best:
+                best = (lvl, p, q)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 4),
+       st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9]), st.data())
+def test_class_pick_matches_pair_scan_random(n, k, density, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    dfa = PartialDfa(n, tuple(f"x{i}" for i in range(k)),
+                     tuple(tuple(rng.randrange(n) if rng.random() < density
+                                 else UNDEF for _ in range(k))
+                           for _ in range(n)))
+    part = inseparability_partition(dfa)
+    for _ in range(5):
+        S = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+        assert _least_separated_pair(part, S) == \
+            ref_least_separated_pair(part, S)
+
+
+def test_class_pick_matches_pair_scan_literal():
+    lit = literal_automaton(gen_random_prefix_code(12, 6, 3, 6)).dfa
+    part = inseparability_partition(lit)
+    level_end = {}
+    for pos, (_, lvl) in enumerate(part.levels.values()):
+        level_end[lvl] = pos + 1
+    rng = random.Random(11)
+    walks = fallbacks = 0
+    for _ in range(300):
+        S = frozenset(rng.sample(range(lit.n), rng.randrange(1, lit.n + 1)))
+        best = ref_least_separated_pair(part, S)
+        assert _least_separated_pair(part, S) == best
+        kappa = part.kappa(S)
+        if best is not None:
+            if kappa * (kappa - 1) // 2 < level_end[best[0]]:
+                fallbacks += 1
+            else:
+                walks += 1
+    assert walks >= 30 and fallbacks >= 30
 
 
 # --------------------------------------------------------------- extremal

@@ -58,8 +58,8 @@ def snapshot(dfa):
     except NotSynchronizing:
         collecting = "NotSynchronizing"
     return {
-        "pair_table.dist": _digest(sorted(table.dist.items())),
-        "pair_table.letter": _digest(sorted(table.letter.items())),
+        "pair_table.dist": _digest(sorted((key, d) for key, d, _ in table.items())),
+        "pair_table.letter": _digest(sorted((key, a) for key, _, a in table.items())),
         "partition.levels": _digest(sorted(part.levels.items())),
         "separating_words": _digest(seps),
         "greedy.word": _word(dfa, greedy.word),

@@ -20,7 +20,7 @@ def test_pair_table_fig1(fig1):
     expected = {(0, 1): 2, (0, 2): 1, (0, 3): 1, (0, 4): 2, (0, 5): 1,
                 (1, 2): 1, (1, 3): 2, (1, 4): 3, (1, 5): 1, (2, 3): 1,
                 (2, 4): 1, (2, 5): 2, (3, 4): 2, (3, 5): 1, (4, 5): 1}
-    assert table.dist == expected
+    assert {key: d for key, d, _ in table.items()} == expected
     # {q3, q6}: both dying under b is no compression, so distance is 2
     assert table.distance(2, 5) == 2
     # the only merge-type pair: {q1, q4} collide at q1 under b
@@ -31,7 +31,7 @@ def test_pair_table_fig1(fig1):
 
 def test_pair_words_compress(fig1):
     table = pair_table(fig1)
-    for (p, q), d in table.dist.items():
+    for (p, q), d, _ in table.items():
         w = pair_word(fig1, table, p, q)
         assert len(w) == d
         assert len(fig1.image({p, q}, w)) == 1
@@ -41,9 +41,8 @@ def test_pair_table_complete_dfa_merge_only():
     c4 = gen_cerny(4)
     table = pair_table(c4)
     assert table.all_compressible()
-    for (p, q), d in table.dist.items():
+    for (p, q), d, a in table.items():
         if d == 1:
-            a = table.letter[(p, q)]
             assert c4.trans[p][a] == c4.trans[q][a]
 
 
@@ -62,7 +61,7 @@ def test_pair_table_matches_word_enumeration():
                         if len(dfa.image({p, q}, w)) == 1:
                             brute[(p, q)] = length
         for key, d in brute.items():
-            assert table.dist.get(key) == d
+            assert table.distance(*key) == d
 
 
 # --------------------------------------------------------- is_synchronizing
