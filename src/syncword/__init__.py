@@ -24,7 +24,7 @@ from .constructions import (CollectingTree, InducedAutomaton, collecting,
 from .equivalence import (Partition, class_reducing_word,
                           collapse_to_single_class_word,
                           inseparability_partition, kappa, quotient,
-                          refinement_levels, separating_word)
+                          separating_word)
 from .errors import (FormatError, InputError, NotStronglyConnected,
                      NotSynchronizing, SyncwordError)
 from .generators import (Lcg64, gen_cerny, gen_oneword_code,

@@ -134,37 +134,6 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
     return Partition(tuple(class_of), classes, levels, qtable)
 
 
-def refinement_levels(dfa: PartialDfa):
-    """Moore-style chain of level-k partitions, coarsest first.
-
-    Level-k classes group states whose word actions of length <= k agree on
-    definedness.  The chain is strictly refining until it stabilizes at the
-    inseparability partition; the stable partition is the last element.
-    """
-    k = len(dfa.alphabet)
-    class_of = [0] * dfa.n
-    chain = [class_of]
-    while True:
-        sig = {}
-        nxt = [0] * dfa.n
-        for q in range(dfa.n):
-            key = (class_of[q],
-                   tuple(UNDEF if dfa.trans[q][a] is UNDEF else class_of[dfa.trans[q][a]]
-                         for a in range(k)))
-            nxt[q] = sig.setdefault(key, len(sig))
-        if nxt == class_of:
-            break
-        class_of = nxt
-        chain.append(class_of)
-    out = []
-    for levels in chain:
-        groups = {}
-        for q, c in enumerate(levels):
-            groups.setdefault(c, set()).add(q)
-        out.append(tuple(sorted((frozenset(g) for g in groups.values()), key=min)))
-    return out
-
-
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     """A word killing exactly one of p, q; length = separation level.
 

@@ -1,8 +1,15 @@
 """Exact ground truth by BFS over the subset lattice.
 
-The hot loop lives in a compiled kernel (syncword._bfs_c) when the extension
-was built, with a pure-Python twin as fallback; both produce identical
-output, including tie-breaking.  Desk-scale guardrail: n <= 24.
+Subsets are machine-word bit masks of at most 24 states (the desk-scale
+guardrail), so a mask is three bytes.  Each letter has three 256-entry byte
+tables (states 0-7, 8-15 and 16-23; the tables of states beyond n map to 0),
+and the image of a mask is three unrolled lookups OR-ed together: the byte
+indices are computed once per mask and shared by every letter.
+
+The parent map stores only the mask a subset was first reached from, not
+the letter.  Letters are tried in order for each mask, so the letter that
+first reached t from m is the least a with image(m, a) == t; the witness
+walk recomputes it, which costs at most k images per witness letter.
 """
 from __future__ import annotations
 
@@ -14,16 +21,12 @@ from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
                         strongly_connected_masks)
 from .constructions import duplicating
 from .errors import InputError, SyncwordError
-from . import _bfs_py
 
-try:
-    from . import _bfs_c
-    _DEFAULT_KERNEL = _bfs_c
-except ImportError:
-    _bfs_c = None
-    _DEFAULT_KERNEL = _bfs_py
+# Read by perfbench/run.py, which records it in each run's environment.
+KERNEL_BACKEND = "python"
 
-KERNEL_BACKEND = _DEFAULT_KERNEL.BACKEND
+# Read by perfbench/traced.py, whose kernel parity step skips while it is None.
+_bfs_c = None
 
 MAX_ORACLE_STATES = 24
 
@@ -62,34 +65,82 @@ class OracleReport:
         return min(r for r in self.thresholds if r > 0)
 
 
-def _flat_table(dfa: PartialDfa):
-    k = len(dfa.alphabet)
-    flat = [0] * (dfa.n * k)
-    for q in range(dfa.n):
-        for a in range(k):
-            t = dfa.trans[q][a]
-            flat[q * k + a] = -1 if t is UNDEF else t
-    return flat
+def _byte_tables(dfa: PartialDfa):
+    """Per letter a, the triple of tables tab[bv] = image under a of the
+    states encoded by byte value bv at byte position 0, 1 and 2."""
+    tables = []
+    for column in dfa.columns:
+        tbit = [0] * MAX_ORACLE_STATES
+        for q, t in enumerate(column):
+            if t is not UNDEF:
+                tbit[q] = 1 << t
+        triple = []
+        for base in (0, 8, 16):
+            tab = [0] * 256
+            for bv in range(1, 256):
+                low = bv & -bv
+                tab[bv] = tab[bv ^ low] | tbit[base + low.bit_length() - 1]
+            triple.append(tab)
+        tables.append(tuple(triple))
+    return tables
 
 
-def subset_bfs(dfa: PartialDfa, backend: str | None = None) -> OracleReport:
+def _bfs_witnesses(dfa: PartialDfa):
+    """Breadth-first search over the subset lattice from the full set.
+
+    Returns a list indexed by subset size 0..n whose entries are the letter
+    sequence of the first word reaching that size (the lexicographically
+    least among the shortest), or None when unreachable.
+    """
+    n = dfa.n
+    tables = _byte_tables(dfa)
+    full = (1 << n) - 1
+
+    parent = {full: None}
+    queue = [full]
+    while queue:
+        nxt = []
+        for m in queue:
+            b0 = m & 0xFF
+            b1 = (m >> 8) & 0xFF
+            b2 = m >> 16
+            for t0, t1, t2 in tables:
+                t = t0[b0] | t1[b1] | t2[b2]
+                if t not in parent:
+                    parent[t] = m
+                    nxt.append(t)
+        queue = nxt
+
+    # parent is in discovery (BFS) order: the first mask of each size wins
+    first_mask = [None] * (n + 1)
+    for t in reversed(parent):
+        first_mask[t.bit_count()] = t
+
+    out = [None] * (n + 1)
+    for c, t in enumerate(first_mask):
+        if t is None:
+            continue
+        letters = []
+        while t != full:
+            m = parent[t]
+            b0 = m & 0xFF
+            b1 = (m >> 8) & 0xFF
+            b2 = m >> 16
+            for a, (t0, t1, t2) in enumerate(tables):
+                if t0[b0] | t1[b1] | t2[b2] == t:
+                    break
+            letters.append(a)
+            t = m
+        out[c] = letters[::-1]
+    return out
+
+
+def subset_bfs(dfa: PartialDfa) -> OracleReport:
     """Exact rank thresholds of dfa; error beyond the n <= 24 guardrail."""
     if dfa.n > MAX_ORACLE_STATES:
         raise InputError(f"oracle limited to {MAX_ORACLE_STATES} states, got {dfa.n}")
-    if backend is None:
-        kernel = _DEFAULT_KERNEL
-    elif backend == "python":
-        kernel = _bfs_py
-    elif backend == "c":
-        if _bfs_c is None:
-            raise InputError("compiled kernel is not available")
-        kernel = _bfs_c
-    else:
-        raise InputError(f"unknown kernel backend {backend!r}")
-    k = len(dfa.alphabet)
-    raw = kernel.bfs_thresholds(dfa.n, k, _flat_table(dfa))
     thresholds = {}
-    for size, letters in enumerate(raw):
+    for size, letters in enumerate(_bfs_witnesses(dfa)):
         if letters is not None:
             word = tuple(letters)
             if dfa.rank(word) != size:

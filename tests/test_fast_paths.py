@@ -18,16 +18,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (UNDEF, InputError, Lcg64, PartialDfa, _bfs_py,
-                      extremal_search, gen_cerny, gen_random_prefix_code,
-                      greedy_min_rank, inseparability_partition,
-                      literal_automaton, pair_table, pair_word, parse_dfa,
-                      rank_target_word)
+from syncword import (UNDEF, InputError, Lcg64, PartialDfa, extremal_search,
+                      gen_cerny, gen_random_prefix_code, greedy_min_rank,
+                      inseparability_partition, literal_automaton, pair_table,
+                      pair_word, parse_dfa, rank_target_word)
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
 from syncword.equivalence import _least_separated_pair
-from syncword.oracle import _rt_bitmask
+from syncword.oracle import _bfs_witnesses, _rt_bitmask
 from syncword.synchronization import PairTable, _min_pair
 
 from test_golden import CASES
@@ -276,17 +275,44 @@ def flat_tables(draw):
     return n, k, [columns[a][q] for q in range(n) for a in range(k)]
 
 
+@st.composite
+def wide_tables(draw):
+    """Row-major tables with n = 17..24, so subsets reach the third byte:
+    one permutation letter plus letters whose image has at most 3 states,
+    with undefined entries, which keeps the reachable lattice small."""
+    n = draw(st.integers(17, 24))
+    k = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perm = rng.sample(range(n), n)
+    density = rng.choice([0.8, 1.0])
+    columns = [[t if rng.random() < density else -1 for t in perm]]
+    for _ in range(k - 1):
+        targets = rng.sample(range(n), rng.randint(1, 3))
+        columns.append([rng.choice(targets) if rng.random() < 0.8 else -1
+                        for _ in range(n)])
+    rng.shuffle(columns)
+    return n, k, [columns[a][q] for q in range(n) for a in range(k)]
+
+
+def flat_dfa(n, k, flat):
+    """The automaton of a row-major table, -1 meaning undefined."""
+    return PartialDfa(n, tuple(f"x{a}" for a in range(k)), tuple(
+        tuple(UNDEF if t < 0 else t for t in flat[q * k:(q + 1) * k])
+        for q in range(n)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(flat_tables())
 def test_bfs_kernel_matches_set_bfs(table):
     n, k, flat = table
-    assert _bfs_py.bfs_thresholds(n, k, flat) == ref_bfs_thresholds(n, k, flat)
+    assert _bfs_witnesses(flat_dfa(n, k, flat)) == ref_bfs_thresholds(n, k, flat)
 
 
-@pytest.mark.parametrize("n", [0, 25])
-def test_bfs_kernel_rejects_state_counts_beyond_three_bytes(n):
-    with pytest.raises(ValueError, match="1 <= n <= 24"):
-        _bfs_py.bfs_thresholds(n, 1, [0] * n)
+@settings(max_examples=300, deadline=None)
+@given(wide_tables())
+def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
+    n, k, flat = table
+    assert _bfs_witnesses(flat_dfa(n, k, flat)) == ref_bfs_thresholds(n, k, flat)
 
 
 # --------------------------------------------------------------- pair BFS
