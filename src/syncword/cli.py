@@ -14,7 +14,8 @@ import traceback
 from . import automaton, codes, constructions, equivalence, generators
 from . import oracle as oracle_mod
 from . import synchronization as sync_mod
-from .errors import InputError, NotSynchronizing, SyncwordError
+from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
+                     SyncwordError)
 
 
 def _read(path):
@@ -86,10 +87,16 @@ def _cmd_build(args):
     return 0
 
 
-def _not_synchronizing(args, dfa):
-    r = sync_mod.greedy_min_rank(dfa).final_rank
-    _emit(args.format, [f"not synchronizing: minimal non-zero rank {r}"],
-          [("synchronizing", "false"), ("min_rank", r)])
+def _not_synchronizing(args, dfa, min_rank=None):
+    """Report a negative decision with the greedy minimum rank.  A method
+    other than greedy passes no rank: greedy then runs here as a cross-check,
+    and an automaton it synchronizes is an internal fault, never exit 1."""
+    if min_rank is None:
+        min_rank = sync_mod.greedy_min_rank(dfa).final_rank
+    _require(min_rank != 1, "a method found no reset word for an automaton "
+             "that greedy synchronizes")
+    _emit(args.format, [f"not synchronizing: minimal non-zero rank {min_rank}"],
+          [("synchronizing", "false"), ("min_rank", min_rank)])
     return 1
 
 
@@ -115,21 +122,29 @@ def _word_output(args, dfa, word, r):
 
 def _cmd_sync_word(args):
     dfa = _load_dfa(args.file)
-    if args.method == "collecting":
-        # decides synchronizability itself, so the input's pair table is
-        # built once
+    if not automaton.is_strongly_connected(dfa):
+        raise NotStronglyConnected(
+            "synchronizability is only decided for strongly connected automata")
+    # each method decides synchronizability from the word it computes
+    if args.method == "greedy":
+        result = sync_mod.greedy_min_rank(dfa)
+        if result.final_rank != 1:
+            return _not_synchronizing(args, dfa, result.final_rank)
+        word = result.word
+    elif args.method == "fixing":
+        result = sync_mod.min_rank_word_via_fixing(dfa)
+        if result.final_rank != 1:
+            return _not_synchronizing(args, dfa)
+        word = result.word
+    elif args.method == "collecting":
         try:
             word = sync_mod.reset_word_via_collecting(dfa)
         except NotSynchronizing:
             return _not_synchronizing(args, dfa)
-    elif not sync_mod.is_synchronizing(dfa):
-        return _not_synchronizing(args, dfa)
-    elif args.method == "greedy":
-        word = sync_mod.greedy_min_rank(dfa).word
-    elif args.method == "fixing":
-        word = sync_mod.min_rank_word_via_fixing(dfa).word
     else:  # oracle
         word = oracle_mod.subset_bfs(dfa).witness(1)
+        if word is None:
+            return _not_synchronizing(args, dfa)
     r = dfa.rank(word)
     _require(r == 1, f"{args.method} word has rank {r}, not 1")
     _word_output(args, dfa, word, r)

@@ -129,9 +129,25 @@ def one_word_rank(code: PrefixCode) -> int:
     return primitive_root(code.words[0])[1]
 
 
-def _defined_states(lit: LiteralAutomaton, w: str) -> list[int]:
-    word = lit.letters(w)
-    return [q for q in range(lit.dfa.n) if lit.dfa.run(q, word) is not UNDEF]
+def _cyclic_overlaps(x: str) -> list[int]:
+    """m[s] = max over t != s of the length of the longest common prefix of
+    the rotations of x starting at s and at t.
+
+    One backward sweep per shift d over x x x: run counts the letters that
+    agree from p and p + d on.  Rotations of a primitive word differ, so an
+    overlap is below |x| and a sweep from 2|x| - 1 down never truncates the
+    runs at p < |x|.
+    """
+    n = len(x)
+    y = x * 3
+    m = [0] * n
+    for d in range(1, n):
+        run = 0
+        for p in range(2 * n - 1, -1, -1):
+            run = run + 1 if y[p] == y[p + d] else 0
+            if p < n and run > m[p]:
+                m[p] = run
+    return m
 
 
 def weinbaum_conjugate(x: str, lit: LiteralAutomaton) -> tuple[str, str]:
@@ -139,21 +155,27 @@ def weinbaum_conjugate(x: str, lit: LiteralAutomaton) -> tuple[str, str]:
     both u and v are defined for exactly one state each (so both are reset
     words; the shorter one has length at most |x|/2).
 
-    Found by scanning all conjugates and split points in order.
+    In the literal automaton of {x}, a word is defined at state s iff it
+    occurs in the cyclic word x at position s, so the factor of length L
+    at position s is defined at s alone iff L > m[s] (_cyclic_overlaps).
+    Conjugates and split points are scanned in order, and the first split
+    whose two parts pass this test is returned (Weinbaum, "Unique subwords
+    in nonperiodic words", 1990, proves that one exists).
     """
     if primitive_root(x)[1] != 1:
         raise InputError(f"{x!r} is not primitive")
     if lit.code.words != (x,):
         raise InputError("literal automaton must belong to the one-word code")
-    if len(x) == 1:
+    n = len(x)
+    if n == 1:
         # a single state, which the empty word already resets
         return "", x
-    for i in range(len(x)):
-        conj = x[i:] + x[:i]
-        for j in range(1, len(conj)):
-            u, v = conj[:j], conj[j:]
-            if len(_defined_states(lit, u)) == 1 and len(_defined_states(lit, v)) == 1:
-                return u, v
+    m = _cyclic_overlaps(x)
+    for i in range(n):
+        for j in range(1, n):
+            if j > m[i] and n - j > m[(i + j) % n]:
+                conj = x[i:] + x[:i]
+                return conj[:j], conj[j:]
     raise SyncwordError("no conjugate split found for a primitive word")
 
 

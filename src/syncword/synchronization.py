@@ -221,10 +221,18 @@ def reduction_to_complete(dfa: PartialDfa) -> tuple[PartialDfa, CollectingTree]:
 def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     """Reset word assembled as collapse-word, quotient connecting word, and a
     stripped reset word of the collecting automaton.
+
+    The decision comes from the reduction to the complete case
+    (reduction_to_complete): the collecting automaton is complete and
+    synchronizing iff dfa is, and on a complete automaton greedy pair
+    compression reaches rank 1 iff it is synchronizing.  So NotSynchronizing
+    is raised when greedy on the collecting automaton stops above rank 1,
+    before any other word is built.
     """
-    if not is_synchronizing(dfa):  # also rejects non-strongly-connected
+    coll, tree = reduction_to_complete(dfa)  # rejects non-strongly-connected
+    coll_result = greedy_min_rank(coll)
+    if coll_result.final_rank != 1:
         raise NotSynchronizing("automaton is not synchronizing")
-    coll, tree = reduction_to_complete(dfa)
     part = tree.partition
 
     v = collapse_to_single_class_word(dfa, part, dfa.states)
@@ -233,11 +241,6 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
 
     qdfa, _ = quotient(dfa, part)
     u = connecting_word(qdfa, p_class, tree.root_class)
-    S = dfa.image(S, u)
-
-    coll_result = greedy_min_rank(coll)
-    if coll_result.final_rank != 1:
-        raise SyncwordError("collecting automaton must be synchronizing")
     w = strip_gamma(dfa, tree, coll_result.word)
 
     out = v + u + w

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import syncword
-from syncword import (cli, format_dfa, gen_random_partial, parse_code,
-                      parse_dfa, synchronization)
+from syncword import (cli, format_dfa, gen_oneword_code, gen_random_partial,
+                      literal_automaton, parse_code, parse_dfa, synchronization,
+                      validate_code)
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -49,12 +50,12 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "internal error: boom" in capsys.readouterr().err
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     """Run a child interpreter that imports this checkout's package."""
     src = str(pathlib.Path(syncword.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def run_optimized(script, *args):
@@ -100,6 +101,35 @@ def test_sync_word_rank_check_under_optimize():
     assert "internal error: collecting word has rank 6, not 1" in proc.stderr
 
 
+WRONG_NEGATIVE_SCRIPT = """
+import sys
+from syncword import cli, synchronization
+
+synchronization.min_rank_word_via_fixing = (
+    lambda dfa: synchronization.SyncResult((), 2, ()))
+assert False, "assert statements must be off"
+sys.exit(cli.run(["sync", "word", "--method", "fixing", sys.argv[1]]))
+"""
+
+
+def test_sync_word_wrong_negative_is_internal_under_optimize():
+    # greedy synchronizes FIG1, so a method's rank-2 verdict is a fault
+    proc = run_optimized(WRONG_NEGATIVE_SCRIPT, FIG1)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "internal error: a method found no reset word" in proc.stderr
+
+
+def test_sync_word_rejects_non_strongly_connected(capsys, tmp_path):
+    path = tmp_path / "chain.dfa"
+    path.write_text("dfa v1\nstates 2\nalphabet a\n0 a 1\n1 a 1\n")
+    for method in ("greedy", "fixing", "collecting", "oracle"):
+        assert run(["sync", "word", str(path), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strongly connected" in captured.err
+
+
 def test_sync_check_positive(capsys):
     assert run(["sync", "check", FIG1]) == 0
     assert capsys.readouterr().out.strip() == "synchronizing"
@@ -139,8 +169,12 @@ def test_sync_word_nonsynchronizing_output(capsys, tmp_path, method):
     assert capsys.readouterr().out == "synchronizing=false\nmin_rank=2\n"
 
 
-def test_sync_word_collecting_builds_two_pair_tables(capsys, monkeypatch):
-    # one for the input, one for its collecting automaton
+# each method decides synchronizability from the word it computes, so only
+# the table its own route needs is built: greedy's on the input, fixing's
+# and collecting's on the automaton they build; the oracle builds none
+@pytest.mark.parametrize("method, tables", [
+    ("greedy", 1), ("fixing", 1), ("collecting", 1), ("oracle", 0)])
+def test_sync_word_pair_tables_per_method(capsys, monkeypatch, method, tables):
     calls = []
     real = synchronization.pair_bfs
 
@@ -148,8 +182,8 @@ def test_sync_word_collecting_builds_two_pair_tables(capsys, monkeypatch):
         calls.append(len(trans))
         return real(trans, k, seeds)
     monkeypatch.setattr(synchronization, "pair_bfs", counting)
-    assert run(["sync", "word", FIG1, "--method", "collecting"]) == 0
-    assert len(calls) == 2
+    assert run(["sync", "word", FIG1, "--method", method]) == 0
+    assert len(calls) == tables
 
 
 def test_rank_min(capsys):
@@ -268,6 +302,21 @@ def test_code_oneword(capsys):
     assert "reset_word=- len=0" in capsys.readouterr().out
     assert run(["code", "oneword", "a\na"]) == 2
     assert "whitespace" in capsys.readouterr().err
+
+
+def test_code_oneword_long_word():
+    # the conjugate split is quadratic in |x|; the former cubic scan took
+    # about two minutes at k=200, the timeout leaves a wide margin above
+    # the quarter second the command takes now
+    x = gen_oneword_code(200).words[0]
+    proc = run_python("-m", "syncword.cli", "--format", "summary", "code",
+                      "oneword", x, timeout=60)
+    assert proc.returncode == 0
+    fields = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+    lit = literal_automaton(validate_code([x]))
+    word = lit.dfa.word(fields["reset_word"])
+    assert len(word) == int(fields["len"]) == 201
+    assert lit.dfa.rank(word) == 1
 
 
 def test_gen_roundtrips(capsys):

@@ -2,13 +2,16 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncword import (EPSILON, InputError, NotSynchronizing, all_through_root_word,
-                      compress_path_word, filtering_alpha, gen_oneword_code,
+from syncword import (EPSILON, UNDEF, InputError, NotSynchronizing,
+                      SyncwordError, all_through_root_word, compress_path_word,
+                      filtering_alpha, gen_oneword_code,
                       gen_random_prefix_code, literal_automaton,
                       literal_reset_word, log_rank_word, one_word_rank,
                       parse_code, pivot_state, primitive_root, subset_bfs,
                       validate_code, weinbaum_conjugate)
+from syncword import codes
 from syncword.codes import path_states, pivot_letters
 
 from test_cli import run_optimized
@@ -169,6 +172,71 @@ def test_dash_letter_is_not_the_empty_word():
     assert {u, v} == {"a", "-"}
     word = literal_reset_word(lit)
     assert len(word) == 1 and lit.dfa.rank(word) == 1
+
+
+def _ref_defined_states(lit, w):
+    word = lit.letters(w)
+    return [q for q in range(lit.dfa.n) if lit.dfa.run(q, word) is not UNDEF]
+
+
+def ref_weinbaum_conjugate(x, lit):
+    """The former cubic scan: replays both parts of every split from every
+    state of the literal automaton."""
+    if primitive_root(x)[1] != 1:
+        raise InputError(f"{x!r} is not primitive")
+    if lit.code.words != (x,):
+        raise InputError("literal automaton must belong to the one-word code")
+    if len(x) == 1:
+        # a single state, which the empty word already resets
+        return "", x
+    for i in range(len(x)):
+        conj = x[i:] + x[:i]
+        for j in range(1, len(conj)):
+            u, v = conj[:j], conj[j:]
+            if len(_ref_defined_states(lit, u)) == 1 and len(_ref_defined_states(lit, v)) == 1:
+                return u, v
+    raise SyncwordError("no conjugate split found for a primitive word")
+
+
+@pytest.mark.parametrize("k", range(1, 61))
+def test_weinbaum_matches_scan_on_oneword_family(k):
+    x = gen_oneword_code(k).words[0]
+    lit = literal_automaton(validate_code([x]))
+    assert weinbaum_conjugate(x, lit) == ref_weinbaum_conjugate(x, lit)
+
+
+# words of length 1..40 over 1-3 of the letters a, b and '-'; the tests
+# take the primitive root of each
+short_words = (st.lists(st.sampled_from("ab-"), min_size=1, max_size=3,
+                        unique=True)
+               .flatmap(lambda letters: st.text(letters, min_size=1,
+                                                max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_words)
+def test_weinbaum_matches_scan_on_primitive_words(text):
+    x = primitive_root(text)[0]
+    lit = literal_automaton(validate_code([x]))
+    assert weinbaum_conjugate(x, lit) == ref_weinbaum_conjugate(x, lit)
+
+
+def test_cyclic_overlaps_match_definition():
+    # every primitive binary word up to length 10, so the long overlaps that
+    # wrap around the end of x are covered too
+    def lcp(a, b):
+        return next((i for i, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
+
+    for n in range(1, 11):
+        for letters in product("ab", repeat=n):
+            x = "".join(letters)
+            if primitive_root(x)[1] != 1:
+                continue
+            rotations = [(x + x)[s:s + n] for s in range(n)]
+            assert codes._cyclic_overlaps(x) == [
+                max((lcp(rotations[s], rotations[t])
+                     for t in range(n) if t != s), default=0)
+                for s in range(n)], x
 
 
 def test_weinbaum_rejects_imprimitive():
