@@ -6,14 +6,23 @@ tables (states 0-7, 8-15 and 16-23; the tables of states beyond n map to 0),
 and the image of a mask is three unrolled lookups OR-ed together: the byte
 indices are computed once per mask and shared by every letter.
 
-The parent map stores only the mask a subset was first reached from, not
-the letter.  Letters are tried in order for each mask, so the letter that
-first reached t from m is the least a with image(m, a) == t; the witness
-walk recomputes it, which costs at most k images per witness letter.
+The search keeps no dict.  A bytearray of 2**n bytes, indexed by mask,
+marks the subsets already reached.  Each complete BFS level is stored as an
+array('i') of masks in discovery order, with a parallel array('i') of parent
+positions in the previous level.  Memory is the map (16 MiB at the n = 24
+guardrail, known before any work), 8 bytes per reached subset, and 36 to
+72 bytes per mask of the level being read and the level being built, which
+are Python lists (gen_cerny(16) peaks at about 10 bytes per subset).  As each
+level closes, the first mask of every new subset size is recorded as a
+(level, position) pair.  Letters are tried in order for each mask, so the
+letter that first reached t from m is the least a with image(m, a) == t;
+the witness walk follows the positions back to the full set and recomputes
+it, which costs at most k images per witness letter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from itertools import product
 from operator import or_
 
@@ -38,10 +47,14 @@ class OracleReport:
     thresholds[r] = (length, word) for every rank r whose subsets are
     reachable from the full state set, including r = 0 when mortal words
     exist.  Witnesses are the lexicographically least among the shortest.
+    subsets counts the masks the search reached (the full set included) and
+    depth its last nonempty BFS level; neither takes part in equality.
     """
 
     n: int
     thresholds: dict
+    subsets: int = field(compare=False)
+    depth: int = field(compare=False)
 
     def reachable(self, r: int) -> bool:
         return r in self.thresholds
@@ -85,6 +98,16 @@ def _byte_tables(dfa: PartialDfa):
     return tables
 
 
+class _Witnesses(list):
+    """Letter sequences indexed by subset size (None when unreachable),
+    with the search's work counters: subsets reached and BFS depth."""
+
+    def __init__(self, words, subsets, depth):
+        super().__init__(words)
+        self.subsets = subsets
+        self.depth = depth
+
+
 def _bfs_witnesses(dfa: PartialDfa):
     """Breadth-first search over the subset lattice from the full set.
 
@@ -96,33 +119,55 @@ def _bfs_witnesses(dfa: PartialDfa):
     tables = _byte_tables(dfa)
     full = (1 << n) - 1
 
-    parent = {full: None}
+    seen = bytearray(1 << n)
+    seen[full] = 1
+    levels = [array("i", (full,))]
+    parents = [array("i", (0,))]
+    first = [None] * (n + 1)  # size -> (level, index) of its first mask
+    first[n] = (0, 0)
+    found = {n}
     queue = [full]
-    while queue:
+    while True:
+        # iterating and appending Python ints is cheaper on a list than on an
+        # array, so a level becomes an array only once it is complete
         nxt = []
-        for m in queue:
+        par = []
+        for i, m in enumerate(queue):
             b0 = m & 0xFF
             b1 = (m >> 8) & 0xFF
             b2 = m >> 16
             for t0, t1, t2 in tables:
                 t = t0[b0] | t1[b1] | t2[b2]
-                if t not in parent:
-                    parent[t] = m
+                if not seen[t]:
+                    seen[t] = 1
                     nxt.append(t)
+                    par.append(i)
+        if not nxt:
+            break
+        new = set(map(int.bit_count, nxt)) - found
+        found |= new
+        for j, t in enumerate(nxt):
+            if not new:
+                break
+            c = t.bit_count()
+            if c in new:
+                new.remove(c)
+                first[c] = (len(levels), j)
+        levels.append(array("i", nxt))
+        parents.append(array("i", par))
         queue = nxt
 
-    # parent is in discovery (BFS) order: the first mask of each size wins
-    first_mask = [None] * (n + 1)
-    for t in reversed(parent):
-        first_mask[t.bit_count()] = t
-
     out = [None] * (n + 1)
-    for c, t in enumerate(first_mask):
-        if t is None:
+    for c, pos in enumerate(first):
+        if pos is None:
             continue
+        d, j = pos
+        t = levels[d][j]
         letters = []
-        while t != full:
-            m = parent[t]
+        while d:
+            j = parents[d][j]
+            d -= 1
+            m = levels[d][j]
             b0 = m & 0xFF
             b1 = (m >> 8) & 0xFF
             b2 = m >> 16
@@ -132,7 +177,7 @@ def _bfs_witnesses(dfa: PartialDfa):
             letters.append(a)
             t = m
         out[c] = letters[::-1]
-    return out
+    return _Witnesses(out, sum(map(len, levels)), len(levels) - 1)
 
 
 def subset_bfs(dfa: PartialDfa) -> OracleReport:
@@ -140,14 +185,15 @@ def subset_bfs(dfa: PartialDfa) -> OracleReport:
     if dfa.n > MAX_ORACLE_STATES:
         raise InputError(f"oracle limited to {MAX_ORACLE_STATES} states, got {dfa.n}")
     thresholds = {}
-    for size, letters in enumerate(_bfs_witnesses(dfa)):
+    witnesses = _bfs_witnesses(dfa)
+    for size, letters in enumerate(witnesses):
         if letters is not None:
             word = tuple(letters)
             if dfa.rank(word) != size:
                 raise SyncwordError(
                     f"kernel witness for rank {size} does not re-validate")
             thresholds[size] = (len(word), word)
-    return OracleReport(dfa.n, thresholds)
+    return OracleReport(dfa.n, thresholds, witnesses.subsets, witnesses.depth)
 
 
 def duplicating_identity_check(dfa: PartialDfa):
@@ -158,6 +204,11 @@ def duplicating_identity_check(dfa: PartialDfa):
     Returns {r: (rt_base, rt_dup)}; a violated identity is an internal
     error, not an input condition.
     """
+    if 2 * dfa.n > MAX_ORACLE_STATES:
+        raise InputError(
+            f"identity check limited to {MAX_ORACLE_STATES // 2} states (the "
+            f"duplicated automaton has 2n = {2 * dfa.n} states and the oracle "
+            f"takes at most {MAX_ORACLE_STATES}), got {dfa.n}")
     if not is_strongly_connected(dfa):
         raise InputError("identity check needs a strongly connected automaton")
     dup = duplicating(dfa)  # validates completeness
@@ -248,13 +299,16 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     """Search binary properly incomplete strongly connected automata with a
     single deficient state for the largest reset threshold.
 
-    Exhaustive up to n <= 6 (guardrail); the randomized profile is
-    deterministic given (seed, trials).
+    Exhaustive up to n <= 5 (guardrail: 10 * 5**9 tables take about two
+    minutes, while n = 6 has 12 * 6**11, about 4.4e9, and would take hours);
+    the randomized profile is deterministic given (seed, trials).
     """
     if n < 2:
         raise InputError("need at least two states")
-    if exhaustive and n > 6:
-        raise InputError("exhaustive profile limited to n <= 6")
+    if exhaustive and n > 5:
+        raise InputError(
+            f"exhaustive profile limited to n <= 5, got {n} (use the "
+            f"randomized profile)")
     target = (n * n - n) // 2
     gen = (_extremal_candidates_exhaustive(n) if exhaustive
            else _extremal_candidates_random(n, seed, trials))

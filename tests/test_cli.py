@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import syncword
-from syncword import (cli, format_dfa, gen_oneword_code, gen_random_partial,
-                      literal_automaton, parse_code, parse_dfa, synchronization,
-                      validate_code)
+from syncword import (cli, format_dfa, gen_cerny, gen_oneword_code,
+                      gen_random_partial, literal_automaton, oracle, parse_code,
+                      parse_dfa, synchronization, validate_code)
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -249,10 +249,33 @@ def test_verify_duplicating_on_cerny(capsys, tmp_path):
     assert "identity holds" in out
 
 
+def test_verify_duplicating_refuses_before_any_search(capsys, monkeypatch,
+                                                     tmp_path):
+    # the duplicated automaton would have 26 states: refused before the
+    # base automaton's subset BFS runs
+    calls = []
+    real = oracle._bfs_witnesses
+
+    def counting(dfa):
+        calls.append(dfa.n)
+        return real(dfa)
+    monkeypatch.setattr(oracle, "_bfs_witnesses", counting)
+    path = tmp_path / "c13.dfa"
+    path.write_text(format_dfa(gen_cerny(13)))
+    assert run(["verify", "duplicating", str(path)]) == 2
+    assert calls == []
+    assert "limited to 12 states" in capsys.readouterr().err
+
+
 def test_search_extremal(capsys):
     assert run(["search", "extremal", "--n", "3", "--exhaustive"]) == 0
     out = capsys.readouterr().out
     assert "best_rt=3" in out and "attained=true" in out
+
+
+def test_search_extremal_exhaustive_guardrail(capsys):
+    assert run(["search", "extremal", "--n", "6", "--exhaustive"]) == 2
+    assert "limited to n <= 5" in capsys.readouterr().err
 
 
 def test_search_extremal_seeded(capsys):

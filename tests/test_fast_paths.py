@@ -6,9 +6,10 @@ trace) and lift_word_to_partial (a loop on the columns) are checked against
 the letter-by-letter set code they replace; the pair BFS (integer pair codes
 in flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks)
 and the class_reducing_word pick (a budgeted walk of the partition levels)
-against the loops they replace; the subset-BFS kernel (byte tables,
-mask-only parents) against a set-based BFS, and extremal search (bit mask
-rows) against an enumeration of transition tables.
+against the loops they replace; the subset-BFS kernel (byte tables, a
+visited byte map, level arrays with index parents) and its counters against
+a set-based BFS, and extremal search (bit mask rows) against an enumeration
+of transition tables.
 """
 import random
 from array import array
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from syncword import (UNDEF, InputError, Lcg64, PartialDfa, extremal_search,
                       gen_cerny, gen_random_prefix_code, greedy_min_rank,
                       inseparability_partition, literal_automaton, pair_table,
-                      pair_word, parse_dfa, rank_target_word)
+                      pair_word, parse_dfa, rank_target_word, subset_bfs)
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
@@ -254,6 +255,22 @@ def ref_bfs_thresholds(n, k, trans_flat):
     return out
 
 
+def ref_bfs_counters(n, k, trans_flat):
+    """Subsets reached and index of the last nonempty level of a
+    level-by-level set BFS from the full set."""
+    level = {frozenset(range(n))}
+    seen = set(level)
+    depth = 0
+    while True:
+        level = {T for S in level for a in range(k)
+                 for T in [frozenset(trans_flat[q * k + a] for q in S) - {-1}]
+                 if T not in seen}
+        if not level:
+            return len(seen), depth
+        seen |= level
+        depth += 1
+
+
 @st.composite
 def flat_tables(draw):
     """Row-major tables with undefined entries, fully undefined letters and
@@ -313,6 +330,14 @@ def test_bfs_kernel_matches_set_bfs(table):
 def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
     n, k, flat = table
     assert _bfs_witnesses(flat_dfa(n, k, flat)) == ref_bfs_thresholds(n, k, flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flat_tables(), wide_tables()))
+def test_oracle_counters_match_set_bfs(table):
+    n, k, flat = table
+    rep = subset_bfs(flat_dfa(n, k, flat))
+    assert (rep.subsets, rep.depth) == ref_bfs_counters(n, k, flat)
 
 
 # --------------------------------------------------------------- pair BFS

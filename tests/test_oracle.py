@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -66,6 +67,21 @@ def test_guardrail():
         subset_bfs(big)
 
 
+def test_subset_bfs_memory_per_subset():
+    # 2**16 - 1 subsets: the visited map holds one byte per mask and the
+    # level arrays eight (mask and parent index), so the search stays
+    # below 16 B per subset
+    dfa = gen_cerny(16)
+    tracemalloc.start()
+    try:
+        rep = subset_bfs(dfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.subsets == 2**16 - 1
+
+
 def test_zero_states_are_rejected():
     # the subset BFS needs n >= 1; no automaton with 0 states can be made
     with pytest.raises(InputError, match="at least one state"):
@@ -112,6 +128,14 @@ def test_duplicating_identity_random():
             assert ld == 2 * lb
 
 
+def test_duplicating_identity_at_the_state_limit():
+    # 12 states duplicate to 24, the oracle's limit; 13 are refused
+    results = duplicating_identity_check(gen_cerny(12))
+    assert results[1] == (121, 242)
+    with pytest.raises(InputError, match="limited to 12 states"):
+        duplicating_identity_check(gen_cerny(13))
+
+
 def test_duplicating_identity_rejects_partial(fig1):
     with pytest.raises(InputError):
         duplicating_identity_check(fig1)
@@ -142,6 +166,11 @@ def test_extremal_n3():
     assert res.target == 3
     assert res.best_rt == 3 and res.attained
     assert res.candidates == 372
+
+
+def test_extremal_exhaustive_guardrail():
+    with pytest.raises(InputError, match="limited to n <= 5"):
+        extremal_search(6, exhaustive=True)
 
 
 def test_extremal_best_automaton_revalidates():
