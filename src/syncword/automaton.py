@@ -418,21 +418,56 @@ def pair_bfs(trans, k, seeds):
     return pairs, dist, letter, index
 
 
-def pair_witness(trans, letter_of, p: int, q: int) -> Word:
-    """The word a pair_bfs result records for the pair {p, q}.
+@dataclass(frozen=True)
+class PairTable:
+    """The pair_bfs result for the unordered pairs of the n states of a
+    table: shortest words that settle a pair.
 
-    letter_of(p, q) is the recorded first letter of {p, q}, in either
-    order of the two states.  The walk follows those letters until the
-    pair is settled, that is until the two states merge or at least one of
-    them dies.
+    The seeds say what settles a pair: a merge or one state dying for the
+    compression table of synchronization, exactly one class dying for the
+    separation table of an inseparability partition.  Settled pairs are
+    listed in BFS order, so distances never decrease along the list:
+    pairs[i] is the code p * n + q (p < q) of the i-th pair, dist[i] the
+    length of a shortest word settling it and letter[i] the first letter of
+    one such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0
+    when no word settles {p, q}.  Budgeted scans read pairs and dist
+    directly.
     """
-    out = []
-    while True:
-        a = letter_of(p, q)
-        out.append(a)
-        p, q = trans[p][a], trans[q][a]
-        if p is UNDEF or q is UNDEF or p == q:
-            return tuple(out)
+
+    n: int
+    pairs: array
+    dist: array
+    letter: array
+    index: array
+
+    def distance(self, p: int, q: int):
+        """Length of a shortest word settling {p, q}, or None."""
+        i = self.index[p * self.n + q]
+        return self.dist[i - 1] if i > 0 else None
+
+    def all_compressible(self) -> bool:
+        """Every pair of distinct states is settled by some word."""
+        return len(self.dist) == self.n * (self.n - 1) // 2
+
+    def items(self):
+        """((p, q), distance, first letter) per settled pair (p < q), in BFS
+        (non-decreasing distance) order."""
+        n = self.n
+        for c, d, a in zip(self.pairs, self.dist, self.letter):
+            yield divmod(c, n), d, a
+
+    def word(self, trans, p: int, q: int) -> Word:
+        """The word the table records for the settled pair {p, q} of trans,
+        the table it was built on: the recorded first letters, followed
+        until the two states merge or at least one of them dies."""
+        n, letter, index = self.n, self.letter, self.index
+        out = []
+        while True:
+            a = letter[index[p * n + q] - 1]
+            out.append(a)
+            p, q = trans[p][a], trans[q][a]
+            if p is UNDEF or q is UNDEF or p == q:
+                return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -179,44 +179,40 @@ def weinbaum_conjugate(x: str, lit: LiteralAutomaton) -> tuple[str, str]:
     raise SyncwordError("no conjugate split found for a primitive word")
 
 
-def pivot_state(lit: LiteralAutomaton) -> int:
-    """The unique state closest to the root with >= 2 defined letters.
-
-    Every state before it on the walk from the root has exactly one defined
-    letter, so following unique transitions finds it.
-    """
+def _pivot_walk(lit: LiteralAutomaton):
+    """(path, letters, pivot, pivot letters) of the walk from the root to
+    the pivot, the first state with >= 2 defined letters: letters[i] is the
+    one letter defined at path[i], so letters[i:] leads from path[i] to the
+    pivot, and the pivot letters are the two least defined there."""
     if len(lit.code.words) < 2:
         raise InputError("pivot exists only for codes with at least two words")
+    trans = lit.dfa.trans
+    path, letters = [], []
     q = lit.root
     for _ in range(lit.dfa.n + 1):
-        defined = [a for a in range(len(lit.dfa.alphabet))
-                   if lit.dfa.trans[q][a] is not UNDEF]
+        defined = [a for a, t in enumerate(trans[q]) if t is not UNDEF]
         if len(defined) >= 2:
-            return q
-        q = lit.dfa.trans[q][defined[0]]
+            return tuple(path), tuple(letters), q, (defined[0], defined[1])
+        path.append(q)
+        letters.append(defined[0])
+        q = trans[q][defined[0]]
     raise AssertionError("unreachable: a multi-word code has a branching state")
+
+
+def pivot_state(lit: LiteralAutomaton) -> int:
+    """The unique state closest to the root with >= 2 defined letters."""
+    return _pivot_walk(lit)[2]
 
 
 def pivot_letters(lit: LiteralAutomaton) -> tuple[int, int]:
     """The two alphabet-least letters defined at the pivot."""
-    p = pivot_state(lit)
-    defined = [a for a in range(len(lit.dfa.alphabet))
-               if lit.dfa.trans[p][a] is not UNDEF]
-    return defined[0], defined[1]
+    return _pivot_walk(lit)[3]
 
 
 def path_states(lit: LiteralAutomaton) -> tuple[int, ...]:
     """States strictly between root and pivot on the unique path, in depth
     order, the root included and the pivot excluded."""
-    p = pivot_state(lit)
-    out = []
-    q = lit.root
-    while q != p:
-        out.append(q)
-        defined = [a for a in range(len(lit.dfa.alphabet))
-                   if lit.dfa.trans[q][a] is not UNDEF]
-        q = lit.dfa.trans[q][defined[0]]
-    return tuple(out)
+    return _pivot_walk(lit)[0]
 
 
 def filtering_alpha(lit: LiteralAutomaton, pivot: int, w: Word) -> Word:
@@ -228,16 +224,19 @@ def filtering_alpha(lit: LiteralAutomaton, pivot: int, w: Word) -> Word:
     dfa = lit.dfa
     active = dfa.states
     out = []
-    rest = list(w)
+    rest = iter(w)
     while len(out) < lit.height:
         if pivot in active:
-            if not rest:
+            a = next(rest, None)
+            if a is None:
                 break
-            a = rest.pop(0)
+            nxt = dfa.image(active, (a,))
         else:
-            a = next(b for b in range(len(dfa.alphabet))
-                     if dfa.image(active, (b,)))
-        active = dfa.image(active, (a,))
+            for a in range(len(dfa.alphabet)):
+                nxt = dfa.image(active, (a,))
+                if nxt:
+                    break
+        active = nxt
         out.append(a)
         if not active:
             raise SyncwordError("filtering never applies a mortal letter")
@@ -245,20 +244,19 @@ def filtering_alpha(lit: LiteralAutomaton, pivot: int, w: Word) -> Word:
 
 
 def _passes_through_root(lit: LiteralAutomaton, w: Word) -> bool:
-    """Every state surviving w visits the root under some prefix of w."""
-    dfa = lit.dfa
-    for q in range(dfa.n):
-        visited_root = q == lit.root
-        cur = q
-        for a in w:
-            cur = dfa.trans[cur][a]
-            if cur is UNDEF:
-                break
-            if cur == lit.root:
-                visited_root = True
-        if cur is not UNDEF and not visited_root:
-            return False
-    return True
+    """Every state surviving w visits the root under some prefix of w.
+
+    T is the image of the states that have not met the root yet, so w
+    passes iff T ends empty.
+    """
+    cols, gone = lit.dfa.columns, {UNDEF, lit.root}
+    T = set(range(lit.dfa.n)) - gone
+    for a in w:
+        if not T:
+            break
+        col = cols[a]
+        T = {col[q] for q in T} - gone
+    return not T
 
 
 def _through_root_candidates(lit: LiteralAutomaton):
@@ -269,8 +267,7 @@ def _through_root_candidates(lit: LiteralAutomaton):
     if 2 ** length > ENUMERATION_CAP:
         raise InputError(
             f"candidate enumeration 2^{length} exceeds cap {ENUMERATION_CAP}")
-    p = pivot_state(lit)
-    la, lb = pivot_letters(lit)
+    _, _, p, (la, lb) = _pivot_walk(lit)
     for bits in range(2 ** length):
         w = tuple(lb if (bits >> (length - 1 - i)) & 1 else la
                   for i in range(length))
@@ -304,10 +301,8 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
     R = frozenset(R)
     if not R <= dfa.states:
         raise InputError("R must be a set of states")
-    p = pivot_state(lit)
-    path = path_states(lit)
+    path, letters, p, (la, lb) = _pivot_walk(lit)
     depth = {q: i for i, q in enumerate(path)}
-    la, lb = pivot_letters(lit)
 
     active = set(R) & set(path)
     if not active:
@@ -316,14 +311,8 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
     while True:
         deepest = max(active, key=depth.get)
         # forced letters from the deepest path state to the pivot
-        ell = []
-        q = deepest
-        while q != p:
-            a = next(b for b in range(len(dfa.alphabet))
-                     if dfa.trans[q][b] is not UNDEF)
-            ell.append(a)
-            q = dfa.trans[q][a]
-        moved = dfa.image(active, tuple(ell))
+        ell = letters[depth[deepest]:]
+        moved = dfa.image(active, ell)
         out.extend(ell)
         if p not in moved:
             raise SyncwordError("the forced letters must reach the pivot")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
                         is_complete, is_strongly_connected)
-from .equivalence import Partition, quotient
+from .equivalence import Partition
 from .errors import InputError, NotStronglyConnected, SyncwordError
 
 
@@ -66,21 +66,28 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
     """
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("collecting tree needs a strongly connected automaton")
-    qdfa, _ = quotient(dfa, part)
-    if not 0 <= root_class < qdfa.n:
+    qtable = part.qtable
+    kappa_ = len(qtable)
+    if not 0 <= root_class < kappa_:
         raise InputError(f"no class {root_class}")
+    # into[t][a]: the classes that letter a maps to class t, ascending
+    into = [[[] for _ in dfa.alphabet] for _ in range(kappa_)]
+    for c, row in enumerate(qtable):
+        for a, t in enumerate(row):
+            if t is not UNDEF:
+                into[t][a].append(c)
     parent = {}
     seen = {root_class}
     queue = deque([root_class])
     while queue:
         target = queue.popleft()
-        for a in range(len(qdfa.alphabet)):
-            for c in range(qdfa.n):
-                if c not in seen and qdfa.trans[c][a] == target:
+        for a, preds in enumerate(into[target]):
+            for c in preds:
+                if c not in seen:
                     parent[c] = (a, target)
                     seen.add(c)
                     queue.append(c)
-    if len(seen) != qdfa.n:
+    if len(seen) != kappa_:
         raise SyncwordError(
             "quotient of a strongly connected automaton must be strongly connected")
     return CollectingTree(root_class, parent, part)

@@ -3,15 +3,15 @@
 Two states are inseparable when no word kills exactly one of them (the
 definedness of every word action agrees).  The classes are computed by
 partition refinement treating UNDEF as a sink that is the only accepting
-state; separation witnesses are stored per class pair as (letter, level)
-and reconstructed recursively.
+state; separation witnesses are a PairTable over class ids, one first letter
+and level per class pair, and a witness is walked letter by letter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .automaton import (UNDEF, PartialDfa, Word, pair_bfs, pair_witness,
+from .automaton import (UNDEF, PairTable, PartialDfa, Word, pair_bfs,
                         settle_seeds)
 from .errors import InputError, SyncwordError
 
@@ -21,24 +21,21 @@ class Partition:
     """Inseparability classes plus separating-word witnesses.
 
     classes are ordered by their minimal state, class_of maps each state to
-    its class id, and levels maps each separated (unordered) class-id pair to
-    a (letter, level) witness: level is the length of a shortest word whose
-    definedness distinguishes the two classes, and the letter is its first
-    letter; its keys run in non-decreasing level order.  qtable is the
-    class-level transition table (the quotient).
+    its class id, and qtable is the class-level transition table (the
+    quotient).  table is the pair table of qtable for separation:
+    table.distance(c1, c2) is the level of two classes, the length of a
+    shortest word whose definedness distinguishes them, and
+    table.word(qtable, c1, c2) is such a word.
     """
 
     class_of: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
-    levels: dict = field(compare=False)
+    table: PairTable = field(compare=False, repr=False)
     qtable: tuple = field(compare=False, repr=False)
 
     def kappa(self, S) -> int:
         """Number of classes intersecting S."""
         return len({self.class_of[q] for q in S})
-
-    def level(self, c1: int, c2: int) -> int:
-        return self.levels[(min(c1, c2), max(c1, c2))][1]
 
 
 def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
@@ -125,13 +122,12 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
         for q in cls:
             class_of[q] = cid
     qtable = _quotient_table(dfa, class_of, classes)
-    kappa_, k = len(classes), len(dfa.alphabet)
+    k = len(dfa.alphabet)
     seeds = settle_seeds(qtable, k, merge=False)
-    pairs, dist, letter, _ = pair_bfs(qtable, k, seeds)
-    if len(dist) != kappa_ * (kappa_ - 1) // 2:
+    table = PairTable(len(classes), *pair_bfs(qtable, k, seeds))
+    if not table.all_compressible():
         raise SyncwordError("distinct classes must all be separable")
-    levels = {divmod(c, kappa_): (a, d) for c, d, a in zip(pairs, dist, letter)}
-    return Partition(tuple(class_of), classes, levels, qtable)
+    return Partition(tuple(class_of), classes, table, qtable)
 
 
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
@@ -144,10 +140,7 @@ def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     c1, c2 = part.class_of[p], part.class_of[q]
     if c1 == c2:
         raise InputError(f"states {p} and {q} are inseparable")
-    levels = part.levels
-    return pair_witness(
-        part.qtable,
-        lambda c1, c2: levels[(c1, c2) if c1 < c2 else (c2, c1)][0], c1, c2)
+    return part.table.word(part.qtable, c1, c2)
 
 
 def kappa(part: Partition, S) -> int:
@@ -158,30 +151,32 @@ def _least_separated_pair(part: Partition, S):
     """(level, p, q) minimizing the separation level of p < q in S lying in
     distinct classes, ties by state order; None when S meets one class.
 
-    Only the least state of S in each class can be picked.  levels lists
-    class pairs in non-decreasing level order, so the first level holding
-    two classes of S, walked to its end, gives the answer.  The walk gets
-    as many checks as the class pairs of S number; when they run out first,
-    those pairs are scanned instead.
+    Only the least state of S in each class can be picked.  part.table
+    lists class pairs in non-decreasing level order, so the first level
+    holding two classes of S, walked to its end, gives the answer.  The
+    walk gets as many checks as the class pairs of S number; when they run
+    out first, those pairs are scanned instead.
     """
     rep = {}
     for q in sorted(S):
         rep.setdefault(part.class_of[q], q)
     if len(rep) < 2:
         return None
+    table = part.table
     budget = len(rep) * (len(rep) - 1) // 2
     best = None
-    for (c1, c2), (_, lvl) in islice(part.levels.items(), budget):
+    for c, lvl in islice(zip(table.pairs, table.dist), budget):
         if best is not None and lvl > best[0]:
             return best
+        c1, c2 = divmod(c, table.n)
         if c1 in rep and c2 in rep:
             p, q = sorted((rep[c1], rep[c2]))
             if best is None or (lvl, p, q) < best:
                 best = (lvl, p, q)
-    if budget >= len(part.levels):
+    if budget >= len(table.dist):
         return best
     reps = sorted(rep.values())
-    return min((part.level(part.class_of[p], part.class_of[q]), p, q)
+    return min((table.distance(part.class_of[p], part.class_of[q]), p, q)
                for i, p in enumerate(reps) for q in reps[i + 1:])
 
 

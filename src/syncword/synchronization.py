@@ -13,13 +13,11 @@ attempted.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 
-from .automaton import (EPSILON, PartialDfa, Word, connecting_word,
-                        is_strongly_connected, pair_bfs, pair_witness,
-                        settle_seeds)
+from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
+                        is_strongly_connected, pair_bfs, settle_seeds)
 from .constructions import (CollectingTree, collecting, collecting_tree,
                             fixing, lift_word_to_partial, strip_gamma)
 from .equivalence import (Partition, class_reducing_word,
@@ -27,41 +25,6 @@ from .equivalence import (Partition, class_reducing_word,
                           inseparability_partition, quotient)
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
                      SyncwordError)
-
-
-@dataclass(frozen=True)
-class PairTable:
-    """Distance-to-compression and first letters for unordered state pairs.
-
-    The pairs admitting a compressing word are listed in the BFS order of
-    pair_bfs, so distances never decrease along the list: pairs[i] is the
-    code p * n + q (p < q) of the i-th pair, dist[i] the length of a
-    shortest word compressing it and letter[i] the first letter of one
-    such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0 when
-    {p, q} admits no compressing word.  Read the table through its
-    methods; pair_word and _min_pair below also read the arrays.
-    """
-
-    n: int
-    pairs: array
-    dist: array
-    letter: array
-    index: array
-
-    def distance(self, p: int, q: int):
-        """Length of a shortest word compressing {p, q}, or None."""
-        i = self.index[p * self.n + q]
-        return self.dist[i - 1] if i > 0 else None
-
-    def all_compressible(self) -> bool:
-        return len(self.dist) == self.n * (self.n - 1) // 2
-
-    def items(self):
-        """((p, q), distance, first letter) per compressible pair (p < q),
-        in BFS (non-decreasing distance) order."""
-        n = self.n
-        for c, d, a in zip(self.pairs, self.dist, self.letter):
-            yield divmod(c, n), d, a
 
 
 def pair_table(dfa: PartialDfa) -> PairTable:
@@ -75,9 +38,7 @@ def pair_word(dfa: PartialDfa, table: PairTable, p: int, q: int) -> Word:
     """The shortest compressing word recorded for {p, q}."""
     if table.distance(p, q) is None:
         raise InputError(f"pair {(min(p, q), max(p, q))} is not compressible")
-    n, letter, index = table.n, table.letter, table.index
-    return pair_witness(dfa.trans, lambda p, q: letter[index[p * n + q] - 1],
-                        p, q)
+    return table.word(dfa.trans, p, q)
 
 
 def is_synchronizing(dfa: PartialDfa) -> bool:

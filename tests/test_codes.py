@@ -331,6 +331,43 @@ def test_all_through_root_instant_for_root_pivot():
     assert lit.dfa.rank(w) > 0
 
 
+def ref_passes_through_root(lit, w):
+    """The per-state replay _passes_through_root made before its set walk."""
+    dfa = lit.dfa
+    for q in range(dfa.n):
+        visited_root = q == lit.root
+        cur = q
+        for a in w:
+            cur = dfa.trans[cur][a]
+            if cur is UNDEF:
+                break
+            if cur == lit.root:
+                visited_root = True
+        if cur is not UNDEF and not visited_root:
+            return False
+    return True
+
+
+@st.composite
+def prefix_codes(draw):
+    """The prefix-free greedy selection from a list of words over a, b, c."""
+    chosen = []
+    for w in draw(st.lists(st.text("abc", min_size=1, max_size=5),
+                           min_size=1, max_size=10)):
+        if not any(w.startswith(c) or c.startswith(w) for c in chosen):
+            chosen.append(w)
+    return validate_code(chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_codes(), st.data())
+def test_passes_through_root_matches_replay(code, data):
+    lit = literal_automaton(code)
+    k = len(lit.dfa.alphabet)
+    w = tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=12)))
+    assert codes._passes_through_root(lit, w) == ref_passes_through_root(lit, w)
+
+
 # ----------------------------------------------------- compression along P
 
 def test_compress_path_empty_intersection(decoder_lit):

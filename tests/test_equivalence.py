@@ -1,12 +1,13 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from syncword import (EPSILON, UNDEF, InputError, class_reducing_word,
                       collapse_to_single_class_word, gen_random_partial,
-                      inseparability_partition, is_strongly_connected, kappa,
-                      literal_automaton, parse_dfa, quotient, separating_word,
-                      validate_code)
+                      gen_random_prefix_code, inseparability_partition,
+                      is_strongly_connected, kappa, literal_automaton,
+                      parse_dfa, quotient, separating_word, validate_code)
 
 
 def brute_classes(dfa, maxlen):
@@ -60,7 +61,8 @@ def test_kappa(fig1):
 def test_separating_word_levels(fig1):
     part = inseparability_partition(fig1)
     # classes {0,3} and {1,4} separate at level 2 via "ab"; both vs {2,5} at 1
-    assert part.levels == {(0, 2): (1, 1), (1, 2): (1, 1), (0, 1): (0, 2)}
+    assert {pq: (a, d) for pq, d, a in part.table.items()} == \
+        {(0, 2): (1, 1), (1, 2): (1, 1), (0, 1): (0, 2)}
     w = separating_word(fig1, part, 0, 1)
     assert w == fig1.word("ab")
     defined = [fig1.run(0, w) is not None, fig1.run(1, w) is not None]
@@ -242,3 +244,19 @@ def test_refinement_chain_monotone():
         part = inseparability_partition(dfa)
         assert list(chain[-1]) == list(part.classes)
         assert len(chain) - 1 <= max(len(part.classes) - 1, 0)
+
+
+def test_partition_memory_per_class_pair():
+    # the separation witnesses are one PairTable over class ids: a 4-byte
+    # index entry per ordered class pair and three array items per
+    # unordered one, about 26 B per class pair with the classes themselves
+    dfa = literal_automaton(gen_random_prefix_code(40, 12, 3, 2)).dfa
+    tracemalloc.start()
+    try:
+        part = inseparability_partition(dfa)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kappa_ = len(part.classes)
+    assert kappa_ == 118
+    assert retained < 64 * (kappa_ * (kappa_ - 1) // 2)

@@ -5,7 +5,7 @@ PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
 trace) and lift_word_to_partial (a loop on the columns) are checked against
 the letter-by-letter set code they replace; the pair BFS (integer pair codes
 in flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks)
-and the class_reducing_word pick (a budgeted walk of the partition levels)
+and the class_reducing_word pick (a budgeted walk of the partition's table)
 against the loops they replace; the subset-BFS kernel (byte tables, a
 visited byte map, level arrays with index parents) and its counters against
 a set-based BFS, and extremal search (bit mask rows) against an enumeration
@@ -440,7 +440,7 @@ def ref_least_separated_pair(part, S):
         for q in sorted(S):
             if q <= p or part.class_of[p] == part.class_of[q]:
                 continue
-            lvl = part.level(part.class_of[p], part.class_of[q])
+            lvl = part.table.distance(part.class_of[p], part.class_of[q])
             if best is None or (lvl, p, q) < best:
                 best = (lvl, p, q)
     return best
@@ -466,7 +466,7 @@ def test_class_pick_matches_pair_scan_literal():
     lit = literal_automaton(gen_random_prefix_code(12, 6, 3, 6)).dfa
     part = inseparability_partition(lit)
     level_end = {}
-    for pos, (_, lvl) in enumerate(part.levels.values()):
+    for pos, lvl in enumerate(part.table.dist):
         level_end[lvl] = pos + 1
     rng = random.Random(11)
     walks = fallbacks = 0

@@ -60,7 +60,8 @@ def snapshot(dfa):
     return {
         "pair_table.dist": _digest(sorted((key, d) for key, d, _ in table.items())),
         "pair_table.letter": _digest(sorted((key, a) for key, _, a in table.items())),
-        "partition.levels": _digest(sorted(part.levels.items())),
+        "partition.levels": _digest(sorted((pq, (a, d))
+                                           for pq, d, a in part.table.items())),
         "separating_words": _digest(seps),
         "greedy.word": _word(dfa, greedy.word),
         "greedy.trace": _trace(dfa, greedy.trace),
