@@ -14,6 +14,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import FormatError, InputError, NotStronglyConnected
 
@@ -81,9 +82,6 @@ class PartialDfa:
     def states(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    def step(self, q: int | None, a: int) -> int | None:
-        return UNDEF if q is UNDEF else self.trans[q][a]
-
     def run(self, q: int, w: Word) -> int | None:
         """Follow w from q; UNDEF as soon as a transition is missing."""
         for a in w:
@@ -133,12 +131,12 @@ class PartialDfa:
     def word(self, text: str) -> Word:
         """Parse a word from letter tokens.
 
-        Accepts space-separated tokens, '-' for the empty word, and (when all
-        alphabet tokens are single characters) an unseparated string such as
-        'bab'.
+        Accepts space-separated tokens, the empty text or (when '-' is not a
+        letter) '-' for the empty word, and (when all alphabet tokens are
+        single characters) an unseparated string such as 'bab'.
         """
         text = text.strip()
-        if text == "-" or not text:
+        if not text or (text == "-" and "-" not in self._letter_index):
             return EPSILON
         toks = text.split()
         if len(toks) == 1 and toks[0] not in self._letter_index \
@@ -150,7 +148,9 @@ class PartialDfa:
             raise InputError(f"unknown letter {exc.args[0]!r}") from None
 
     def format_word(self, w: Word) -> str:
-        if not w:
+        """Space-separated letter tokens; the empty word is '-', or the
+        empty text when '-' is a letter."""
+        if not w and "-" not in self._letter_index:
             return "-"
         return " ".join(self.alphabet[a] for a in w)
 
@@ -207,11 +207,8 @@ def is_complete(dfa: PartialDfa) -> bool:
 
 def is_properly_incomplete(dfa: PartialDfa) -> bool:
     """Some letter has both a defined and an undefined entry."""
-    for a in range(len(dfa.alphabet)):
-        col = [dfa.trans[q][a] for q in range(dfa.n)]
-        if any(t is UNDEF for t in col) and any(t is not UNDEF for t in col):
-            return True
-    return False
+    return any(UNDEF in col and any(t is not UNDEF for t in col)
+               for col in dfa.columns)
 
 
 def fully_undefined_letters(dfa: PartialDfa) -> list[int]:
@@ -220,8 +217,8 @@ def fully_undefined_letters(dfa: PartialDfa) -> list[int]:
     Permitted by the data model but worth flagging: such a letter can only
     ever start a mortal suffix.
     """
-    return [a for a in range(len(dfa.alphabet))
-            if all(dfa.trans[q][a] is UNDEF for q in range(dfa.n))]
+    return [a for a, col in enumerate(dfa.columns)
+            if all(t is UNDEF for t in col)]
 
 
 def _reach_mask(adj) -> int:
@@ -430,8 +427,7 @@ class PairTable:
     pairs[i] is the code p * n + q (p < q) of the i-th pair, dist[i] the
     length of a shortest word settling it and letter[i] the first letter of
     one such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0
-    when no word settles {p, q}.  Budgeted scans read pairs and dist
-    directly.
+    when no word settles {p, q}.
     """
 
     n: int
@@ -448,6 +444,51 @@ class PairTable:
     def all_compressible(self) -> bool:
         """Every pair of distinct states is settled by some word."""
         return len(self.dist) == self.n * (self.n - 1) // 2
+
+    def least_pair(self, rep):
+        """The settled pair of a subset minimizing (distance, p, q), as
+        (distance, p, q), or None when the subset has no settled pair.
+
+        rep[e] is the state that element e of the table stands for, or None
+        when e is outside the subset; distinct elements stand for distinct
+        states, and p < q are the states of the pair's two elements, so
+        ties break by states, not by elements.  Pairs are listed in
+        non-decreasing distance order, so the first level holding a pair of
+        the subset, walked to its end, gives the answer.  The walk gets as
+        many checks as the subset has pairs; when they run out first, the
+        pairs of the subset are scanned instead.
+        """
+        n = self.n
+        states = [x for x in rep if x is not None]
+        budget = len(states) * (len(states) - 1) // 2
+        # p * N + q with N above every state orders pairs as (p, q) does
+        N = max(states, default=0) + 1
+        level = key = None
+        for c, d in islice(zip(self.pairs, self.dist), budget):
+            if level is not None and d > level:
+                return (level, *divmod(key, N))
+            x = rep[c // n]
+            if x is not None:
+                y = rep[c % n]
+                if y is not None:
+                    k = x * N + y if x < y else y * N + x
+                    if key is None or k < key:
+                        level, key = d, k
+        if budget >= len(self.dist):
+            return None if key is None else (level, *divmod(key, N))
+        dist, index = self.dist, self.index
+        elements = [e for e, x in enumerate(rep) if x is not None]
+        best = None
+        for i, e in enumerate(elements):
+            row, x = e * n, rep[e]
+            for f in elements[i + 1:]:
+                j = index[row + f]
+                if j > 0:
+                    y = rep[f]
+                    pick = (dist[j - 1], x, y) if x < y else (dist[j - 1], y, x)
+                    if best is None or pick < best:
+                        best = pick
+        return best
 
     def items(self):
         """((p, q), distance, first letter) per settled pair (p < q), in BFS

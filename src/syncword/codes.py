@@ -77,8 +77,7 @@ class LiteralAutomaton:
         return 0
 
     def letters(self, s: str) -> Word:
-        """The word spelling s, one letter per character (dfa.word would
-        read a lone '-' as the empty word)."""
+        """The word spelling s, one letter per character."""
         return tuple(map(self.dfa.alphabet.index, s))
 
 

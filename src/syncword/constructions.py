@@ -124,10 +124,11 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     into one over the original alphabet that synchronizes the root class in
     the partial automaton itself.
 
-    Processing left to right with the image's class tracked: @g is replaced
-    by the tree letter of the current class, or dropped on the root class.
-    Letters the current class would entirely die under are dropped as well
-    (the collecting automaton holds those states in place), which keeps the
+    Processing left to right with the image's class tracked through the
+    quotient table: @g is replaced by the tree letter of the current class,
+    or dropped on the root class.  Letters the current class would entirely
+    die under are dropped as well (a class agrees on definedness, and the
+    collecting automaton holds those states in place), which keeps the
     output's action on the root class non-empty.  The output is never longer
     than the input.
     """
@@ -137,7 +138,7 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     root = frozenset(part.classes[tree.root_class])
     if len(coll.image(root, w)) != 1:
         raise InputError("word does not synchronize the root class in the collecting automaton")
-    reps = [min(c) for c in part.classes]
+    qtable = part.qtable
     out = []
     cls = tree.root_class
     for a in w:
@@ -147,10 +148,10 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
             a, cls = tree.parent[cls]
             out.append(a)
         else:
-            t = dfa.trans[reps[cls]][a]
+            t = qtable[cls][a]
             if t is not UNDEF:
                 out.append(a)
-                cls = part.class_of[t]
+                cls = t
     if len(dfa.image(root, tuple(out))) != 1:
         raise SyncwordError("stripped word must synchronize the root class")
     return tuple(out)
@@ -169,9 +170,6 @@ class InducedAutomaton:
     R: tuple[int, ...]
     letters: tuple[Word, ...]
     dfa: PartialDfa
-
-    def local_state(self, base_state: int) -> int:
-        return self.R.index(base_state)
 
 
 def _composite_token(base: PartialDfa, w: Word) -> str:

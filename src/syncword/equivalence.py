@@ -9,7 +9,6 @@ and level per class pair, and a witness is walked letter by letter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .automaton import (UNDEF, PairTable, PartialDfa, Word, pair_bfs,
                         settle_seeds)
@@ -151,33 +150,13 @@ def _least_separated_pair(part: Partition, S):
     """(level, p, q) minimizing the separation level of p < q in S lying in
     distinct classes, ties by state order; None when S meets one class.
 
-    Only the least state of S in each class can be picked.  part.table
-    lists class pairs in non-decreasing level order, so the first level
-    holding two classes of S, walked to its end, gives the answer.  The
-    walk gets as many checks as the class pairs of S number; when they run
-    out first, those pairs are scanned instead.
+    Only the least state of S in each class can be picked, so the walk of
+    part.table maps each class of S to that state.
     """
-    rep = {}
-    for q in sorted(S):
-        rep.setdefault(part.class_of[q], q)
-    if len(rep) < 2:
-        return None
-    table = part.table
-    budget = len(rep) * (len(rep) - 1) // 2
-    best = None
-    for c, lvl in islice(zip(table.pairs, table.dist), budget):
-        if best is not None and lvl > best[0]:
-            return best
-        c1, c2 = divmod(c, table.n)
-        if c1 in rep and c2 in rep:
-            p, q = sorted((rep[c1], rep[c2]))
-            if best is None or (lvl, p, q) < best:
-                best = (lvl, p, q)
-    if budget >= len(table.dist):
-        return best
-    reps = sorted(rep.values())
-    return min((table.distance(part.class_of[p], part.class_of[q]), p, q)
-               for i, p in enumerate(reps) for q in reps[i + 1:])
+    rep = [None] * len(part.classes)
+    for q in sorted(S, reverse=True):
+        rep[part.class_of[q]] = q
+    return part.table.least_pair(rep)
 
 
 def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:

@@ -14,7 +14,6 @@ attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
                         is_strongly_connected, pair_bfs, settle_seeds)
@@ -75,37 +74,6 @@ class SyncResult:
         return tuple(acc) == self.word and len(S) == self.final_rank
 
 
-def _min_pair(table: PairTable, S):
-    """Compressible pair of S minimizing (distance, p, q), or None.
-
-    The table lists pairs in non-decreasing distance order, so the first
-    distance level holding a pair of S, walked to its end, gives the
-    answer.  The walk gets as many checks as the pairs of S number; when
-    they run out first, the pairs of S are scanned instead.
-    """
-    n = table.n
-    budget = len(S) * (len(S) - 1) // 2
-    # within a level, (p, q) order is the order of the codes p * n + q
-    level = code = None
-    for c, d in islice(zip(table.pairs, table.dist), budget):
-        if level is not None and d > level:
-            return (level, *divmod(code, n))
-        if c // n in S and c % n in S and (code is None or c < code):
-            level, code = d, c
-    if budget >= len(table.dist):
-        return None if code is None else (level, *divmod(code, n))
-    best = None
-    dist, index = table.dist, table.index
-    states = sorted(S)
-    for i, p in enumerate(states):
-        row = p * n
-        for q in states[i + 1:]:
-            j = index[row + q]
-            if j > 0 and (best is None or (dist[j - 1], p, q) < best):
-                best = (dist[j - 1], p, q)
-    return best
-
-
 def compress_pairs(dfa: PartialDfa, table: PairTable, S, word, trace):
     """Greedy pair compression of S: while some pair of S is compressible,
     apply the recorded word of the pair minimizing (distance, p, q).
@@ -113,7 +81,11 @@ def compress_pairs(dfa: PartialDfa, table: PairTable, S, word, trace):
     Extends word and trace in place and returns the final image.
     """
     while True:
-        best = _min_pair(table, S)
+        # every state of S stands for itself
+        rep = [None] * table.n
+        for q in S:
+            rep[q] = q
+        best = table.least_pair(rep)
         if best is None:
             return S
         sub = pair_word(dfa, table, best[1], best[2])

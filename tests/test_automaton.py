@@ -172,6 +172,18 @@ def test_word_parsing_and_formatting(fig1):
         fig1.word("xyz q")
 
 
+DASH_LETTER = "dfa v1\nstates 2\nalphabet - a\n0 - 1\n1 a 0\n1 - 1\n"
+
+
+def test_word_text_over_the_letter_dash():
+    dfa = parse_dfa(DASH_LETTER)
+    for w in ((), (0,), (0, 1)):
+        assert dfa.word(dfa.format_word(w)) == w
+    assert dfa.format_word(EPSILON) == ""
+    assert dfa.format_word((0,)) == "-"
+    assert dfa.word("-a") == (0, 1)
+
+
 # ------------------------------------------------- randomized invariants
 
 def _dfas(max_n=10, alpha=2):

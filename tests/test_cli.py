@@ -208,6 +208,15 @@ def test_oracle_output(capsys):
     assert "r=0 len=5 word=b a b a b" in lines
 
 
+def test_oracle_words_over_the_letter_dash(capsys, tmp_path):
+    path = tmp_path / "dash.dfa"
+    path.write_text("dfa v1\nstates 2\nalphabet - a\n"
+                    "0 - 1\n1 a 0\n1 - 1\n")
+    assert run(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "r=2 len=0 word=", "r=1 len=1 word=-", "r=0 len=2 word=a a"]
+
+
 def test_classes_output(capsys):
     assert run(["classes", FIG1]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 3", "1 4", "2 5"]

@@ -1,11 +1,13 @@
 """Each fast path pinned to a plain reference.
 
 PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
-(a budgeted walk of the pair table), rank_target_word (a scan of the greedy
-trace) and lift_word_to_partial (a loop on the columns) are checked against
-the letter-by-letter set code they replace; the pair BFS (integer pair codes
-in flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks)
-and the class_reducing_word pick (a budgeted walk of the partition's table)
+(PairTable.least_pair, a budgeted walk of the pair table, with each state of
+S standing for itself), rank_target_word (a scan of the greedy trace) and
+lift_word_to_partial (a loop on the columns) are checked against the
+letter-by-letter set code they replace; the pair BFS (integer pair codes in
+flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks) and
+the class_reducing_word pick (the same walk of the partition's table, with
+each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (byte tables, a
 visited byte map, level arrays with index parents) and its counters against
 a set-based BFS, and extremal search (bit mask rows) against an enumeration
@@ -28,7 +30,7 @@ from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
 from syncword.constructions import lift_word_to_partial
 from syncword.equivalence import _least_separated_pair
 from syncword.oracle import _bfs_witnesses, _rt_bitmask
-from syncword.synchronization import PairTable, _min_pair
+from syncword.synchronization import PairTable
 
 from test_golden import CASES
 
@@ -43,6 +45,14 @@ def ref_image(dfa, S, w):
 def ref_min_pair(table, S):
     pairs = [(d, p, q) for (p, q), d, _ in table.items() if p in S and q in S]
     return min(pairs, default=None)
+
+
+def min_pair(table, S):
+    """The least_pair pick of compress_pairs: the identity map on S."""
+    rep = [None] * table.n
+    for q in S:
+        rep[q] = q
+    return table.least_pair(rep)
 
 
 def hand_table(n, dist):
@@ -148,7 +158,7 @@ def assert_picks_match(dfa, S):
     table = pair_table(dfa)
     steps = 0
     while True:
-        best = _min_pair(table, S)
+        best = min_pair(table, S)
         assert best == ref_min_pair(table, S)
         if best is None:
             return steps
@@ -183,7 +193,7 @@ def test_min_pair_budget_runs_out_mid_level():
 def test_min_pair_finishes_the_level():
     # within a distance level pair_bfs inserts in queue order, not by (p, q)
     table = hand_table(6, {(0, 1): 1, (4, 5): 2, (2, 3): 2, (1, 2): 3})
-    assert _min_pair(table, frozenset({2, 3, 4, 5})) == (2, 2, 3)
+    assert min_pair(table, frozenset({2, 3, 4, 5})) == (2, 2, 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -196,7 +206,7 @@ def test_min_pair_on_tables_in_bfs_order(n, data):
                                       max_size=len(keys))))
     table = hand_table(n, dict(zip(keys, dists)))
     S = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
-    assert _min_pair(table, S) == ref_min_pair(table, S)
+    assert min_pair(table, S) == ref_min_pair(table, S)
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,7 +214,7 @@ def test_min_pair_on_tables_in_bfs_order(n, data):
 def test_min_pair_random_subsets(dfa, data):
     table = pair_table(dfa)
     S = frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
-    assert _min_pair(table, S) == ref_min_pair(table, S)
+    assert min_pair(table, S) == ref_min_pair(table, S)
 
 
 # ------------------------------------------------------------ rank target
@@ -481,6 +491,17 @@ def test_class_pick_matches_pair_scan_literal():
             else:
                 walks += 1
     assert walks >= 30 and fallbacks >= 30
+
+
+def test_class_pick_breaks_ties_by_states():
+    # elements stand for the states 5, 1, 3: element-code order would give
+    # the pair (0, 1), that is states (1, 5)
+    table = hand_table(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    assert table.least_pair([5, 1, 3]) == (1, 1, 3)
+    # the same tie in the fallback scan: three checks pass element 0's pairs
+    table = hand_table(4, {(0, 1): 1, (0, 2): 2, (0, 3): 2, (1, 2): 2,
+                           (1, 3): 2, (2, 3): 2})
+    assert table.least_pair([None, 5, 1, 3]) == (2, 1, 3)
 
 
 # --------------------------------------------------------------- extremal
