@@ -49,11 +49,12 @@ def validate_code(words) -> PrefixCode:
         if w in seen:
             raise InputError(f"duplicate codeword {w!r}")
         seen[w] = i
-    by_len = sorted(words, key=len)
-    for i, u in enumerate(by_len):
-        for v in by_len[i + 1:]:
-            if v.startswith(u) and u != v:
-                raise InputError(f"codeword {u!r} is a prefix of {v!r}")
+    # in lexicographic order the words a codeword is a prefix of follow it
+    # directly, so comparing neighbours finds every prefix pair
+    ordered = sorted(words)
+    for u, v in zip(ordered, ordered[1:]):
+        if v.startswith(u):
+            raise InputError(f"codeword {u!r} is a prefix of {v!r}")
     return PrefixCode(words)
 
 

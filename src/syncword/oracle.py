@@ -6,18 +6,25 @@ tables (states 0-7, 8-15 and 16-23; the tables of states beyond n map to 0),
 and the image of a mask is three unrolled lookups OR-ed together: the byte
 indices are computed once per mask and shared by every letter.
 
-The search keeps no dict.  A bytearray of 2**n bytes, indexed by mask,
-marks the subsets already reached.  Each complete BFS level is stored as an
+The search keeps no dict.  While the reachable lattice is sparse, the
+subsets already reached are a set of masks.  At the first level boundary
+where the set holds more than 2**n / 512 masks, they move into a bytearray
+of 2**n bytes indexed by mask, which marks them for the rest of the search.
+A mask costs the set 64 to 137 bytes and the map one byte, reached or not,
+so at that count the set is about a quarter of the map's size.  Dense
+lattices move to the map within their first few levels; a lattice that
+stays below the count never allocates it: duplicating(gen_cerny(12))
+reaches 8,192 of 2**24 subsets and peaks at 0.9 MiB under tracemalloc,
+where the map would be 16 MiB.  Each complete BFS level is stored as an
 array('i') of masks in discovery order, with a parallel array('i') of parent
-positions in the previous level.  Memory is the map (16 MiB at the n = 24
-guardrail, known before any work), 8 bytes per reached subset, and 36 to
-72 bytes per mask of the level being read and the level being built, which
-are Python lists (gen_cerny(16) peaks at about 10 bytes per subset).  As each
-level closes, the first mask of every new subset size is recorded as a
-(level, position) pair.  Letters are tried in order for each mask, so the
-letter that first reached t from m is the least a with image(m, a) == t;
-the witness walk follows the positions back to the full set and recomputes
-it, which costs at most k images per witness letter.
+positions in the previous level.  Memory is the set or the map, 8 bytes per
+reached subset, and 36 to 72 bytes per mask of the level being read and the
+level being built, which are Python lists (gen_cerny(16) peaks at about 10
+bytes per subset).  As each level closes, the first mask of every new subset
+size is recorded as a (level, position) pair.  Letters are tried in order
+for each mask, so the letter that first reached t from m is the least a with
+image(m, a) == t; the witness walk follows the positions back to the full
+set and recomputes it, which costs at most k images per witness letter.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ from operator import or_
 
 from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
                         strongly_connected_masks)
-from .constructions import duplicating
 from .errors import InputError, SyncwordError
 
 # Read by perfbench/run.py, which records it in each run's environment.
@@ -38,6 +44,13 @@ KERNEL_BACKEND = "python"
 _bfs_c = None
 
 MAX_ORACLE_STATES = 24
+
+# Bytes a reached mask costs the subset BFS's set: its slot in a hash table
+# kept at most 60 % full plus the int object, 64 to 137 bytes under
+# tracemalloc.  The search moves to the 2**n-byte map once the set would
+# take more than a quarter of it.
+_SET_ENTRY_BYTES = 128
+_SPARSE_DIVISOR = 4 * _SET_ENTRY_BYTES
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,9 @@ def _bfs_witnesses(dfa: PartialDfa):
     tables = _byte_tables(dfa)
     full = (1 << n) - 1
 
-    seen = bytearray(1 << n)
-    seen[full] = 1
+    seen = {full}  # a bytearray indexed by mask once the lattice is dense
+    sparse = True
+    sparse_limit = (1 << n) // _SPARSE_DIVISOR
     levels = [array("i", (full,))]
     parents = [array("i", (0,))]
     first = [None] * (n + 1)  # size -> (level, index) of its first mask
@@ -138,10 +152,16 @@ def _bfs_witnesses(dfa: PartialDfa):
             b2 = m >> 16
             for t0, t1, t2 in tables:
                 t = t0[b0] | t1[b1] | t2[b2]
-                if not seen[t]:
+                if sparse:
+                    if t in seen:
+                        continue
+                    seen.add(t)
+                elif seen[t]:
+                    continue
+                else:
                     seen[t] = 1
-                    nxt.append(t)
-                    par.append(i)
+                nxt.append(t)
+                par.append(i)
         if not nxt:
             break
         new = set(map(int.bit_count, nxt)) - found
@@ -156,6 +176,12 @@ def _bfs_witnesses(dfa: PartialDfa):
         levels.append(array("i", nxt))
         parents.append(array("i", par))
         queue = nxt
+        if sparse and len(seen) > sparse_limit:
+            marks = bytearray(1 << n)
+            for t in seen:
+                marks[t] = 1
+            seen = marks
+            sparse = False
 
     out = [None] * (n + 1)
     for c, pos in enumerate(first):
@@ -211,6 +237,7 @@ def duplicating_identity_check(dfa: PartialDfa):
             f"takes at most {MAX_ORACLE_STATES}), got {dfa.n}")
     if not is_strongly_connected(dfa):
         raise InputError("identity check needs a strongly connected automaton")
+    from .constructions import duplicating
     dup = duplicating(dfa)  # validates completeness
     base_rep = subset_bfs(dfa)
     dup_rep = subset_bfs(dup)
@@ -249,12 +276,13 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
     meaning undefined.
     """
     full = (1 << n) - 1
-    dist = {full: 0}
+    seen = {full}
     frontier = [full]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for m in frontier:
-            d = dist[m]
             for rows in (rows_a, rows_b):
                 t = 0
                 mm = m
@@ -262,10 +290,10 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
                     low = mm & -mm
                     t |= rows[low.bit_length() - 1]
                     mm ^= low
-                if t not in dist:
+                if t not in seen:
                     if t.bit_count() == 1:
-                        return d + 1
-                    dist[t] = d + 1
+                        return d
+                    seen.add(t)
                     nxt.append(t)
         frontier = nxt
     return None

@@ -29,6 +29,21 @@ def test_validate_rejects_prefix_pair():
         validate_code(["a", "ab"])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab", min_size=1, max_size=4), min_size=1,
+                max_size=8, unique=True))
+def test_validate_finds_every_prefix_pair(words):
+    pairs = [(u, v) for u in words for v in words
+             if u != v and v.startswith(u)]
+    if not pairs:
+        assert validate_code(words).words == tuple(words)
+        return
+    with pytest.raises(InputError, match="is a prefix of") as err:
+        validate_code(words)
+    assert any(str(err.value) == f"codeword {u!r} is a prefix of {v!r}"
+               for u, v in pairs)
+
+
 def test_validate_rejects_empty_word_and_duplicates():
     with pytest.raises(InputError):
         validate_code(["", "a"])

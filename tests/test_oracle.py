@@ -9,13 +9,14 @@ import pytest
 
 import syncword
 
-from syncword import (InputError, PartialDfa, duplicating,
+from syncword import (UNDEF, InputError, PartialDfa, duplicating,
                       duplicating_identity_check, extremal_search, gen_cerny,
                       gen_oneword_code, gen_random_partial, greedy_min_rank,
                       literal_automaton, parse_dfa, subset_bfs)
-from syncword.oracle import MAX_ORACLE_STATES
+from syncword.oracle import MAX_ORACLE_STATES, _SPARSE_DIVISOR, _bfs_witnesses
 
 from conftest import FIXTURES
+from test_fast_paths import ref_bfs_counters, ref_bfs_thresholds
 
 
 def test_fig1_report(fig1):
@@ -80,6 +81,43 @@ def test_subset_bfs_memory_per_subset():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert rep.subsets == 2**16 - 1
+
+
+def test_subset_bfs_sparse_lattice_allocates_no_map():
+    # 8,192 of 2**24 subsets stay below the promotion count, so the search
+    # never allocates the 16 MiB byte map
+    dup = duplicating(gen_cerny(12))
+    tracemalloc.start()
+    try:
+        rep = subset_bfs(dup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert rep.subsets == 8192
+
+
+def cerny_with_hole(n, q, a):
+    """gen_cerny(n) with the transition of state q under letter a removed."""
+    rows = [list(row) for row in gen_cerny(n).trans]
+    rows[q][a] = UNDEF
+    return PartialDfa(n, ("a", "b"), tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("dfa", [gen_cerny(n) for n in range(10, 17)]
+                         + [cerny_with_hole(14, 2, 1)],
+                         ids=[f"cerny{n}" for n in range(10, 17)]
+                         + ["cerny14-hole"])
+def test_subset_bfs_moves_to_the_map_mid_search(dfa):
+    # the first level is always searched on the set; the lattice passes the
+    # promotion count, so the rest of the search runs on the byte map
+    n, k = dfa.n, len(dfa.alphabet)
+    limit = (1 << n) // _SPARSE_DIVISOR
+    flat = [-1 if t is UNDEF else t for row in dfa.trans for t in row]
+    rep = subset_bfs(dfa)
+    assert limit < rep.subsets
+    assert _bfs_witnesses(dfa) == ref_bfs_thresholds(n, k, flat)
+    assert (rep.subsets, rep.depth) == ref_bfs_counters(n, k, flat)
 
 
 def test_zero_states_are_rejected():
