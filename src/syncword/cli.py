@@ -7,7 +7,6 @@ explicit --seed.  --format summary emits stable key=value lines.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import traceback
 
@@ -15,7 +14,7 @@ from . import automaton, codes, constructions, equivalence, generators
 from . import oracle as oracle_mod
 from . import synchronization as sync_mod
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
-                     SyncwordError)
+                     SyncwordError, require)
 
 
 def _read(path):
@@ -93,8 +92,8 @@ def _not_synchronizing(args, dfa, min_rank=None):
     and an automaton it synchronizes is an internal fault, never exit 1."""
     if min_rank is None:
         min_rank = sync_mod.greedy_min_rank(dfa).final_rank
-    _require(min_rank != 1, "a method found no reset word for an automaton "
-             "that greedy synchronizes")
+    require(min_rank != 1, "a method found no reset word for an automaton "
+            "that greedy synchronizes")
     _emit(args.format, [f"not synchronizing: minimal non-zero rank {min_rank}"],
           [("synchronizing", "false"), ("min_rank", min_rank)])
     return 1
@@ -106,12 +105,6 @@ def _cmd_sync_check(args):
         _emit(args.format, ["synchronizing"], [("synchronizing", "true")])
         return 0
     return _not_synchronizing(args, dfa)
-
-
-def _require(ok, message):
-    """A correctness check that also runs under python -O."""
-    if not ok:
-        raise SyncwordError(message)
 
 
 def _word_output(args, dfa, word, r):
@@ -146,7 +139,7 @@ def _cmd_sync_word(args):
         if word is None:
             return _not_synchronizing(args, dfa)
     r = dfa.rank(word)
-    _require(r == 1, f"{args.method} word has rank {r}, not 1")
+    require(r == 1, f"{args.method} word has rank {r}, not 1")
     _word_output(args, dfa, word, r)
     return 0
 
@@ -191,126 +184,22 @@ def _cmd_verify_duplicating(args):
 
 
 def _cmd_verify_all(args):
-    failures = []
-    results = []
-
-    def check(name, fn):
+    from . import criteria  # imported here: no other command pays for it
+    profile = criteria.quick(args.size_cap, args.seed)
+    failed = False
+    for name, check in sorted(criteria.CHECKS.items()):
         try:
-            detail = fn() or ""
-            results.append((name, "ok", detail))
+            status, detail = "ok", check(profile)
         except Exception as exc:  # report and keep going
-            failures.append(name)
-            results.append((name, "fail", str(exc)))
-
-    cap = max(3, args.size_cap)
-    seed = args.seed
-
-    def cerny_check():
-        for n in range(3, min(cap, 8) + 1):
-            rep = oracle_mod.subset_bfs(generators.gen_cerny(n))
-            _require(rep.reset_threshold == (n - 1) ** 2,
-                     f"n={n}: reset threshold {rep.reset_threshold}")
-        return f"n<={min(cap, 8)}"
-
-    def duplicating_check():
-        for n in range(3, min(cap, 5) + 1):
-            oracle_mod.duplicating_identity_check(generators.gen_cerny(n))
-        for i in range(5):
-            dfa = generators.gen_random_partial(min(cap, 5), 2, 1.0, seed + i)
-            oracle_mod.duplicating_identity_check(dfa)
-        return "cerny + 5 random"
-
-    def greedy_check():
-        for i in range(20):
-            dfa = generators.gen_random_partial(3 + i % (min(cap, 8) - 2), 2,
-                                                0.7 + (i % 4) * 0.1, seed + i)
-            res = sync_mod.greedy_min_rank(dfa)
-            rep = oracle_mod.subset_bfs(dfa)
-            _require(res.final_rank == rep.min_nonzero_rank,
-                     f"automaton {i}: greedy rank {res.final_rank} != "
-                     f"minimal rank {rep.min_nonzero_rank}")
-            _require(dfa.rank(res.word) == res.final_rank,
-                     f"automaton {i}: greedy word does not replay")
-        return "20 random automata"
-
-    def lemma_check():
-        rng = generators.Lcg64(seed)
-        for i in range(10):
-            dfa = generators.gen_random_partial(3 + i % (min(cap, 8) - 2), 2,
-                                                0.75, seed + 100 + i)
-            part = equivalence.inseparability_partition(dfa)
-            for _ in range(20):
-                S = frozenset(q for q in range(dfa.n) if rng.below(2))
-                if part.kappa(S) >= 2:
-                    w = equivalence.class_reducing_word(dfa, part, S)
-                    _require(len(w) <= part.kappa(dfa.states) - part.kappa(S) + 1,
-                             f"automaton {i}: class-reducing word too long")
-                if S:
-                    w = tuple(rng.below(2) for _ in range(6))
-                    lifted = constructions.lift_word_to_partial(dfa, S, w)
-                    fixed = constructions.fixing(dfa)
-                    img = dfa.image(S, lifted)
-                    _require(img and img <= fixed.image(S, w),
-                             f"automaton {i}: lifted word breaks the lemma")
-        return "10 automata x 20 subsets"
-
-    def reduction_check():
-        for i in range(20):
-            dfa = generators.gen_random_partial(3 + i % (min(cap, 8) - 2), 2,
-                                                0.65 + (i % 3) * 0.1, seed + 200 + i)
-            complete, _ = sync_mod.reduction_to_complete(dfa)
-            _require(sync_mod.is_synchronizing(dfa)
-                     == sync_mod.is_synchronizing(complete),
-                     f"automaton {i}: reduction changes synchronizability")
-        return "20 random automata"
-
-    def logrank_check():
-        done = 0
-        attempt = 0
-        while done < 10:
-            code = generators.gen_random_prefix_code(2 + attempt % 3, 5, 2,
-                                                     seed + 300 + attempt)
-            attempt += 1
-            lit = codes.literal_automaton(code)
-            if lit.height == 0:
-                continue
-            w = codes.log_rank_word(lit)  # bounds checked inside
-            _require(len(w) <= 2 * lit.height,
-                     f"code {attempt - 1}: log-rank word too long")
-            done += 1
-        return "10 random codes"
-
-    def oneword_check():
-        for k in range(1, 4):
-            code = generators.gen_oneword_code(k)
-            lit = codes.literal_automaton(code)
-            _require(codes.one_word_rank(code) == 1, f"k={k}: rank is not 1")
-            word = codes.literal_reset_word(lit)
-            _require(len(word) == k + 1, f"k={k}: reset word length {len(word)}")
-        return "k=1..3"
-
-    def extremal_check():
-        res = oracle_mod.extremal_search(3, exhaustive=True)
-        _require(res.attained, f"best {res.best_rt} < target {res.target}")
-        return f"n=3 best={res.best_rt}"
-
-    check("cerny-thresholds", cerny_check)
-    check("duplicating-identity", duplicating_check)
-    check("extremal-bound", extremal_check)
-    check("greedy-vs-oracle", greedy_check)
-    check("lemma-bounds", lemma_check)
-    check("logrank-bounds", logrank_check)
-    check("oneword-family", oneword_check)
-    check("reduction-soundness", reduction_check)
-
-    results.sort(key=lambda r: r[0])
-    for name, status, detail in results:
+            if not isinstance(exc, SyncwordError):
+                traceback.print_exc()
+            status, detail, failed = "fail", str(exc), True
         if args.format == "summary":
             print(f"{name}={status}")
         else:
             suffix = f" ({detail})" if detail else ""
             print(f"check={name} status={status}{suffix}")
-    return 3 if failures else 0
+    return 3 if failed else 0
 
 
 def _cmd_search_extremal(args):
@@ -370,8 +259,8 @@ def _cmd_code(args):
                              "use 'code oneword'")
         word = codes.log_rank_word(lit)
         r = lit.dfa.rank(word)
-        h, n = lit.height, lit.dfa.n
-        bound = (math.ceil(math.log2(h * n)) + math.ceil(math.log2(h))) if h else 1
+        h = lit.height
+        bound = codes.log_rank_bound(lit)
         _emit(args.format,
               [lit.dfa.format_word(word),
                f"rank={r} len={len(word)} bound={bound} height={h}"],

@@ -337,9 +337,18 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
     return tuple(out)
 
 
+def log_rank_bound(lit: LiteralAutomaton) -> int:
+    """ceil(log2 hn) + ceil(log2 h), the rank bound of log_rank_word, for
+    height h and n states; 1 at height 0, where the automaton has one state."""
+    h = lit.height
+    if h == 0:
+        return 1
+    return math.ceil(math.log2(h * lit.dfa.n)) + math.ceil(math.log2(h))
+
+
 def log_rank_word(lit: LiteralAutomaton) -> Word:
-    """A non-mortal word of length <= 2h and rank <= ceil(log2 hn) +
-    ceil(log2 h) for a code with at least two words.
+    """A non-mortal word of length <= 2h and rank <= log_rank_bound(lit)
+    for a code with at least two words.
 
     Built as an all-through-root word followed by the path-compressing word.
     A survivor perched exactly on the pivot after the last letter can cost
@@ -349,10 +358,9 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
     """
     if len(lit.code.words) < 2:
         raise InputError("one-word codes take the conjugate route instead")
-    h, n = lit.height, lit.dfa.n
-    if h == 0:
+    if lit.height == 0:
         return EPSILON  # single-state automaton, rank already 1
-    bound = math.ceil(math.log2(h * n)) + math.ceil(math.log2(h))
+    bound = log_rank_bound(lit)
     seen_any = False
     for u in _through_root_candidates(lit):
         seen_any = True
@@ -360,7 +368,7 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
         v = compress_path_word(lit, R)
         word = u + v
         r = lit.dfa.rank(word)
-        if r == 0 or len(word) > 2 * h:
+        if r == 0 or len(word) > 2 * lit.height:
             raise SyncwordError("log-rank word must be non-mortal and of "
                                 "length <= 2h")
         if r <= bound:

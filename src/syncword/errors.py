@@ -30,3 +30,9 @@ class NotStronglyConnected(InputError):
 
 class NotSynchronizing(InputError):
     pass
+
+
+def require(ok, message):
+    """A correctness check that also runs under python -O."""
+    if not ok:
+        raise SyncwordError(message)

@@ -333,6 +333,8 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     """
     if n < 2:
         raise InputError("need at least two states")
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
     if exhaustive and n > 5:
         raise InputError(
             f"exhaustive profile limited to n <= 5, got {n} (use the "

@@ -2,23 +2,17 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  Every tolerance is exact; wall-clock caps are asserted where the
-criterion states one.
+criterion states one.  Criteria 2 and 4-10 run the checks of
+syncword.criteria, which `syncword verify all` shares, on its ACCEPTANCE
+profile.
 """
-import math
 import time
 from contextlib import contextmanager
 
-import pytest
-
-from syncword import (Lcg64, class_reducing_word, duplicating,
-                      duplicating_identity_check, extremal_search, fixing,
-                      gen_cerny, gen_oneword_code, gen_random_partial,
-                      gen_random_prefix_code, greedy_min_rank,
-                      inseparability_partition, is_synchronizing, kappa,
-                      lift_word_to_partial, literal_automaton,
-                      literal_reset_word, log_rank_word, one_word_rank,
-                      parse_dfa, reduction_to_complete, subset_bfs,
-                      validate_code)
+from syncword import (criteria, inseparability_partition, is_synchronizing,
+                      literal_automaton, one_word_rank, parse_dfa,
+                      subset_bfs, validate_code)
+from syncword.criteria import ACCEPTANCE
 
 from conftest import fixture_text
 
@@ -34,41 +28,6 @@ def criterion(number, description, seconds_cap):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {number} PASS ({elapsed:.2f}s): {description}")
     assert elapsed < seconds_cap, f"criterion {number} exceeded {seconds_cap}s"
-
-
-# shared corpora ------------------------------------------------------------
-
-_DENSITIES = (0.6, 0.7, 0.8, 0.9, 0.95)
-
-
-@pytest.fixture(scope="module")
-def random_corpus():
-    """500 seeded strongly connected partial automata, n <= 8, binary."""
-    corpus = []
-    for i in range(500):
-        n = 2 + i % 7
-        density = _DENSITIES[i % len(_DENSITIES)]
-        corpus.append(gen_random_partial(n, 2, density, 10_000 + i))
-    return corpus
-
-
-@pytest.fixture(scope="module")
-def code_corpus():
-    """200 seeded prefix codes with >= 2 words, total length <= 60 and a
-    positive height."""
-    corpus = []
-    seed = 0
-    while len(corpus) < 200:
-        seed += 1
-        count = 2 + seed % 5
-        maxlen = 2 + seed % 10
-        alpha = 2 + seed % 2
-        code = gen_random_prefix_code(count, maxlen, alpha, 20_000 + seed)
-        lit = literal_automaton(code)
-        if code.total_length > 60 or lit.height == 0:
-            continue
-        corpus.append(lit)
-    return corpus
 
 
 # criteria ------------------------------------------------------------------
@@ -89,14 +48,7 @@ def test_criterion_1_running_example():
 def test_criterion_2_oneword_family():
     with criterion(2, "one-word family k=1..6: rank 1, rt = k+1, reset word "
                       "of length k+1", 5.0):
-        for k in range(1, 7):
-            code = gen_oneword_code(k)
-            assert one_word_rank(code) == 1
-            lit = literal_automaton(code)
-            assert subset_bfs(lit.dfa).reset_threshold == k + 1
-            word = literal_reset_word(lit)
-            assert len(word) == k + 1
-            assert lit.dfa.rank(word) == 1
+        criteria.oneword_family(ACCEPTANCE)
 
 
 def test_criterion_3_nonsynchronizing_powers():
@@ -112,82 +64,39 @@ def test_criterion_3_nonsynchronizing_powers():
 def test_criterion_4_duplicating_identity():
     with criterion(4, "duplicating automaton doubles every achievable rank "
                       "threshold", 60.0):
-        for n in range(3, 7):
-            results = duplicating_identity_check(gen_cerny(n))
-            assert results  # at least rank 1 is achievable
-        for i in range(50):
-            dfa = gen_random_partial(2 + i % 5, 2, 1.0, 30_000 + i)
-            duplicating_identity_check(dfa)  # raises on any violated rank
+        criteria.duplicating_identity(ACCEPTANCE)
 
 
 def test_criterion_5_cerny_thresholds():
     with criterion(5, "cycle family: rt = (n-1)^2 for n = 3..8", 120.0):
-        for n in range(3, 9):
-            assert subset_bfs(gen_cerny(n)).reset_threshold == (n - 1) ** 2
+        criteria.cerny_thresholds(ACCEPTANCE)
 
 
-def test_criterion_6_reduction_soundness(random_corpus):
+def test_criterion_6_reduction_soundness():
     with criterion(6, "reduction to complete preserves synchronizability on "
                       "500 random automata", 120.0):
-        for dfa in random_corpus:
-            complete, _ = reduction_to_complete(dfa)
-            expected = subset_bfs(dfa).reset_threshold is not None
-            assert is_synchronizing(dfa) == expected
-            assert is_synchronizing(complete) == expected
-            assert (subset_bfs(complete).reset_threshold is not None) == expected
+        criteria.reduction_soundness(ACCEPTANCE)
 
 
-def test_criterion_7_greedy_optimal_rank(random_corpus):
+def test_criterion_7_greedy_optimal_rank():
     with criterion(7, "greedy compression reaches the oracle minimal "
                       "non-zero rank on 500 random automata", 120.0):
-        for dfa in random_corpus:
-            result = greedy_min_rank(dfa)
-            assert result.final_rank == subset_bfs(dfa).min_nonzero_rank
-            assert dfa.rank(result.word) == result.final_rank
+        criteria.greedy_vs_oracle(ACCEPTANCE)
 
 
-def test_criterion_8_lemma_suite(random_corpus):
+def test_criterion_8_lemma_suite():
     with criterion(8, "voiding and lifting bounds, 100 subsets and 100 "
                       "words per automaton", 120.0):
-        rng = Lcg64(99)
-        for dfa in random_corpus:
-            part = inseparability_partition(dfa)
-            kq = kappa(part, dfa.states)
-            fixed = fixing(dfa)
-            for _ in range(100):
-                S = frozenset(q for q in range(dfa.n) if rng.below(2))
-                ks = kappa(part, S)
-                if ks >= 2:
-                    w = class_reducing_word(dfa, part, S)
-                    img = dfa.image(S, w)
-                    assert img and 1 <= kappa(part, img) < ks
-                    assert len(w) <= min(kq - ks + 1, dfa.n - len(S) + 1)
-            for _ in range(100):
-                S = frozenset(q for q in range(dfa.n) if rng.below(2))
-                if not S:
-                    continue
-                w = tuple(rng.below(2) for _ in range(rng.below(13)))
-                lifted = lift_word_to_partial(dfa, S, w)
-                assert len(lifted) <= len(w)
-                img = dfa.image(S, lifted)
-                assert img and img <= fixed.image(S, w)
+        criteria.lemma_bounds(ACCEPTANCE)
 
 
-def test_criterion_9_log_rank_theorem(code_corpus):
+def test_criterion_9_log_rank_theorem():
     with criterion(9, "log-rank words on 200 random prefix codes: "
                       "non-mortal, length <= 2h, rank <= bound", 120.0):
-        for lit in code_corpus:
-            word = log_rank_word(lit)
-            h, n = lit.height, lit.dfa.n
-            assert lit.dfa.rank(word) > 0
-            assert len(word) <= 2 * h
-            bound = math.ceil(math.log2(h * n)) + math.ceil(math.log2(h))
-            assert lit.dfa.rank(word) <= bound
+        criteria.logrank_bounds(ACCEPTANCE)
 
 
 def test_criterion_10_extremal_lower_bound():
     with criterion(10, "exhaustive extremal search n = 2..4 attains "
                        "(n^2-n)/2", 300.0):
-        for n in (2, 3, 4):
-            res = extremal_search(n, exhaustive=True)
-            assert res.best_rt >= (n * n - n) // 2
+        criteria.extremal_bound(ACCEPTANCE)

@@ -81,7 +81,7 @@ def test_verify_all_fails_under_optimize():
     lines = proc.stdout.splitlines()
     assert len(lines) == 8
     assert [line for line in lines if "status=ok" not in line] == [
-        "check=extremal-bound status=fail (best 3 < target 3)"]
+        "check=extremal-bound status=fail (n=2: best 1 < target 1)"]
 
 
 NON_RESET_SCRIPT = """
@@ -294,6 +294,15 @@ def test_search_extremal_seeded(capsys):
     assert "target=3" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_search_extremal_rejects_no_trials(capsys, trials):
+    assert run(["search", "extremal", "--n", "3", "--seed", "1",
+                "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need at least one trial, got {trials}" in captured.err
+
+
 def test_code_validate(capsys):
     assert run(["code", "validate", DECODER]) == 0
     assert "4 words" in capsys.readouterr().out
@@ -370,6 +379,35 @@ def test_verify_all_quick(capsys):
     names = [line.split()[0] for line in lines]
     assert names == sorted(names)
     assert all("status=ok" in line for line in lines)
+
+
+def test_verify_all_smallest_size_cap(capsys):
+    # the smallest profile: random automata of 2 or 3 states
+    assert run(["verify", "all", "--size-cap", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all("status=ok" in line for line in lines)
+
+
+def test_verify_all_reports_a_fault_and_goes_on(capsys, monkeypatch):
+    from syncword import criteria
+
+    def boom(profile):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(criteria.CHECKS, "oneword-family", boom)
+    assert run(["verify", "all", "--size-cap", "3"]) == 3
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines()
+            if "status=ok" not in line] == [
+        "check=oneword-family status=fail (boom)"]
+    assert "Traceback" in captured.err
+
+
+def test_cli_import_leaves_criteria_out():
+    proc = run_python("-c", "import sys, syncword.cli; "
+                      "print('syncword.criteria' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_fully_undefined_letter_flagged(capsys, tmp_path):
