@@ -1,18 +1,19 @@
 """Command-line front door.
 
 Exit codes: 0 success / positive decision, 1 negative decision, 2 usage or
-input error, 3 internal error.  All randomness flows through an
-explicit --seed.  --format summary emits stable key=value lines.
+input error, 3 internal error, 141 (128 + SIGPIPE) when the reader closes
+stdout early.  All randomness flows through an explicit --seed.  --format
+summary emits stable key=value lines.
+
+Every command imports the package modules it runs inside its own function:
+each CLI run is a fresh interpreter, and start-up is a large share of a short
+job, so a command loads no module it does not use.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
-from . import automaton, codes, constructions, equivalence, generators
-from . import oracle as oracle_mod
-from . import synchronization as sync_mod
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
                      SyncwordError, require)
 
@@ -26,6 +27,7 @@ def _read(path):
 
 
 def _load_dfa(path):
+    from . import automaton
     # analysis commands accept @g automata emitted by the build commands;
     # constructions that add @g themselves reject colliding alphabets
     dfa = automaton.parse_dfa(_read(path), allow_gamma=True)
@@ -61,6 +63,7 @@ def _bool(v):
 # --------------------------------------------------------------- subcommands
 
 def _cmd_classes(args):
+    from . import equivalence
     dfa = _load_dfa(args.file)
     part = equivalence.inseparability_partition(dfa)
     for cls in part.classes:
@@ -69,10 +72,12 @@ def _cmd_classes(args):
 
 
 def _cmd_build(args):
+    from . import automaton, constructions
     dfa = _load_dfa(args.file)
     if args.what == "fixing":
         out = constructions.fixing(dfa)
     elif args.what == "collecting":
+        from . import synchronization as sync_mod
         out, _ = sync_mod.reduction_to_complete(dfa)
     elif args.what == "duplicating":
         out = constructions.duplicating(dfa)
@@ -90,6 +95,7 @@ def _not_synchronizing(args, dfa, min_rank=None):
     """Report a negative decision with the greedy minimum rank.  A method
     other than greedy passes no rank: greedy then runs here as a cross-check,
     and an automaton it synchronizes is an internal fault, never exit 1."""
+    from . import synchronization as sync_mod
     if min_rank is None:
         min_rank = sync_mod.greedy_min_rank(dfa).final_rank
     require(min_rank != 1, "a method found no reset word for an automaton "
@@ -100,6 +106,7 @@ def _not_synchronizing(args, dfa, min_rank=None):
 
 
 def _cmd_sync_check(args):
+    from . import synchronization as sync_mod
     dfa = _load_dfa(args.file)
     if sync_mod.is_synchronizing(dfa):
         _emit(args.format, ["synchronizing"], [("synchronizing", "true")])
@@ -114,6 +121,8 @@ def _word_output(args, dfa, word, r):
 
 
 def _cmd_sync_word(args):
+    from . import automaton
+    from . import synchronization as sync_mod
     dfa = _load_dfa(args.file)
     if not automaton.is_strongly_connected(dfa):
         raise NotStronglyConnected(
@@ -135,6 +144,7 @@ def _cmd_sync_word(args):
         except NotSynchronizing:
             return _not_synchronizing(args, dfa)
     else:  # oracle
+        from . import oracle as oracle_mod
         word = oracle_mod.subset_bfs(dfa).witness(1)
         if word is None:
             return _not_synchronizing(args, dfa)
@@ -145,6 +155,7 @@ def _cmd_sync_word(args):
 
 
 def _cmd_rank_min(args):
+    from . import synchronization as sync_mod
     dfa = _load_dfa(args.file)
     word = sync_mod.greedy_min_rank(dfa).word
     _word_output(args, dfa, word, dfa.rank(word))
@@ -152,6 +163,7 @@ def _cmd_rank_min(args):
 
 
 def _cmd_rank_word(args):
+    from . import synchronization as sync_mod
     dfa = _load_dfa(args.file)
     word = sync_mod.rank_target_word(dfa, args.target, method=args.method)
     _word_output(args, dfa, word, dfa.rank(word))
@@ -159,6 +171,7 @@ def _cmd_rank_word(args):
 
 
 def _cmd_oracle(args):
+    from . import oracle as oracle_mod
     dfa = _load_dfa(args.file)
     report = oracle_mod.subset_bfs(dfa)
     lines = []
@@ -173,6 +186,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify_duplicating(args):
+    from . import oracle as oracle_mod
     dfa = _load_dfa(args.file)
     results = oracle_mod.duplicating_identity_check(dfa)
     lines = [f"r={r} base={lb} duplicated={ld}" for r, (lb, ld) in sorted(results.items())]
@@ -184,7 +198,7 @@ def _cmd_verify_duplicating(args):
 
 
 def _cmd_verify_all(args):
-    from . import criteria  # imported here: no other command pays for it
+    from . import criteria
     profile = criteria.quick(args.size_cap, args.seed)
     failed = False
     for name, check in sorted(criteria.CHECKS.items()):
@@ -192,6 +206,7 @@ def _cmd_verify_all(args):
             status, detail = "ok", check(profile)
         except Exception as exc:  # report and keep going
             if not isinstance(exc, SyncwordError):
+                import traceback
                 traceback.print_exc()
             status, detail, failed = "fail", str(exc), True
         if args.format == "summary":
@@ -203,6 +218,8 @@ def _cmd_verify_all(args):
 
 
 def _cmd_search_extremal(args):
+    from . import automaton
+    from . import oracle as oracle_mod
     if args.exhaustive and (args.seed is not None or args.trials is not None):
         raise InputError("--exhaustive excludes --seed/--trials")
     exhaustive = args.exhaustive or (args.seed is None and args.trials is None)
@@ -222,6 +239,7 @@ def _cmd_search_extremal(args):
 
 
 def _cmd_code(args):
+    from . import automaton, codes
     if args.what == "oneword":
         word = args.file  # positional doubles as the codeword
         if not word:
@@ -278,15 +296,18 @@ def _cmd_code(args):
 
 
 def _cmd_gen(args):
+    from . import automaton, generators
     if args.family == "cerny":
         sys.stdout.write(automaton.format_dfa(generators.gen_cerny(args.n)))
     elif args.family == "oneword":
+        from . import codes
         sys.stdout.write(codes.format_code(generators.gen_oneword_code(args.k)))
     elif args.family == "random-dfa":
         dfa = generators.gen_random_partial(args.n, args.alpha, args.density,
                                             args.seed)
         sys.stdout.write(automaton.format_dfa(dfa, comment=f"seed {args.seed}"))
     else:  # random-code
+        from . import codes
         code = generators.gen_random_prefix_code(args.count, args.maxlen,
                                                  args.alpha, args.seed)
         sys.stdout.write(codes.format_code(code))
@@ -395,6 +416,8 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise  # the reader closed stdout: main() ends the process
     except NotSynchronizing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -403,13 +426,23 @@ def run(argv) -> int:
         return 2
     except Exception as exc:  # anything else is a bug, never a decision
         if not isinstance(exc, SyncwordError):
+            import traceback
             traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # End as a shell reports a writer killed by SIGPIPE (`yes | head -1`),
+        # with stdout on /dev/null so the flush at exit has nothing to fail.
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

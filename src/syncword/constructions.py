@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
                         is_complete, is_strongly_connected)
-from .equivalence import Partition
 from .errors import InputError, NotStronglyConnected, SyncwordError
 
 

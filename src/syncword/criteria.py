@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from . import codes, constructions, equivalence, generators, oracle
 from . import synchronization as sync
-from .errors import require
+from .errors import InputError, require
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,12 @@ QUICK = Profile(size_cap=8, seed=0, automata=35, subsets=20, codes=20,
 
 
 def quick(size_cap, seed):
-    """QUICK at the `verify all` options, with size_cap clamped to 3..8."""
-    return replace(QUICK, size_cap=min(max(3, size_cap), 8), seed=seed)
+    """QUICK at the `verify all` options.  InputError unless size_cap is in
+    3..8: the cycle-family check starts at 3 states, and 8 is ACCEPTANCE's
+    cap, the largest size the checks are meant to run at."""
+    if not 3 <= size_cap <= 8:
+        raise InputError(f"--size-cap must be in 3..8, got {size_cap}")
+    return replace(QUICK, size_cap=size_cap, seed=seed)
 
 
 @lru_cache(maxsize=1)

@@ -6,7 +6,6 @@ generator, so golden files stay portable across implementations.
 from __future__ import annotations
 
 from .automaton import UNDEF, PartialDfa, is_strongly_connected
-from .codes import PrefixCode, validate_code
 from .errors import InputError
 
 
@@ -48,6 +47,7 @@ def gen_cerny(n: int) -> PartialDfa:
 def gen_oneword_code(k: int) -> PrefixCode:
     """The tight one-word family {a^k b a^(k+1) b}: the literal automaton
     has 2k+3 states and reset threshold k+1."""
+    from .codes import validate_code
     if k < 1:
         raise InputError("k must be at least 1")
     return validate_code(["a" * k + "b" + "a" * (k + 1) + "b"])
@@ -83,6 +83,7 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int,
 def gen_random_prefix_code(count: int, maxlen: int, alpha: int, seed: int,
                            max_retries: int = 1000) -> PrefixCode:
     """A prefix-free sample of the given size, deterministic per seed."""
+    from .codes import validate_code
     if count < 1 or maxlen < 1:
         raise InputError("need count >= 1 and maxlen >= 1")
     if alpha < 1:

@@ -17,11 +17,6 @@ from dataclasses import dataclass
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
                         is_strongly_connected, pair_bfs, settle_seeds)
-from .constructions import (CollectingTree, collecting, collecting_tree,
-                            fixing, lift_word_to_partial, strip_gamma)
-from .equivalence import (Partition, class_reducing_word,
-                          collapse_to_single_class_word,
-                          inseparability_partition, quotient)
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
                      SyncwordError)
 
@@ -115,6 +110,8 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     pairs inside the single remaining class.  Classes map into classes, so
     the number of classes the image meets never grows again.
     """
+    from .constructions import fixing, lift_word_to_partial
+    from .equivalence import class_reducing_word, inseparability_partition
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("needs strong connectivity")
     fixed_word = greedy_min_rank(fixing(dfa)).word
@@ -144,6 +141,8 @@ def reduction_to_complete(dfa: PartialDfa) -> tuple[PartialDfa, CollectingTree]:
     The collecting automaton for the deterministic tree rooted at the
     smallest inseparability class (ties by least state id).
     """
+    from .constructions import collecting, collecting_tree
+    from .equivalence import inseparability_partition
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("reduction needs strong connectivity")
     part = inseparability_partition(dfa)
@@ -162,6 +161,8 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     is raised when greedy on the collecting automaton stops above rank 1,
     before any other word is built.
     """
+    from .constructions import strip_gamma
+    from .equivalence import collapse_to_single_class_word, quotient
     coll, tree = reduction_to_complete(dfa)  # rejects non-strongly-connected
     coll_result = greedy_min_rank(coll)
     if coll_result.final_rank != 1:

@@ -50,12 +50,17 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "internal error: boom" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's
+    package."""
+    src = str(pathlib.Path(syncword.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def run_python(*args, timeout=None):
     """Run a child interpreter that imports this checkout's package."""
-    src = str(pathlib.Path(syncword.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=child_env(), timeout=timeout)
 
 
 def run_optimized(script, *args):
@@ -294,13 +299,21 @@ def test_search_extremal_seeded(capsys):
     assert "target=3" in out
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_search_extremal_rejects_no_trials(capsys, trials):
-    assert run(["search", "extremal", "--n", "3", "--seed", "1",
-                "--trials", trials]) == 2
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["search", "extremal", "--n", "3", "--seed", "1",
+                  "--trials", trials], f"need at least one trial, got {trials}",
+                 id=f"trials={trials}")
+    for trials in ["0", "-1"]
+] + [
+    pytest.param(["verify", "all", "--size-cap", cap],
+                 f"--size-cap must be in 3..8, got {cap}", id=f"size-cap={cap}")
+    for cap in ["-5", "2", "9", "100"]
+])
+def test_out_of_range_option_is_input_error(capsys, argv, message):
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"need at least one trial, got {trials}" in captured.err
+    assert f"error: {message}" in captured.err
 
 
 def test_code_validate(capsys):
@@ -403,11 +416,66 @@ def test_verify_all_reports_a_fault_and_goes_on(capsys, monkeypatch):
     assert "Traceback" in captured.err
 
 
-def test_cli_import_leaves_criteria_out():
-    proc = run_python("-c", "import sys, syncword.cli; "
-                      "print('syncword.criteria' in sys.modules)")
-    assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+LOADED_MODULES_SCRIPT = """
+import sys
+from syncword import cli
+status = cli.run(sys.argv[1:])
+print(status, *sorted(m for m in sys.modules if m.startswith("syncword.")),
+      file=sys.stderr)
+"""
+SYNC = ["automaton", "cli", "errors", "synchronization"]
+ORACLE = ["automaton", "cli", "errors", "oracle"]
+ALL = ["automaton", "cli", "codes", "constructions", "criteria",
+       "equivalence", "errors", "generators", "oracle", "synchronization"]
+
+
+def loads(modules, *argv):
+    """A command line (FILE: a complete automaton) and the sorted syncword
+    modules it loads, with the command line as the test id."""
+    return pytest.param(list(argv), modules,
+                        id=" ".join(a for a in argv if a != "FILE"))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    loads(["cli", "errors"], "--help"),
+    loads(ORACLE, "oracle", "FILE"),
+    loads(ORACLE, "search", "extremal", "--n", "3", "--exhaustive"),
+    loads(sorted(ORACLE + ["synchronization"]),
+          "rank", "word", "FILE", "--target", "1", "--method", "oracle"),
+    loads(SYNC, "sync", "check", "FILE"),
+    loads(SYNC, "sync", "word", "FILE", "--method", "greedy"),
+    loads(SYNC, "rank", "min", "FILE"),
+    loads(SYNC, "rank", "word", "FILE", "--target", "1"),
+    loads(sorted(SYNC + ["constructions", "equivalence"]),
+          "sync", "word", "FILE", "--method", "collecting"),
+    loads(["automaton", "cli", "constructions", "errors", "oracle"],
+          "verify", "duplicating", "FILE"),
+    loads(["automaton", "cli", "errors", "generators"],
+          "gen", "cerny", "--n", "3"),
+    loads(ALL, "verify", "all", "--size-cap", "3"),
+])
+def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    # every CLI job is a fresh interpreter: a module a command does not run
+    # is start-up time on each job, so a new eager import fails here
+    path = tmp_path / "cerny4.dfa"
+    path.write_text(format_dfa(gen_cerny(4)))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    proc = run_python("-c", LOADED_MODULES_SCRIPT, *argv)
+    assert proc.stderr.splitlines()[-1].split() == [
+        "0", *(f"syncword.{m}" for m in modules)]
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that leaves early (`syncword gen ... | head -1`) is no fault:
+    # exit as a shell reports a writer killed by SIGPIPE, with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "syncword.cli", "gen", "cerny", "--n", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_fully_undefined_letter_flagged(capsys, tmp_path):
