@@ -249,13 +249,12 @@ def _passes_through_root(lit: LiteralAutomaton, w: Word) -> bool:
     T is the image of the states that have not met the root yet, so w
     passes iff T ends empty.
     """
-    cols, gone = lit.dfa.columns, {UNDEF, lit.root}
-    T = set(range(lit.dfa.n)) - gone
+    dfa, root = lit.dfa, lit.root
+    T = dfa.states - {root}
     for a in w:
         if not T:
             break
-        col = cols[a]
-        T = {col[q] for q in T} - gone
+        T = dfa.image(T, (a,)) - {root}
     return not T
 
 

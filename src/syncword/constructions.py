@@ -28,17 +28,16 @@ def lift_word_to_partial(dfa: PartialDfa, S, w: Word) -> Word:
 
     Letter-by-letter filter: drop a letter exactly when the whole current
     image would die under it (those states are the ones the fixing automaton
-    holds in place).
+    holds in place).  If image(S, w) is non-empty, nothing is dropped.
     """
     cur = frozenset(S)
     if not cur:
         raise InputError("empty subset")
+    if dfa.image(cur, w):
+        return tuple(w)
     out = []
-    cols = dfa.columns
     for a in w:
-        col = cols[a]
-        nxt = {col[q] for q in cur}
-        nxt.discard(UNDEF)
+        nxt = dfa.image(cur, (a,))
         if nxt:
             out.append(a)
             cur = nxt
@@ -121,38 +120,34 @@ def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
 def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     """Rewrite a root-class-synchronizing word of the collecting automaton
     into one over the original alphabet that synchronizes the root class in
-    the partial automaton itself.
+    the partial automaton itself; the output is never longer than the input.
 
-    Processing left to right with the image's class tracked through the
-    quotient table: @g is replaced by the tree letter of the current class,
-    or dropped on the root class.  Letters the current class would entirely
-    die under are dropped as well (a class agrees on definedness, and the
-    collecting automaton holds those states in place), which keeps the
-    output's action on the root class non-empty.  The output is never longer
-    than the input.
+    Left to right, tracking the image's class through the quotient table:
+    @g becomes the tree letter of the current class (dropped on the root
+    class), and a letter the class dies under is dropped.  By induction, the
+    collecting automaton's image of the root class under each prefix of w
+    equals dfa's image under the output so far: a class agrees on
+    definedness, so a letter defined on it acts as in dfa, and one undefined
+    on it holds the class in place in the collecting automaton; @g is the
+    identity on the root class and elsewhere the tree letter, defined on the
+    whole class.  So one replay of the output checks the input as well.
     """
-    part = tree.partition
-    coll = collecting(dfa, tree)
+    if GAMMA_TOKEN in dfa.alphabet:
+        raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
+    root, qtable = tree.root_class, tree.partition.qtable
     gamma = len(dfa.alphabet)
-    root = frozenset(part.classes[tree.root_class])
-    if len(coll.image(root, w)) != 1:
-        raise InputError("word does not synchronize the root class in the collecting automaton")
-    qtable = part.qtable
     out = []
-    cls = tree.root_class
+    cls = root
     for a in w:
         if a == gamma:
-            if cls == tree.root_class:
-                continue
-            a, cls = tree.parent[cls]
-            out.append(a)
-        else:
-            t = qtable[cls][a]
-            if t is not UNDEF:
+            if cls != root:
+                a, cls = tree.parent[cls]
                 out.append(a)
-                cls = t
-    if len(dfa.image(root, tuple(out))) != 1:
-        raise SyncwordError("stripped word must synchronize the root class")
+        elif qtable[cls][a] is not UNDEF:
+            cls = qtable[cls][a]
+            out.append(a)
+    if len(dfa.image(tree.partition.classes[root], out)) != 1:
+        raise InputError("word does not synchronize the root class in the collecting automaton")
     return tuple(out)
 
 

@@ -8,6 +8,9 @@ from __future__ import annotations
 from .automaton import UNDEF, PartialDfa, is_strongly_connected
 from .errors import InputError
 
+PARTIAL_RETRIES = 5000  # tables gen_random_partial draws before giving up
+CODE_RETRIES = 1000  # draws per codeword before gen_random_prefix_code gives up
+
 
 class Lcg64:
     """Knuth's MMIX linear congruential generator.
@@ -53,8 +56,7 @@ def gen_oneword_code(k: int) -> PrefixCode:
     return validate_code(["a" * k + "b" + "a" * (k + 1) + "b"])
 
 
-def gen_random_partial(n: int, alpha: int, density: float, seed: int,
-                       max_retries: int = 5000) -> PartialDfa:
+def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> PartialDfa:
     """Uniform transitions, each defined with the given probability,
     regenerated until strongly connected.
 
@@ -67,7 +69,7 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int,
         raise InputError("need n >= 1 and alpha >= 1")
     letters = tuple(_letter_name(i) for i in range(alpha))
     rng = Lcg64(seed)
-    for _ in range(max_retries):
+    for _ in range(PARTIAL_RETRIES):
         table = tuple(
             tuple(rng.below(n) if rng.unit() < density else UNDEF
                   for _ in range(alpha))
@@ -76,12 +78,12 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int,
         if is_strongly_connected(dfa):
             return dfa
     raise InputError(
-        f"no strongly connected automaton in {max_retries} tries; "
+        f"no strongly connected automaton in {PARTIAL_RETRIES} tries; "
         "raise the density")
 
 
-def gen_random_prefix_code(count: int, maxlen: int, alpha: int, seed: int,
-                           max_retries: int = 1000) -> PrefixCode:
+def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
+                           seed: int) -> PrefixCode:
     """A prefix-free sample of the given size, deterministic per seed."""
     from .codes import validate_code
     if count < 1 or maxlen < 1:
@@ -97,7 +99,7 @@ def gen_random_prefix_code(count: int, maxlen: int, alpha: int, seed: int,
     stalled = 0
     while len(chosen) < count:
         attempts += 1
-        if attempts > max_retries * count:
+        if attempts > CODE_RETRIES * count:
             raise InputError("could not sample a prefix-free set; "
                              "raise maxlen or lower count")
         length = 1 + rng.below(maxlen)

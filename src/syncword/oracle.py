@@ -329,12 +329,17 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
 
     Exhaustive up to n <= 5 (guardrail: 10 * 5**9 tables take about two
     minutes, while n = 6 has 12 * 6**11, about 4.4e9, and would take hours);
-    the randomized profile is deterministic given (seed, trials).
+    the randomized profile is deterministic given (seed, trials) and
+    limited to MAX_ORACLE_STATES states, since each candidate's reset
+    threshold is a BFS over the same subset lattice as the oracle's.
     """
     if n < 2:
         raise InputError("need at least two states")
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
+    if n > MAX_ORACLE_STATES:
+        raise InputError(
+            f"extremal search limited to {MAX_ORACLE_STATES} states, got {n}")
     if exhaustive and n > 5:
         raise InputError(
             f"exhaustive profile limited to n <= 5, got {n} (use the "

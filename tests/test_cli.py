@@ -308,6 +308,10 @@ def test_search_extremal_seeded(capsys):
     pytest.param(["verify", "all", "--size-cap", cap],
                  f"--size-cap must be in 3..8, got {cap}", id=f"size-cap={cap}")
     for cap in ["-5", "2", "9", "100"]
+] + [
+    pytest.param(["search", "extremal", "--n", "25", "--seed", "1",
+                  "--trials", "1"],
+                 "extremal search limited to 24 states, got 25", id="n=25"),
 ])
 def test_out_of_range_option_is_input_error(capsys, argv, message):
     assert run(argv) == 2

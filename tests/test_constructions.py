@@ -220,6 +220,13 @@ def test_strip_gamma_random():
         assert len(dfa.image(root, out)) == 1
 
 
+def test_strip_gamma_rejects_reserved_token():
+    dfa = PartialDfa(2, ("a", GAMMA_TOKEN), ((1, 0), (0, 1)))
+    tree = collecting_tree(dfa, inseparability_partition(dfa), 0)
+    with pytest.raises(InputError, match="reserved token '@g'"):
+        strip_gamma(dfa, tree, ())
+
+
 # ----------------------------------------------------------------- induced
 
 def test_induced_identity_words(fig1):

@@ -2,9 +2,10 @@
 
 PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
 (PairTable.least_pair, a budgeted walk of the pair table, with each state of
-S standing for itself), rank_target_word (a scan of the greedy trace) and
-lift_word_to_partial (a loop on the columns) are checked against the
-letter-by-letter set code they replace; the pair BFS (integer pair codes in
+S standing for itself) and rank_target_word (a scan of the greedy trace) are
+checked against the letter-by-letter set code they replace; strip_gamma (one
+replay, in the partial automaton) against the copy that checked its input on
+a rebuilt collecting automaton; the pair BFS (integer pair codes in
 flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks) and
 the class_reducing_word pick (the same walk of the partition's table, with
 each class standing for its least state of S, ties broken by those states)
@@ -15,16 +16,18 @@ of transition tables.
 """
 import random
 from array import array
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (UNDEF, InputError, Lcg64, PartialDfa, extremal_search,
-                      gen_cerny, gen_random_prefix_code, greedy_min_rank,
-                      inseparability_partition, literal_automaton, pair_table,
-                      pair_word, parse_dfa, rank_target_word, subset_bfs)
+from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
+                      collecting, collecting_tree, extremal_search, gen_cerny,
+                      gen_random_partial, gen_random_prefix_code,
+                      greedy_min_rank, inseparability_partition,
+                      literal_automaton, pair_table, pair_word, parse_dfa,
+                      rank_target_word, strip_gamma, subset_bfs)
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
@@ -149,6 +152,89 @@ def test_lift_matches_letter_by_letter_filter(dfa, data):
             out.append(a)
             cur = nxt
     assert lift_word_to_partial(dfa, S, w) == tuple(out)
+
+
+# ------------------------------------------------------------ strip gamma
+
+def ref_strip_gamma(dfa, tree, w):
+    """strip_gamma as it was: the input checked on a rebuilt collecting
+    automaton, the output on dfa."""
+    part = tree.partition
+    coll = collecting(dfa, tree)
+    gamma = len(dfa.alphabet)
+    root = frozenset(part.classes[tree.root_class])
+    if len(coll.image(root, w)) != 1:
+        raise InputError("word does not synchronize the root class in the collecting automaton")
+    qtable = part.qtable
+    out = []
+    cls = tree.root_class
+    for a in w:
+        if a == gamma:
+            if cls == tree.root_class:
+                continue
+            a, cls = tree.parent[cls]
+            out.append(a)
+        else:
+            t = qtable[cls][a]
+            if t is not UNDEF:
+                out.append(a)
+                cls = t
+    if len(dfa.image(root, tuple(out))) != 1:
+        raise SyncwordError("stripped word must synchronize the root class")
+    return tuple(out)
+
+
+def strip_outcomes(dfa, rng):
+    """strip_gamma against ref_strip_gamma with every class as the root, on
+    random words over the alphabet plus @g, @g^(n-1) before one of them, and
+    greedy's word for the collecting automaton; counts stripped and refused
+    words."""
+    part = inseparability_partition(dfa)
+    k = len(dfa.alphabet)
+    outcomes = Counter()
+    for root in range(len(part.classes)):
+        tree = collecting_tree(dfa, part, root)
+        words = [tuple(rng.randrange(k + 1)
+                       for _ in range(rng.randrange(3 * dfa.n + 1)))
+                 for _ in range(10)]
+        words.append((k,) * (dfa.n - 1) + words[0])
+        words.append(greedy_min_rank(collecting(dfa, tree)).word)
+        for w in words:
+            try:
+                expected = ref_strip_gamma(dfa, tree, w)
+            except InputError as exc:
+                with pytest.raises(InputError) as got:
+                    strip_gamma(dfa, tree, w)
+                assert str(got.value) == str(exc)
+                outcomes["refused"] += 1
+            else:
+                assert strip_gamma(dfa, tree, w) == expected
+                outcomes["stripped"] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_strip_gamma_matches_collecting_replay_random(k):
+    rng = random.Random(k)
+    outcomes = Counter()
+    for _ in range(60):
+        # a strongly connected unary automaton is a cycle, drawn with
+        # probability (n-1)!/n**n: small n, no undefined entry
+        n = rng.randint(1, 6 if k == 1 else 10)
+        density = 1.0 if k == 1 else rng.choice([0.6, 0.7, 0.8, 0.9, 1.0])
+        dfa = gen_random_partial(n, k, density, rng.randrange(2 ** 32))
+        outcomes += strip_outcomes(dfa, rng)
+    assert outcomes["stripped"] >= 100 and outcomes["refused"] >= 100
+
+
+def test_strip_gamma_matches_collecting_replay_literal():
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(40):
+        code = gen_random_prefix_code(rng.randint(2, 5), rng.randint(3, 4),
+                                      rng.randint(2, 3), rng.randrange(2 ** 32))
+        outcomes += strip_outcomes(literal_automaton(code).dfa, rng)
+    assert outcomes["stripped"] >= 1000 and outcomes["refused"] >= 50
 
 
 # -------------------------------------------------------------- min pair

@@ -1,6 +1,10 @@
 """The package surface: every exported name is imported from its submodule
-on first use, and is that submodule's own object."""
+on first use, and is that submodule's own object; and no module of the
+package holds an assert statement."""
+import ast
 import importlib
+import importlib.util
+import pathlib
 import sys
 
 import pytest
@@ -62,3 +66,13 @@ def test_submodules_import_from_the_package(fresh):
     assert synchronization is sys.modules["syncword.synchronization"]
     assert fresh.constructions is sys.modules["syncword.constructions"]
     assert fresh.subset_bfs is oracle.subset_bfs
+
+
+def test_package_has_no_assert_statements():
+    """Checks that carry correctness raise, so they hold under python -O."""
+    src = pathlib.Path(importlib.util.find_spec("syncword").origin).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
