@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import FormatError, InputError, NotStronglyConnected
+from .errors import FormatError, InputError, NotStronglyConnected, require
 
 UNDEF = None
 
@@ -25,6 +25,18 @@ GAMMA_TOKEN = "@g"
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
+
+#: the most transition-table cells (states x letters) parse_dfa and the
+#: generators accept; at the cap, `classes` peaks near 0.36 GB (README)
+MAX_CELLS = 1 << 20
+
+
+def check_cells(n: int, k: int) -> None:
+    """Refuse an n-state, k-letter table above MAX_CELLS before any of it
+    is built."""
+    if n * k > MAX_CELLS:
+        raise InputError(f"{n} states x {k} letters is above the limit of "
+                         f"{MAX_CELLS} transition-table cells")
 
 
 @dataclass(frozen=True)
@@ -497,6 +509,34 @@ class PairTable:
         for c, d, a in zip(self.pairs, self.dist, self.letter):
             yield divmod(c, n), d, a
 
+    def steps(self, dfa: PartialDfa, trans, elem, S):
+        """The greedy loop over this table, one (word, image) per step.
+
+        elem[q] is the element of the table that state q of dfa stands for,
+        and trans is the table the pairs were built on: range(n) and
+        dfa.trans for pair compression, part.class_of and part.qtable for
+        the classes of an inseparability partition.  Each element met by the
+        image stands for its least state there; each step applies the word
+        of the least settled pair (least_pair) and shrinks the image to a
+        non-empty set meeting fewer elements.  Stops when the image has no
+        settled pair.
+        """
+        n, w = self.n, None
+        while True:
+            rep = [None] * n
+            for q in sorted(S, reverse=True):
+                rep[elem[q]] = q
+            met = n - rep.count(None)
+            if w is not None:
+                require(0 < met < was, "greedy step must leave a non-empty "
+                        "image meeting fewer elements")
+                yield w, S
+            best = self.least_pair(rep)
+            if best is None:
+                return
+            w = self.word(trans, elem[best[1]], elem[best[2]])
+            S, was = dfa.image(S, w), met
+
     def word(self, trans, p: int, q: int) -> Word:
         """The word the table records for the settled pair {p, q} of trans,
         the table it was built on: the recorded first letters, followed
@@ -558,6 +598,7 @@ def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
         raise FormatError("duplicate alphabet token", line=no)
     if not allow_gamma and GAMMA_TOKEN in alphabet:
         raise FormatError(f"token {GAMMA_TOKEN!r} is reserved", line=no)
+    check_cells(n, len(alphabet))
     index = {tok: i for i, tok in enumerate(alphabet)}
 
     table = [[UNDEF] * len(alphabet) for _ in range(n)]

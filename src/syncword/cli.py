@@ -40,11 +40,12 @@ def _load_dfa(path):
 
 
 def _parse_word_list(dfa, text):
-    words = []
-    for chunk in text.split(","):
-        chunk = chunk.strip().replace(".", " ")
-        words.append(dfa.word(chunk))
-    return words
+    """Comma-separated words; '.' separates letters unless it is a letter."""
+    if "," in dfa.alphabet:
+        raise InputError("a word list cannot hold the letter ','")
+    if "." not in dfa.alphabet:
+        text = text.replace(".", " ")
+    return [dfa.word(chunk) for chunk in text.split(",")]
 
 
 def _emit(fmt, text_lines, summary_pairs):

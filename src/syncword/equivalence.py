@@ -146,47 +146,26 @@ def kappa(part: Partition, S) -> int:
     return part.kappa(S)
 
 
-def _least_separated_pair(part: Partition, S):
-    """(level, p, q) minimizing the separation level of p < q in S lying in
-    distinct classes, ties by state order; None when S meets one class.
-
-    Only the least state of S in each class can be picked, so the walk of
-    part.table maps each class of S to that state.
-    """
-    rep = [None] * len(part.classes)
-    for q in sorted(S, reverse=True):
-        rep[part.class_of[q]] = q
-    return part.table.least_pair(rep)
-
-
 def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
     """A word w with 1 <= kappa(image(S, w)) < kappa(S).
 
-    Picks, among state pairs of S lying in distinct classes, one separated at
-    the minimal level (ties by state order) and emits its witness word, so
+    The first step of part.table.steps: among state pairs of S lying in
+    distinct classes, one separated at the minimal level (ties by state
+    order) gives its witness word, so
     |w| <= min(kappa(Q) - kappa(S) + 1, n - |S| + 1).
     """
-    S = frozenset(S)
-    best = _least_separated_pair(part, S)
-    if best is None:
-        raise InputError("subset intersects fewer than two classes")
-    w = separating_word(dfa, part, best[1], best[2])
-    img = dfa.image(S, w)
-    if not img or part.kappa(img) >= part.kappa(S):
-        raise SyncwordError("voiding word failed")
-    return w
+    for w, _ in part.table.steps(dfa, part.qtable, part.class_of, S):
+        return w
+    raise InputError("subset intersects fewer than two classes")
 
 
 def collapse_to_single_class_word(dfa: PartialDfa, part: Partition, S) -> Word:
-    """Iterate class_reducing_word until the image sits in one class."""
-    S = frozenset(S)
+    """All steps of part.table.steps: the image ends in one class."""
     if not S:
         raise InputError("empty subset")
     out = []
-    while part.kappa(S) >= 2:
-        w = class_reducing_word(dfa, part, S)
+    for w, _ in part.table.steps(dfa, part.qtable, part.class_of, S):
         out.extend(w)
-        S = dfa.image(S, w)
     return tuple(out)
 
 

@@ -5,7 +5,7 @@ generator, so golden files stay portable across implementations.
 """
 from __future__ import annotations
 
-from .automaton import UNDEF, PartialDfa, is_strongly_connected
+from .automaton import UNDEF, PartialDfa, check_cells, is_strongly_connected
 from .errors import InputError
 
 PARTIAL_RETRIES = 5000  # tables gen_random_partial draws before giving up
@@ -43,6 +43,7 @@ def gen_cerny(n: int) -> PartialDfa:
     the other merges state 0 into state 1; reset threshold (n-1)^2."""
     if n < 1:
         raise InputError("need at least one state")
+    check_cells(n, 2)
     table = tuple((((q + 1) % n), (1 % n if q == 0 else q)) for q in range(n))
     return PartialDfa(n, ("a", "b"), table)
 
@@ -67,6 +68,7 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
         raise InputError("density must be in (0, 1]")
     if n < 1 or alpha < 1:
         raise InputError("need n >= 1 and alpha >= 1")
+    check_cells(n, alpha)
     letters = tuple(_letter_name(i) for i in range(alpha))
     rng = Lcg64(seed)
     for _ in range(PARTIAL_RETRIES):
@@ -78,8 +80,10 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
         if is_strongly_connected(dfa):
             return dfa
     raise InputError(
-        f"no strongly connected automaton in {PARTIAL_RETRIES} tries; "
-        "raise the density")
+        f"no strongly connected automaton in {PARTIAL_RETRIES} tries; " + (
+            f"a one-letter automaton is strongly connected only as a single "
+            f"{n}-cycle, at most (n-1)!/n^n of the draws" if alpha == 1
+            else "raise the density"))
 
 
 def gen_random_prefix_code(count: int, maxlen: int, alpha: int,

@@ -69,24 +69,14 @@ class SyncResult:
         return tuple(acc) == self.word and len(S) == self.final_rank
 
 
-def compress_pairs(dfa: PartialDfa, table: PairTable, S, word, trace):
-    """Greedy pair compression of S: while some pair of S is compressible,
-    apply the recorded word of the pair minimizing (distance, p, q).
-
-    Extends word and trace in place and returns the final image.
-    """
-    while True:
-        # every state of S stands for itself
-        rep = [None] * table.n
-        for q in S:
-            rep[q] = q
-        best = table.least_pair(rep)
-        if best is None:
-            return S
-        sub = pair_word(dfa, table, best[1], best[2])
-        S = dfa.image(S, sub)
+def compress_pairs(dfa: PartialDfa, table: PairTable, trans, elem, S, word,
+                   trace):
+    """Run table.steps(dfa, trans, elem, S) to its end, extending word and
+    trace in place; returns the final image."""
+    for sub, S in table.steps(dfa, trans, elem, S):
         word.extend(sub)
         trace.append((len(S), sub))
+    return S
 
 
 def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
@@ -97,7 +87,8 @@ def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
         raise NotStronglyConnected("greedy compression needs strong connectivity")
     word = []
     trace = []
-    S = compress_pairs(dfa, pair_table(dfa), dfa.states, word, trace)
+    S = compress_pairs(dfa, pair_table(dfa), dfa.trans, range(dfa.n),
+                       dfa.states, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -111,7 +102,7 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     the number of classes the image meets never grows again.
     """
     from .constructions import fixing, lift_word_to_partial
-    from .equivalence import class_reducing_word, inseparability_partition
+    from .equivalence import inseparability_partition
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("needs strong connectivity")
     fixed_word = greedy_min_rank(fixing(dfa)).word
@@ -120,13 +111,11 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     word = list(lifted)
     trace = [(len(S), lifted)]
     part = inseparability_partition(dfa)
-    while part.kappa(S) >= 2:
-        sub = class_reducing_word(dfa, part, S)
-        S = dfa.image(S, sub)
-        word.extend(sub)
-        trace.append((len(S), sub))
+    S = compress_pairs(dfa, part.table, part.qtable, part.class_of, S, word,
+                       trace)
     if len(S) >= 2:
-        S = compress_pairs(dfa, pair_table(dfa), S, word, trace)
+        S = compress_pairs(dfa, pair_table(dfa), dfa.trans, range(dfa.n), S,
+                           word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -197,22 +186,19 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
         return EPSILON
     if method == "greedy":
         # image sizes never grow along a word, so the shortest prefix ends
-        # inside the first trace step that reaches the target
-        result = greedy_min_rank(dfa)
-        done = 0
-        for size, sub in result.trace:
-            if size <= r:
-                break
-            done += len(sub)
-        else:
-            raise InputError(
-                f"minimal non-zero rank is {result.final_rank}, above target {r}")
-        S = dfa.image(dfa.states, result.word[:done])
-        for i, a in enumerate(sub, start=done + 1):
-            S = dfa.image(S, (a,))
-            if len(S) <= r:
-                return result.word[:i]
-        raise SyncwordError("greedy trace disagrees with its word")
+        # inside the first greedy step that reaches the target
+        word, S = [], dfa.states
+        for sub, img in pair_table(dfa).steps(dfa, dfa.trans, range(dfa.n), S):
+            if len(img) <= r:
+                for i, a in enumerate(sub, start=1):
+                    S = dfa.image(S, (a,))
+                    if len(S) <= r:
+                        break
+                return (*word, *sub[:i])
+            word.extend(sub)
+            S = img
+        raise InputError(
+            f"minimal non-zero rank is {len(S)}, above target {r}")
     if method == "oracle":
         from .oracle import subset_bfs
         report = subset_bfs(dfa)

@@ -6,12 +6,22 @@ from syncword import (EPSILON, UNDEF, FormatError, InputError,
                       format_dfa, is_complete, is_eulerian, is_mortal,
                       is_properly_incomplete, is_strongly_connected,
                       parse_dfa, literal_automaton, validate_code)
-from syncword.automaton import fully_undefined_letters
+from syncword.automaton import MAX_CELLS, check_cells, fully_undefined_letters
 
 from conftest import fixture_text
 
 
 # ---------------------------------------------------------------- parsing
+
+def test_cell_limit_is_states_times_letters():
+    check_cells(MAX_CELLS, 1)
+    check_cells(1, MAX_CELLS)
+    with pytest.raises(InputError, match="above the limit"):
+        check_cells(MAX_CELLS // 2 + 1, 2)
+    with pytest.raises(InputError, match="above the limit"):
+        parse_dfa("dfa v1\nstates 2\nalphabet "
+                  + " ".join(f"t{i}" for i in range(MAX_CELLS // 2 + 1)) + "\n")
+
 
 def test_parse_one_state_loop():
     dfa = parse_dfa("dfa v1\nstates 1\nalphabet a\n0 a 0\n")

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import syncword
-from syncword import (cli, format_dfa, gen_cerny, gen_oneword_code,
-                      gen_random_partial, literal_automaton, oracle, parse_code,
-                      parse_dfa, synchronization, validate_code)
+from syncword import (cli, constructions, format_dfa, gen_cerny,
+                      gen_oneword_code, gen_random_partial, literal_automaton,
+                      oracle, parse_code, parse_dfa, synchronization,
+                      validate_code)
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -253,6 +254,25 @@ def test_build_induced(capsys, fig1):
     assert '"abb"' in dfa.alphabet
 
 
+def test_build_induced_dot_letter(capsys, tmp_path):
+    # '.' separates letters in a word list only when it is not a letter
+    text = "dfa v1\nstates 2\nalphabet . a\n0 . 1\n1 a 0\n1 . 1\n"
+    path = tmp_path / "dot.dfa"
+    path.write_text(text)
+    assert run(["build", "induced", str(path), "--w1", ".", "--w2", "a"]) == 0
+    dfa = parse_dfa(text)
+    ind = constructions.induced(dfa, [dfa.word(".")], [dfa.word("a")])
+    assert capsys.readouterr().out == format_dfa(ind.dfa)
+    assert ind.dfa.n == 1 and ind.dfa.alphabet == ('"a."',)
+
+
+def test_build_induced_comma_letter_is_input_error(capsys, tmp_path):
+    path = tmp_path / "comma.dfa"
+    path.write_text("dfa v1\nstates 2\nalphabet , a\n0 , 1\n1 a 0\n1 , 1\n")
+    assert run(["build", "induced", str(path), "--w1", "a", "--w2", "a"]) == 2
+    assert "cannot hold the letter ','" in capsys.readouterr().err
+
+
 def test_verify_duplicating_on_cerny(capsys, tmp_path):
     assert run(["gen", "cerny", "--n", "4"]) == 0
     path = tmp_path / "c4.dfa"
@@ -388,6 +408,33 @@ def test_gen_roundtrips(capsys):
     assert run(["gen", "random-code", "--count", "3", "--maxlen", "4",
                 "--alpha", "2", "--seed", "1"]) == 0
     assert len(parse_code(capsys.readouterr().out).words) == 3
+
+
+def test_gen_random_dfa_unary_advice(capsys):
+    assert run(["gen", "random-dfa", "--n", "10", "--alpha", "1",
+                "--density", "1", "--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "single 10-cycle, at most (n-1)!/n^n of the draws" in err
+    assert "raise the density" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "cerny", "--n", "1000000000"],
+    ["gen", "random-dfa", "--n", "3", "--alpha", "1000000", "--density",
+     "0.5", "--seed", "1"],
+])
+def test_gen_size_limit(capsys, args):
+    assert run(args) == 2
+    assert "above the limit of 1048576 transition-table cells" in \
+        capsys.readouterr().err
+
+
+def test_parse_size_limit(capsys, tmp_path):
+    path = tmp_path / "huge.dfa"
+    path.write_text("dfa v1\nstates 1000000000\nalphabet a b\n")
+    assert run(["classes", str(path)]) == 2
+    assert "1000000000 states x 2 letters is above the limit" in \
+        capsys.readouterr().err
 
 
 def test_verify_all_quick(capsys):

@@ -1,20 +1,26 @@
 """Each fast path pinned to a plain reference.
 
-PartialDfa.image (memoized chunk actions), the pair compress_pairs picks
-(PairTable.least_pair, a budgeted walk of the pair table, with each state of
-S standing for itself) and rank_target_word (a scan of the greedy trace) are
-checked against the letter-by-letter set code they replace; strip_gamma (one
+PartialDfa.image (memoized chunk actions), the pair a greedy step over
+states picks (PairTable.least_pair, a budgeted walk of the pair table, with
+each state of S standing for itself) and rank_target_word (the greedy steps
+up to the first that reaches the target) are checked against the
+letter-by-letter set code they replace, and PairTable.steps refuses a step
+that does not shrink the image; strip_gamma (one
 replay, in the partial automaton) against the copy that checked its input on
 a rebuilt collecting automaton; the pair BFS (integer pair codes in
 flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks) and
-the class_reducing_word pick (the same walk of the partition's table, with
+the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (byte tables, a
 visited byte map, level arrays with index parents) and its counters against
 a set-based BFS, and extremal search (bit mask rows) against an enumeration
 of transition tables.
 """
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from array import array
 from collections import Counter, deque
 from itertools import product
@@ -23,7 +29,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
-                      collecting, collecting_tree, extremal_search, gen_cerny,
+                      class_reducing_word, collecting, collecting_tree,
+                      extremal_search, gen_cerny,
                       gen_random_partial, gen_random_prefix_code,
                       greedy_min_rank, inseparability_partition,
                       literal_automaton, pair_table, pair_word, parse_dfa,
@@ -31,7 +38,6 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
-from syncword.equivalence import _least_separated_pair
 from syncword.oracle import _bfs_witnesses, _rt_bitmask
 from syncword.synchronization import PairTable
 
@@ -51,7 +57,7 @@ def ref_min_pair(table, S):
 
 
 def min_pair(table, S):
-    """The least_pair pick of compress_pairs: the identity map on S."""
+    """The least_pair pick of a step over states: the identity map on S."""
     rep = [None] * table.n
     for q in S:
         rep[q] = q
@@ -303,6 +309,42 @@ def test_min_pair_random_subsets(dfa, data):
     assert min_pair(table, S) == ref_min_pair(table, S)
 
 
+# ----------------------------------------------------------- greedy steps
+
+def stalled_step_outcomes():
+    """Steps over a state table and a class table whose recorded word, the
+    letter a, leaves the image unchanged: a permutes the states of dfa,
+    while the tables were recorded on a table where a kills one state of
+    the pair.  'raised' or 'accepted' per table."""
+    stalled = ((None,), (0,))
+    outcomes = []
+    for trans, elem in [(((1,), (0,)), range(2)),
+                        (((0,), (1,), (2,)), (0, 0, 1))]:
+        dfa = PartialDfa(len(trans), ("a",), trans)
+        try:
+            list(hand_table(2, {(0, 1): 1}).steps(dfa, stalled, elem,
+                                                  dfa.states))
+            outcomes.append("accepted")
+        except SyncwordError as exc:
+            outcomes.append("raised" if "greedy step" in str(exc) else "other")
+    return outcomes
+
+
+def test_steps_reject_a_step_that_does_not_shrink():
+    assert stalled_step_outcomes() == ["raised", "raised"]
+
+
+def test_steps_reject_a_step_that_does_not_shrink_under_optimize():
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    script = ("import sys\nfrom test_fast_paths import stalled_step_outcomes\n"
+              "print(sys.flags.optimize, *stalled_step_outcomes())")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == "1 raised raised\n", proc.stderr
+
+
 # ------------------------------------------------------------ rank target
 
 def ref_rank_target_word(dfa, r):
@@ -327,6 +369,20 @@ def test_rank_target_word_matches_prefix_scan(name):
                 rank_target_word(dfa, r)
         else:
             assert rank_target_word(dfa, r) == expected
+
+
+def test_rank_target_word_stops_at_the_reaching_step(monkeypatch):
+    dfa = gen_cerny(12)
+    sizes = [size for size, _ in greedy_min_rank(dfa).trace]
+    real = PairTable.word
+    calls = []
+    monkeypatch.setattr(PairTable, "word",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    for r in range(1, dfa.n):
+        calls.clear()
+        rank_target_word(dfa, r)
+        assert len(calls) == next(i for i, size in enumerate(sizes, start=1)
+                                  if size <= r)
 
 
 # ------------------------------------------------------------- subset BFS
@@ -529,6 +585,15 @@ def test_pair_table_items_and_distance(fig1):
 
 # ------------------------------------------------ class-reducing pick
 
+def class_pick(part, S):
+    """The pick of a step of part.table.steps: each class of S stands for
+    its least state of S."""
+    rep = [None] * len(part.classes)
+    for q in sorted(S, reverse=True):
+        rep[part.class_of[q]] = q
+    return part.table.least_pair(rep)
+
+
 def ref_least_separated_pair(part, S):
     """The pair scan class_reducing_word made over all pairs of S."""
     best = None
@@ -554,7 +619,7 @@ def test_class_pick_matches_pair_scan_random(n, k, density, data):
     part = inseparability_partition(dfa)
     for _ in range(5):
         S = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
-        assert _least_separated_pair(part, S) == \
+        assert class_pick(part, S) == \
             ref_least_separated_pair(part, S)
 
 
@@ -569,7 +634,12 @@ def test_class_pick_matches_pair_scan_literal():
     for _ in range(300):
         S = frozenset(rng.sample(range(lit.n), rng.randrange(1, lit.n + 1)))
         best = ref_least_separated_pair(part, S)
-        assert _least_separated_pair(part, S) == best
+        assert class_pick(part, S) == best
+        if best is not None:
+            # the step class_reducing_word takes applies the pick's witness
+            assert class_reducing_word(lit, part, S) == \
+                part.table.word(part.qtable, part.class_of[best[1]],
+                                part.class_of[best[2]])
         kappa = part.kappa(S)
         if best is not None:
             if kappa * (kappa - 1) // 2 < level_end[best[0]]:
