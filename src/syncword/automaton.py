@@ -39,6 +39,12 @@ def check_cells(n: int, k: int) -> None:
                          f"{MAX_CELLS} transition-table cells")
 
 
+#: the most index entries (elements squared) of a pair table that
+#: PairTable.build accepts; at the cap, `sync check` and `classes` take 7-12 s
+#: at 180 MB max RSS (README)
+MAX_PAIR_INDEX = 1 << 24
+
+
 @dataclass(frozen=True)
 class PartialDfa:
     """A partial deterministic finite automaton (no initial/final states).
@@ -429,8 +435,8 @@ def pair_bfs(trans, k, seeds):
 
 @dataclass(frozen=True)
 class PairTable:
-    """The pair_bfs result for the unordered pairs of the n states of a
-    table: shortest words that settle a pair.
+    """The pair_bfs result for the unordered pairs of the n elements of a
+    table, made by build: shortest words that settle a pair.
 
     The seeds say what settles a pair: a merge or one state dying for the
     compression table of synchronization, exactly one class dying for the
@@ -447,6 +453,24 @@ class PairTable:
     dist: array
     letter: array
     index: array
+    dfa: PartialDfa = field(compare=False, repr=False)
+    trans: tuple = field(compare=False, repr=False)
+    elem: object = field(compare=False, repr=False)
+
+    @classmethod
+    def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:
+        """The table of trans seeded by settle_seeds(trans, k, merge), where
+        state q of dfa stands for element elem[q]: dfa.trans and range(n)
+        for compression (merge set), the quotient and class_of for
+        separation.  Refuses, before allocating anything, an index above
+        MAX_PAIR_INDEX (elements squared)."""
+        n, k = len(trans), len(dfa.alphabet)
+        if n * n > MAX_PAIR_INDEX:
+            raise InputError(f"a pair table over {n} elements needs {n * n} "
+                             f"index entries, above the limit of "
+                             f"{MAX_PAIR_INDEX}")
+        return cls(n, *pair_bfs(trans, k, settle_seeds(trans, k, merge)),
+                   dfa, trans, elem)
 
     def distance(self, p: int, q: int):
         """Length of a shortest word settling {p, q}, or None."""
@@ -509,19 +533,13 @@ class PairTable:
         for c, d, a in zip(self.pairs, self.dist, self.letter):
             yield divmod(c, n), d, a
 
-    def steps(self, dfa: PartialDfa, trans, elem, S):
-        """The greedy loop over this table, one (word, image) per step.
-
-        elem[q] is the element of the table that state q of dfa stands for,
-        and trans is the table the pairs were built on: range(n) and
-        dfa.trans for pair compression, part.class_of and part.qtable for
-        the classes of an inseparability partition.  Each element met by the
-        image stands for its least state there; each step applies the word
-        of the least settled pair (least_pair) and shrinks the image to a
-        non-empty set meeting fewer elements.  Stops when the image has no
-        settled pair.
-        """
-        n, w = self.n, None
+    def steps(self, S):
+        """The greedy loop from the states S of dfa, one (word, image) per
+        step: each element met by the image stands for its least state
+        there, and each step applies the word of the least settled pair
+        (least_pair), leaving a non-empty image that meets fewer elements.
+        Stops when the image has no settled pair."""
+        n, elem, image, w = self.n, self.elem, self.dfa.image, None
         while True:
             rep = [None] * n
             for q in sorted(S, reverse=True):
@@ -534,14 +552,14 @@ class PairTable:
             best = self.least_pair(rep)
             if best is None:
                 return
-            w = self.word(trans, elem[best[1]], elem[best[2]])
-            S, was = dfa.image(S, w), met
+            w = self.word(elem[best[1]], elem[best[2]])
+            S, was = image(S, w), met
 
-    def word(self, trans, p: int, q: int) -> Word:
-        """The word the table records for the settled pair {p, q} of trans,
-        the table it was built on: the recorded first letters, followed
-        until the two states merge or at least one of them dies."""
-        n, letter, index = self.n, self.letter, self.index
+    def word(self, p: int, q: int) -> Word:
+        """The word the table records for the settled pair {p, q} of
+        elements: the recorded first letters, followed in trans until the
+        two elements merge or at least one of them dies."""
+        n, trans, letter, index = self.n, self.trans, self.letter, self.index
         out = []
         while True:
             a = letter[index[p * n + q] - 1]

@@ -40,10 +40,11 @@ def _load_dfa(path):
 
 
 def _parse_word_list(dfa, text):
-    """Comma-separated words; '.' separates letters unless it is a letter."""
+    """Comma-separated words; '.' separates letters unless a letter holds
+    it."""
     if "," in dfa.alphabet:
         raise InputError("a word list cannot hold the letter ','")
-    if "." not in dfa.alphabet:
+    if not any("." in tok for tok in dfa.alphabet):
         text = text.replace(".", " ")
     return [dfa.word(chunk) for chunk in text.split(",")]
 

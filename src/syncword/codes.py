@@ -406,8 +406,7 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
             f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
             "is incompressible")
     word = list(log_rank_word(lit))
-    compress_pairs(dfa, table, dfa.trans, range(dfa.n),
-                   dfa.image(dfa.states, tuple(word)), word, [])
+    compress_pairs(table, dfa.image(dfa.states, tuple(word)), word, [])
     word = tuple(word)
     if dfa.rank(word) != 1:
         raise SyncwordError("greedy compression must end in a reset word")

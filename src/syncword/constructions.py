@@ -167,11 +167,16 @@ class InducedAutomaton:
 
 
 def _composite_token(base: PartialDfa, w: Word) -> str:
+    """A distinct quoted token per word: its letters joined, with '.' when
+    some letter of base is longer than one character ('\\' and '.' escaped
+    inside letters); the empty word is "-", or "" when '-' is a letter."""
     if not w:
-        return '"-"'
+        return '""' if "-" in base.alphabet else '"-"'
     toks = [base.alphabet[a] for a in w]
-    joined = "".join(toks) if all(len(t) == 1 for t in toks) else ".".join(toks)
-    return f'"{joined}"'
+    if all(len(t) == 1 for t in base.alphabet):
+        return '"' + "".join(toks) + '"'
+    return '"' + ".".join(t.replace("\\", "\\\\").replace(".", "\\.")
+                          for t in toks) + '"'
 
 
 def induced(dfa: PartialDfa, W1, W2) -> InducedAutomaton:

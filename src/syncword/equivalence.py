@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automaton import (UNDEF, PairTable, PartialDfa, Word, pair_bfs,
-                        settle_seeds)
+from .automaton import UNDEF, PairTable, PartialDfa, Word
 from .errors import InputError, SyncwordError
 
 
@@ -24,7 +23,7 @@ class Partition:
     quotient).  table is the pair table of qtable for separation:
     table.distance(c1, c2) is the level of two classes, the length of a
     shortest word whose definedness distinguishes them, and
-    table.word(qtable, c1, c2) is such a word.
+    table.word(c1, c2) is such a word.
     """
 
     class_of: tuple[int, ...]
@@ -120,13 +119,12 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
     for cid, cls in enumerate(classes):
         for q in cls:
             class_of[q] = cid
+    class_of = tuple(class_of)
     qtable = _quotient_table(dfa, class_of, classes)
-    k = len(dfa.alphabet)
-    seeds = settle_seeds(qtable, k, merge=False)
-    table = PairTable(len(classes), *pair_bfs(qtable, k, seeds))
+    table = PairTable.build(dfa, qtable, class_of, merge=False)
     if not table.all_compressible():
         raise SyncwordError("distinct classes must all be separable")
-    return Partition(tuple(class_of), classes, table, qtable)
+    return Partition(class_of, classes, table, qtable)
 
 
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
@@ -139,7 +137,7 @@ def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     c1, c2 = part.class_of[p], part.class_of[q]
     if c1 == c2:
         raise InputError(f"states {p} and {q} are inseparable")
-    return part.table.word(part.qtable, c1, c2)
+    return part.table.word(c1, c2)
 
 
 def kappa(part: Partition, S) -> int:
@@ -154,7 +152,7 @@ def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
     order) gives its witness word, so
     |w| <= min(kappa(Q) - kappa(S) + 1, n - |S| + 1).
     """
-    for w, _ in part.table.steps(dfa, part.qtable, part.class_of, S):
+    for w, _ in part.table.steps(S):
         return w
     raise InputError("subset intersects fewer than two classes")
 
@@ -164,7 +162,7 @@ def collapse_to_single_class_word(dfa: PartialDfa, part: Partition, S) -> Word:
     if not S:
         raise InputError("empty subset")
     out = []
-    for w, _ in part.table.steps(dfa, part.qtable, part.class_of, S):
+    for w, _ in part.table.steps(S):
         out.extend(w)
     return tuple(out)
 

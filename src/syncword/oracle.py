@@ -35,7 +35,7 @@ from operator import or_
 
 from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
                         strongly_connected_masks)
-from .errors import InputError, SyncwordError
+from .errors import InputError, NotStronglyConnected, SyncwordError
 
 # Read by perfbench/run.py, which records it in each run's environment.
 KERNEL_BACKEND = "python"
@@ -236,7 +236,8 @@ def duplicating_identity_check(dfa: PartialDfa):
             f"duplicated automaton has 2n = {2 * dfa.n} states and the oracle "
             f"takes at most {MAX_ORACLE_STATES}), got {dfa.n}")
     if not is_strongly_connected(dfa):
-        raise InputError("identity check needs a strongly connected automaton")
+        raise NotStronglyConnected(
+            "identity check needs a strongly connected automaton")
     from .constructions import duplicating
     dup = duplicating(dfa)  # validates completeness
     base_rep = subset_bfs(dfa)

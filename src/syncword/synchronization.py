@@ -16,23 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
-                        is_strongly_connected, pair_bfs, settle_seeds)
+                        is_strongly_connected)
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
                      SyncwordError)
 
 
 def pair_table(dfa: PartialDfa) -> PairTable:
-    k = len(dfa.alphabet)
-    # distance-1 seeds: merge, or exactly one of the two dying
-    seeds = settle_seeds(dfa.trans, k, merge=True)
-    return PairTable(dfa.n, *pair_bfs(dfa.trans, k, seeds))
+    return PairTable.build(dfa, dfa.trans, range(dfa.n), merge=True)
 
 
 def pair_word(dfa: PartialDfa, table: PairTable, p: int, q: int) -> Word:
     """The shortest compressing word recorded for {p, q}."""
     if table.distance(p, q) is None:
         raise InputError(f"pair {(min(p, q), max(p, q))} is not compressible")
-    return table.word(dfa.trans, p, q)
+    return table.word(p, q)
 
 
 def is_synchronizing(dfa: PartialDfa) -> bool:
@@ -40,8 +37,6 @@ def is_synchronizing(dfa: PartialDfa) -> bool:
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected(
             "synchronizability is only decided for strongly connected automata")
-    if dfa.n == 1:
-        return True
     return pair_table(dfa).all_compressible()
 
 
@@ -69,11 +64,9 @@ class SyncResult:
         return tuple(acc) == self.word and len(S) == self.final_rank
 
 
-def compress_pairs(dfa: PartialDfa, table: PairTable, trans, elem, S, word,
-                   trace):
-    """Run table.steps(dfa, trans, elem, S) to its end, extending word and
-    trace in place; returns the final image."""
-    for sub, S in table.steps(dfa, trans, elem, S):
+def compress_pairs(table: PairTable, S, word, trace):
+    """Extend word and trace by table.steps(S); returns the final image."""
+    for sub, S in table.steps(S):
         word.extend(sub)
         trace.append((len(S), sub))
     return S
@@ -87,8 +80,7 @@ def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
         raise NotStronglyConnected("greedy compression needs strong connectivity")
     word = []
     trace = []
-    S = compress_pairs(dfa, pair_table(dfa), dfa.trans, range(dfa.n),
-                       dfa.states, word, trace)
+    S = compress_pairs(pair_table(dfa), dfa.states, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -111,11 +103,9 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     word = list(lifted)
     trace = [(len(S), lifted)]
     part = inseparability_partition(dfa)
-    S = compress_pairs(dfa, part.table, part.qtable, part.class_of, S, word,
-                       trace)
+    S = compress_pairs(part.table, S, word, trace)
     if len(S) >= 2:
-        S = compress_pairs(dfa, pair_table(dfa), dfa.trans, range(dfa.n), S,
-                           word, trace)
+        S = compress_pairs(pair_table(dfa), S, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 
@@ -188,7 +178,7 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
         # image sizes never grow along a word, so the shortest prefix ends
         # inside the first greedy step that reaches the target
         word, S = [], dfa.states
-        for sub, img in pair_table(dfa).steps(dfa, dfa.trans, range(dfa.n), S):
+        for sub, img in pair_table(dfa).steps(S):
             if len(img) <= r:
                 for i, a in enumerate(sub, start=1):
                     S = dfa.image(S, (a,))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,9 @@ from syncword import (EPSILON, UNDEF, FormatError, InputError,
                       format_dfa, is_complete, is_eulerian, is_mortal,
                       is_properly_incomplete, is_strongly_connected,
                       parse_dfa, literal_automaton, validate_code)
-from syncword.automaton import MAX_CELLS, check_cells, fully_undefined_letters
+from syncword import automaton
+from syncword.automaton import (MAX_CELLS, MAX_PAIR_INDEX, PairTable,
+                                check_cells, fully_undefined_letters)
 
 from conftest import fixture_text
 
@@ -21,6 +25,21 @@ def test_cell_limit_is_states_times_letters():
     with pytest.raises(InputError, match="above the limit"):
         parse_dfa("dfa v1\nstates 2\nalphabet "
                   + " ".join(f"t{i}" for i in range(MAX_CELLS // 2 + 1)) + "\n")
+
+
+def cycle(n):
+    return PartialDfa(n, ("a",), tuple(((q + 1) % n,) for q in range(n)))
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_pair_limit_is_elements_squared(monkeypatch, merge):
+    dfa = cycle(math.isqrt(MAX_PAIR_INDEX) + 1)
+    with pytest.raises(InputError, match="above the limit"):
+        PairTable.build(dfa, dfa.trans, range(dfa.n), merge)
+    monkeypatch.setattr(automaton, "MAX_PAIR_INDEX", 16)
+    assert PairTable.build(cycle(4), cycle(4).trans, range(4), merge).n == 4
+    with pytest.raises(InputError, match="5 elements"):
+        PairTable.build(cycle(5), cycle(5).trans, range(5), merge)
 
 
 def test_parse_one_state_loop():

@@ -8,8 +8,8 @@ import pytest
 import syncword
 from syncword import (cli, constructions, format_dfa, gen_cerny,
                       gen_oneword_code, gen_random_partial, literal_automaton,
-                      oracle, parse_code, parse_dfa, synchronization,
-                      validate_code)
+                      oracle, parse_code, parse_dfa, validate_code)
+from syncword.automaton import PairTable
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -58,10 +58,17 @@ def child_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
-def run_python(*args, timeout=None):
-    """Run a child interpreter that imports this checkout's package."""
+def run_python(*args, timeout=None, address_space=None):
+    """Run a child interpreter that imports this checkout's package; with
+    address_space, under that RLIMIT_AS in bytes, so that a size guard that
+    regresses fails its test with a MemoryError instead of taking the
+    host's memory."""
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=child_env(), timeout=timeout)
+                          text=True, env=child_env(), timeout=timeout,
+                          preexec_fn=None if address_space is None else limit)
 
 
 def run_optimized(script, *args):
@@ -176,20 +183,23 @@ def test_sync_word_nonsynchronizing_output(capsys, tmp_path, method):
 
 
 # each method decides synchronizability from the word it computes, so only
-# the table its own route needs is built: greedy's on the input, fixing's
-# and collecting's on the automaton they build; the oracle builds none
+# the tables its own route needs are built: one compression table, greedy's
+# on the input, fixing's and collecting's on the automaton they build, and
+# for these two the separation table of one inseparability partition; the
+# oracle builds none
 @pytest.mark.parametrize("method, tables", [
     ("greedy", 1), ("fixing", 1), ("collecting", 1), ("oracle", 0)])
 def test_sync_word_pair_tables_per_method(capsys, monkeypatch, method, tables):
-    calls = []
-    real = synchronization.pair_bfs
+    merges = []
+    real = PairTable.build
 
-    def counting(trans, k, seeds):
-        calls.append(len(trans))
-        return real(trans, k, seeds)
-    monkeypatch.setattr(synchronization, "pair_bfs", counting)
+    def counting(dfa, trans, elem, merge):
+        merges.append(merge)
+        return real(dfa, trans, elem, merge)
+    monkeypatch.setattr(PairTable, "build", staticmethod(counting))
     assert run(["sync", "word", FIG1, "--method", method]) == 0
-    assert len(calls) == tables
+    separations = 1 if method in ("fixing", "collecting") else 0
+    assert (merges.count(True), merges.count(False)) == (tables, separations)
 
 
 def test_rank_min(capsys):
@@ -264,6 +274,23 @@ def test_build_induced_dot_letter(capsys, tmp_path):
     ind = constructions.induced(dfa, [dfa.word(".")], [dfa.word("a")])
     assert capsys.readouterr().out == format_dfa(ind.dfa)
     assert ind.dfa.n == 1 and ind.dfa.alphabet == ('"a."',)
+
+
+# the word (a, b) and the one-letter word spelled with the same characters
+# get distinct tokens; a letter holding '.' is read whole in a word list
+@pytest.mark.parametrize("alphabet, w2, tokens", [
+    ("a b ab", "a b,ab", ('"ab"', '"a.b"')),
+    ("a b a.b", "a b,a.b", ('"a\\.b"', '"a.b"')),
+])
+def test_build_induced_composite_tokens_are_distinct(capsys, tmp_path,
+                                                     alphabet, w2, tokens):
+    a, b, ab = alphabet.split()
+    path = tmp_path / "composite.dfa"
+    path.write_text(f"dfa v1\nstates 3\nalphabet {alphabet}\n" + "".join(
+        f"{q} {a} {(q + 1) % 3}\n{q} {b} {q}\n{q} {ab} {q}\n"
+        for q in range(3)))
+    assert run(["build", "induced", str(path), "--w1", "-", "--w2", w2]) == 0
+    assert parse_dfa(capsys.readouterr().out).alphabet == tokens
 
 
 def test_build_induced_comma_letter_is_input_error(capsys, tmp_path):
@@ -435,6 +462,18 @@ def test_parse_size_limit(capsys, tmp_path):
     assert run(["classes", str(path)]) == 2
     assert "1000000000 states x 2 letters is above the limit" in \
         capsys.readouterr().err
+
+
+def test_pair_table_size_limit(tmp_path):
+    # the 20,000-state cycle has 40,000 cells, but its pair index would
+    # take 1.6 GB
+    path = tmp_path / "cycle.dfa"
+    path.write_text(format_dfa(gen_cerny(20000)))
+    proc = run_python("-m", "syncword.cli", "sync", "check", str(path),
+                      timeout=30, address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert "pair table over 20000 elements needs 400000000 index entries, " \
+        "above the limit" in proc.stderr
 
 
 def test_verify_all_quick(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       PartialDfa, collecting, collecting_tree, duplicating,
@@ -10,6 +12,7 @@ from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       lift_word_to_partial, parse_dfa, strip_gamma,
                       subset_bfs, greedy_min_rank, is_synchronizing)
 from syncword.automaton import GAMMA_TOKEN
+from syncword.constructions import _composite_token
 
 
 # ------------------------------------------------------------------ fixing
@@ -274,6 +277,25 @@ def test_induced_actions_stay_in_R():
         assert frozenset(ind.R) == R
         for w in ind.letters:
             assert dfa.image(R, w) <= R
+
+
+def test_induced_empty_word_token_when_dash_is_a_letter():
+    # the empty word prints as "-" unless '-' is a letter, as words do
+    dfa = PartialDfa(2, ("-", "a"), ((1, 0), (0, 1)))
+    assert induced(dfa, [EPSILON], [EPSILON, (0,)]).dfa.alphabet == \
+        ('""', '"-"')
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab.\\-", min_size=1, max_size=3), min_size=1,
+                max_size=4, unique=True), st.data())
+def test_composite_tokens_are_distinct(alphabet, data):
+    dfa = PartialDfa(1, tuple(alphabet), ((0,) * len(alphabet),))
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, len(alphabet) - 1), max_size=4).map(tuple),
+        unique=True))
+    tokens = [_composite_token(dfa, w) for w in words]
+    assert len(set(tokens)) == len(tokens)
 
 
 def test_induced_requires_nonempty_sets(fig1):

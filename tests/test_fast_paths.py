@@ -66,7 +66,7 @@ def min_pair(table, S):
 
 def hand_table(n, dist):
     """A PairTable listing the pairs of the ordered {(p, q): distance} dist
-    (p < q) in that order, every first letter 0."""
+    (p < q) in that order, every first letter 0, built on no automaton."""
     index = array("i", [0] * (n * n))
     for q in range(n):
         index[q * n + q] = -1
@@ -74,7 +74,7 @@ def hand_table(n, dist):
         index[p * n + q] = index[q * n + p] = i
     return PairTable(n, array("i", [p * n + q for p, q in dist]),
                      array("i", dist.values()), array("i", [0] * len(dist)),
-                     index)
+                     index, None, None, None)
 
 
 # ------------------------------------------------------------------ image
@@ -314,16 +314,15 @@ def test_min_pair_random_subsets(dfa, data):
 def stalled_step_outcomes():
     """Steps over a state table and a class table whose recorded word, the
     letter a, leaves the image unchanged: a permutes the states of dfa,
-    while the tables were recorded on a table where a kills one state of
-    the pair.  'raised' or 'accepted' per table."""
+    while the tables are built on a table where a kills one state of the
+    pair.  'raised' or 'accepted' per table."""
     stalled = ((None,), (0,))
     outcomes = []
-    for trans, elem in [(((1,), (0,)), range(2)),
-                        (((0,), (1,), (2,)), (0, 0, 1))]:
+    for trans, elem, merge in [(((1,), (0,)), range(2), True),
+                               (((0,), (1,), (2,)), (0, 0, 1), False)]:
         dfa = PartialDfa(len(trans), ("a",), trans)
         try:
-            list(hand_table(2, {(0, 1): 1}).steps(dfa, stalled, elem,
-                                                  dfa.states))
+            list(PairTable.build(dfa, stalled, elem, merge).steps(dfa.states))
             outcomes.append("accepted")
         except SyncwordError as exc:
             outcomes.append("raised" if "greedy step" in str(exc) else "other")
@@ -638,8 +637,7 @@ def test_class_pick_matches_pair_scan_literal():
         if best is not None:
             # the step class_reducing_word takes applies the pick's witness
             assert class_reducing_word(lit, part, S) == \
-                part.table.word(part.qtable, part.class_of[best[1]],
-                                part.class_of[best[2]])
+                part.table.word(part.class_of[best[1]], part.class_of[best[2]])
         kappa = part.kappa(S)
         if best is not None:
             if kappa * (kappa - 1) // 2 < level_end[best[0]]:

@@ -9,7 +9,8 @@ import pytest
 
 import syncword
 
-from syncword import (UNDEF, InputError, PartialDfa, duplicating,
+from syncword import (UNDEF, InputError, NotStronglyConnected, PartialDfa,
+                      duplicating,
                       duplicating_identity_check, extremal_search, gen_cerny,
                       gen_oneword_code, gen_random_partial, greedy_min_rank,
                       literal_automaton, parse_dfa, subset_bfs)
@@ -177,6 +178,13 @@ def test_duplicating_identity_at_the_state_limit():
 def test_duplicating_identity_rejects_partial(fig1):
     with pytest.raises(InputError):
         duplicating_identity_check(fig1)
+
+
+def test_duplicating_identity_rejects_not_strongly_connected():
+    # complete, but state 1 never returns to state 0
+    dfa = PartialDfa(2, ("a",), ((1,), (1,)))
+    with pytest.raises(NotStronglyConnected):
+        duplicating_identity_check(dfa)
 
 
 def test_duplicating_gamma_interleaved_word_shape():
