@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "automaton": (
         "EPSILON", "GAMMA_TOKEN", "UNDEF", "PartialDfa", "Word",
-        "connecting_word", "format_dfa", "image", "is_complete",
-        "is_eulerian", "is_mortal", "is_properly_incomplete",
-        "is_strongly_connected", "parse_dfa", "preimage", "rank"),
+        "connecting_word", "format_dfa", "is_complete", "is_eulerian",
+        "is_properly_incomplete", "is_strongly_connected", "parse_dfa"),
     "codes": (
         "LiteralAutomaton", "PrefixCode", "all_through_root_word",
         "compress_path_word", "filtering_alpha", "format_code",
         "literal_automaton", "literal_reset_word", "log_rank_word",
-        "one_word_rank", "parse_code", "pivot_state", "primitive_root",
+        "one_word_rank", "parse_code", "pivot_walk", "primitive_root",
         "validate_code", "weinbaum_conjugate"),
     "constructions": (
         "CollectingTree", "InducedAutomaton", "collecting", "collecting_tree",
@@ -33,7 +32,7 @@ _EXPORTS = {
         "strip_gamma"),
     "equivalence": (
         "Partition", "class_reducing_word", "collapse_to_single_class_word",
-        "inseparability_partition", "kappa", "quotient", "separating_word"),
+        "inseparability_partition", "quotient", "separating_word"),
     "errors": (
         "FormatError", "InputError", "NotStronglyConnected",
         "NotSynchronizing", "SyncwordError"),
@@ -45,9 +44,8 @@ _EXPORTS = {
         "extremal_search", "subset_bfs"),
     "synchronization": (
         "PairTable", "SyncResult", "greedy_min_rank", "is_synchronizing",
-        "min_rank_word_via_fixing", "pair_table", "pair_word",
-        "rank_target_word", "reduction_to_complete",
-        "reset_word_via_collecting"),
+        "min_rank_word_via_fixing", "pair_table", "rank_target_word",
+        "reduction_to_complete", "reset_word_via_collecting"),
 }
 
 _SUBMODULE = {name: module for module, names in _EXPORTS.items()

@@ -203,22 +203,6 @@ class _ChunkAction(dict):
         return t
 
 
-def image(dfa: PartialDfa, S, w: Word) -> frozenset[int]:
-    return dfa.image(S, w)
-
-
-def preimage(dfa: PartialDfa, S, w: Word) -> frozenset[int]:
-    return dfa.preimage(S, w)
-
-
-def rank(dfa: PartialDfa, w: Word) -> int:
-    return dfa.rank(w)
-
-
-def is_mortal(dfa: PartialDfa, w: Word) -> bool:
-    return dfa.rank(w) == 0
-
-
 def is_complete(dfa: PartialDfa) -> bool:
     return all(t is not UNDEF for row in dfa.trans for t in row)
 
@@ -368,11 +352,6 @@ def settle_seeds(trans, k, merge):
             yield p, q, first[q]
 
 
-def _typecode(bound: int) -> str:
-    """An array typecode whose items hold every int in -1..bound."""
-    return "i" if bound < 2 ** 31 else "q"
-
-
 def pair_bfs(trans, k, seeds):
     """Backward BFS over unordered pairs of the states of a table.
 
@@ -400,17 +379,18 @@ def pair_bfs(trans, k, seeds):
     # ascending, under which t has a predecessor
     into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
             for t in range(n)]
-    code = _typecode(n * n)
-    index = array(code, bytes(array(code).itemsize * n * n))
+    # PairTable.build keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
+    # code and position
+    index = array("i", bytes(array("i").itemsize * n * n))
     for q in range(n):
         index[q * n + q] = -1
-    pairs = array(code)
-    letter = array(_typecode(k))
+    pairs = array("i")
+    letter = array("i")
     for p, q, a in seeds:
         pairs.append(p * n + q)
         letter.append(a)
         index[p * n + q] = index[q * n + p] = len(pairs)
-    dist = array(code, [1]) * len(pairs)
+    dist = array("i", [1]) * len(pairs)
     put_pair, put_dist, put_letter = pairs.append, dist.append, letter.append
     found = len(pairs)
     # pairs and dist grow while zip walks them: they are the queue
@@ -558,8 +538,11 @@ class PairTable:
     def word(self, p: int, q: int) -> Word:
         """The word the table records for the settled pair {p, q} of
         elements: the recorded first letters, followed in trans until the
-        two elements merge or at least one of them dies."""
+        two elements merge or at least one of them dies.  Raises InputError
+        when no word settles {p, q}, as for p == q."""
         n, trans, letter, index = self.n, self.trans, self.letter, self.index
+        if index[p * n + q] <= 0:
+            raise InputError(f"pair {(min(p, q), max(p, q))} is not settled")
         out = []
         while True:
             a = letter[index[p * n + q] - 1]

@@ -42,8 +42,9 @@ def _load_dfa(path):
 def _parse_word_list(dfa, text):
     """Comma-separated words; '.' separates letters unless a letter holds
     it."""
-    if "," in dfa.alphabet:
-        raise InputError("a word list cannot hold the letter ','")
+    for tok in dfa.alphabet:
+        if "," in tok:
+            raise InputError(f"a word list cannot hold the letter {tok!r}")
     if not any("." in tok for tok in dfa.alphabet):
         text = text.replace(".", " ")
     return [dfa.word(chunk) for chunk in text.split(",")]

@@ -17,6 +17,14 @@ from .errors import FormatError, InputError, NotSynchronizing, SyncwordError
 
 ENUMERATION_CAP = 2 ** 22
 
+#: the most codeword letters, summed over the code, that literal_automaton
+#: accepts.  The costs that grow with the square of the total length stay
+#: below MAX_CODE_LETTERS squared: the characters of the proper prefixes,
+#: Weinbaum's split of a one-word code, and the state bit masks of the
+#: strong-connectivity check.  At the cap, `code reset` on one word takes
+#: 8 s (README).
+MAX_CODE_LETTERS = 1 << 13
+
 
 @dataclass(frozen=True)
 class PrefixCode:
@@ -83,6 +91,11 @@ class LiteralAutomaton:
 
 
 def literal_automaton(code: PrefixCode) -> LiteralAutomaton:
+    """Refuses, before building any prefix, a code of more than
+    MAX_CODE_LETTERS letters in total."""
+    if code.total_length > MAX_CODE_LETTERS:
+        raise InputError(f"a code of {code.total_length} letters is above the "
+                         f"limit of {MAX_CODE_LETTERS} codeword letters")
     codewords = set(code.words)
     prefixes = sorted({w[:i] for w in codewords for i in range(len(w))})
     state_of = {p: i for i, p in enumerate(prefixes)}
@@ -179,7 +192,7 @@ def weinbaum_conjugate(x: str, lit: LiteralAutomaton) -> tuple[str, str]:
     raise SyncwordError("no conjugate split found for a primitive word")
 
 
-def _pivot_walk(lit: LiteralAutomaton):
+def pivot_walk(lit: LiteralAutomaton):
     """(path, letters, pivot, pivot letters) of the walk from the root to
     the pivot, the first state with >= 2 defined letters: letters[i] is the
     one letter defined at path[i], so letters[i:] leads from path[i] to the
@@ -197,22 +210,6 @@ def _pivot_walk(lit: LiteralAutomaton):
         letters.append(defined[0])
         q = trans[q][defined[0]]
     raise AssertionError("unreachable: a multi-word code has a branching state")
-
-
-def pivot_state(lit: LiteralAutomaton) -> int:
-    """The unique state closest to the root with >= 2 defined letters."""
-    return _pivot_walk(lit)[2]
-
-
-def pivot_letters(lit: LiteralAutomaton) -> tuple[int, int]:
-    """The two alphabet-least letters defined at the pivot."""
-    return _pivot_walk(lit)[3]
-
-
-def path_states(lit: LiteralAutomaton) -> tuple[int, ...]:
-    """States strictly between root and pivot on the unique path, in depth
-    order, the root included and the pivot excluded."""
-    return _pivot_walk(lit)[0]
 
 
 def filtering_alpha(lit: LiteralAutomaton, pivot: int, w: Word) -> Word:
@@ -266,7 +263,7 @@ def _through_root_candidates(lit: LiteralAutomaton):
     if 2 ** length > ENUMERATION_CAP:
         raise InputError(
             f"candidate enumeration 2^{length} exceeds cap {ENUMERATION_CAP}")
-    _, _, p, (la, lb) = _pivot_walk(lit)
+    _, _, p, (la, lb) = pivot_walk(lit)
     for bits in range(2 ** length):
         w = tuple(lb if (bits >> (length - 1 - i)) & 1 else la
                   for i in range(length))
@@ -300,7 +297,7 @@ def compress_path_word(lit: LiteralAutomaton, R) -> Word:
     R = frozenset(R)
     if not R <= dfa.states:
         raise InputError("R must be a set of states")
-    path, letters, p, (la, lb) = _pivot_walk(lit)
+    path, letters, p, (la, lb) = pivot_walk(lit)
     depth = {q: i for i, q in enumerate(path)}
 
     active = set(R) & set(path)

@@ -64,7 +64,7 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
     """
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("collecting tree needs a strongly connected automaton")
-    qtable = part.qtable
+    qtable = part.table.trans
     kappa_ = len(qtable)
     if not 0 <= root_class < kappa_:
         raise InputError(f"no class {root_class}")
@@ -134,7 +134,7 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     """
     if GAMMA_TOKEN in dfa.alphabet:
         raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
-    root, qtable = tree.root_class, tree.partition.qtable
+    root, qtable = tree.root_class, tree.partition.table.trans
     gamma = len(dfa.alphabet)
     out = []
     cls = root

@@ -18,9 +18,9 @@ from .errors import InputError, SyncwordError
 class Partition:
     """Inseparability classes plus separating-word witnesses.
 
-    classes are ordered by their minimal state, class_of maps each state to
-    its class id, and qtable is the class-level transition table (the
-    quotient).  table is the pair table of qtable for separation:
+    classes are ordered by their minimal state and class_of maps each state
+    to its class id.  table is the pair table for separation, built on the
+    class-level transition table table.trans (the quotient):
     table.distance(c1, c2) is the level of two classes, the length of a
     shortest word whose definedness distinguishes them, and
     table.word(c1, c2) is such a word.
@@ -29,7 +29,6 @@ class Partition:
     class_of: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
     table: PairTable = field(compare=False, repr=False)
-    qtable: tuple = field(compare=False, repr=False)
 
     def kappa(self, S) -> int:
         """Number of classes intersecting S."""
@@ -120,11 +119,11 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
         for q in cls:
             class_of[q] = cid
     class_of = tuple(class_of)
-    qtable = _quotient_table(dfa, class_of, classes)
-    table = PairTable.build(dfa, qtable, class_of, merge=False)
+    table = PairTable.build(dfa, _quotient_table(dfa, class_of, classes),
+                            class_of, merge=False)
     if not table.all_compressible():
         raise SyncwordError("distinct classes must all be separable")
-    return Partition(class_of, classes, table, qtable)
+    return Partition(class_of, classes, table)
 
 
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
@@ -138,10 +137,6 @@ def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:
     if c1 == c2:
         raise InputError(f"states {p} and {q} are inseparable")
     return part.table.word(c1, c2)
-
-
-def kappa(part: Partition, S) -> int:
-    return part.kappa(S)
 
 
 def class_reducing_word(dfa: PartialDfa, part: Partition, S) -> Word:
@@ -169,5 +164,5 @@ def collapse_to_single_class_word(dfa: PartialDfa, part: Partition, S) -> Word:
 
 def quotient(dfa: PartialDfa, part: Partition) -> tuple[PartialDfa, tuple[int, ...]]:
     """The automaton on inseparability classes, plus the state->class map."""
-    qdfa = PartialDfa(len(part.classes), dfa.alphabet, part.qtable)
+    qdfa = PartialDfa(len(part.classes), dfa.alphabet, part.table.trans)
     return qdfa, part.class_of

@@ -111,22 +111,14 @@ def _byte_tables(dfa: PartialDfa):
     return tables
 
 
-class _Witnesses(list):
-    """Letter sequences indexed by subset size (None when unreachable),
-    with the search's work counters: subsets reached and BFS depth."""
-
-    def __init__(self, words, subsets, depth):
-        super().__init__(words)
-        self.subsets = subsets
-        self.depth = depth
-
-
 def _bfs_witnesses(dfa: PartialDfa):
     """Breadth-first search over the subset lattice from the full set.
 
-    Returns a list indexed by subset size 0..n whose entries are the letter
-    sequence of the first word reaching that size (the lexicographically
-    least among the shortest), or None when unreachable.
+    Returns (words, subsets, depth): words is a list indexed by subset size
+    0..n whose entries are the letter sequence of the first word reaching
+    that size (the lexicographically least among the shortest), or None
+    when unreachable; subsets counts the masks reached and depth is the
+    last nonempty BFS level.
     """
     n = dfa.n
     tables = _byte_tables(dfa)
@@ -203,7 +195,7 @@ def _bfs_witnesses(dfa: PartialDfa):
             letters.append(a)
             t = m
         out[c] = letters[::-1]
-    return _Witnesses(out, sum(map(len, levels)), len(levels) - 1)
+    return out, sum(map(len, levels)), len(levels) - 1
 
 
 def subset_bfs(dfa: PartialDfa) -> OracleReport:
@@ -211,7 +203,7 @@ def subset_bfs(dfa: PartialDfa) -> OracleReport:
     if dfa.n > MAX_ORACLE_STATES:
         raise InputError(f"oracle limited to {MAX_ORACLE_STATES} states, got {dfa.n}")
     thresholds = {}
-    witnesses = _bfs_witnesses(dfa)
+    witnesses, subsets, depth = _bfs_witnesses(dfa)
     for size, letters in enumerate(witnesses):
         if letters is not None:
             word = tuple(letters)
@@ -219,7 +211,7 @@ def subset_bfs(dfa: PartialDfa) -> OracleReport:
                 raise SyncwordError(
                     f"kernel witness for rank {size} does not re-validate")
             thresholds[size] = (len(word), word)
-    return OracleReport(dfa.n, thresholds, witnesses.subsets, witnesses.depth)
+    return OracleReport(dfa.n, thresholds, subsets, depth)
 
 
 def duplicating_identity_check(dfa: PartialDfa):

@@ -25,13 +25,6 @@ def pair_table(dfa: PartialDfa) -> PairTable:
     return PairTable.build(dfa, dfa.trans, range(dfa.n), merge=True)
 
 
-def pair_word(dfa: PartialDfa, table: PairTable, p: int, q: int) -> Word:
-    """The shortest compressing word recorded for {p, q}."""
-    if table.distance(p, q) is None:
-        raise InputError(f"pair {(min(p, q), max(p, q))} is not compressible")
-    return table.word(p, q)
-
-
 def is_synchronizing(dfa: PartialDfa) -> bool:
     """True iff some word has rank 1; requires strong connectivity."""
     if not is_strongly_connected(dfa):

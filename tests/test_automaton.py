@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from syncword import (EPSILON, UNDEF, FormatError, InputError,
                       NotStronglyConnected, PartialDfa, connecting_word,
-                      format_dfa, is_complete, is_eulerian, is_mortal,
+                      format_dfa, is_complete, is_eulerian,
                       is_properly_incomplete, is_strongly_connected,
                       parse_dfa, literal_automaton, validate_code)
 from syncword import automaton
@@ -134,11 +134,11 @@ def test_rank_examples(fig1):
 
 
 def test_is_mortal(fig1):
-    assert not is_mortal(fig1, fig1.word("bb"))  # image {0, 1, 4}
+    assert fig1.rank(fig1.word("bb")) != 0  # image {0, 1, 4}
     complete = parse_dfa("dfa v1\nstates 1\nalphabet a\n0 a 0\n")
-    assert not is_mortal(complete, complete.word("a a a"))
+    assert complete.rank(complete.word("a a a")) != 0
     lit = literal_automaton(validate_code(["ab"]))
-    assert is_mortal(lit.dfa, lit.dfa.word("aa"))
+    assert lit.dfa.rank(lit.dfa.word("aa")) == 0
 
 
 # -------------------------------------------------------------- predicates

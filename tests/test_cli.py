@@ -294,10 +294,14 @@ def test_build_induced_composite_tokens_are_distinct(capsys, tmp_path,
 
 
 def test_build_induced_comma_letter_is_input_error(capsys, tmp_path):
+    # a letter holding ',' would be split apart by the word list
     path = tmp_path / "comma.dfa"
-    path.write_text("dfa v1\nstates 2\nalphabet , a\n0 , 1\n1 a 0\n1 , 1\n")
-    assert run(["build", "induced", str(path), "--w1", "a", "--w2", "a"]) == 2
-    assert "cannot hold the letter ','" in capsys.readouterr().err
+    for letter, w1, w2 in [(",", "a", "a"), ("x,y", "-", "x,y")]:
+        path.write_text(f"dfa v1\nstates 2\nalphabet {letter} a\n"
+                        f"0 {letter} 1\n1 a 0\n1 {letter} 1\n")
+        assert run(["build", "induced", str(path), "--w1", w1,
+                    "--w2", w2]) == 2
+        assert f"cannot hold the letter {letter!r}" in capsys.readouterr().err
 
 
 def test_verify_duplicating_on_cerny(capsys, tmp_path):
@@ -474,6 +478,23 @@ def test_pair_table_size_limit(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "pair table over 20000 elements needs 400000000 index entries, " \
         "above the limit" in proc.stderr
+
+
+# the proper prefixes of one 40,000-letter codeword would take 800 MB; the
+# 2**16 32-letter words have a literal automaton of about a million states
+@pytest.mark.parametrize("what, words", [
+    ("literal", ["a" * 39999 + "b"]),
+    ("reset", ["a" * 39999 + "b"]),
+    ("literal", [f"{i:016b}" + "a" * 16 for i in range(1 << 16)]),
+], ids=["literal-one-word", "reset-one-word", "literal-many-words"])
+def test_code_size_limit(tmp_path, what, words):
+    path = tmp_path / "long.code"
+    path.write_text("\n".join(words) + "\n")
+    proc = run_python("-m", "syncword.cli", "code", what, str(path),
+                      timeout=30, address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    total = sum(map(len, words))
+    assert f"a code of {total} letters is above the limit" in proc.stderr
 
 
 def test_verify_all_quick(capsys):

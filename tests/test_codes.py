@@ -9,10 +9,9 @@ from syncword import (EPSILON, UNDEF, InputError, NotSynchronizing,
                       filtering_alpha, gen_oneword_code,
                       gen_random_prefix_code, literal_automaton,
                       literal_reset_word, log_rank_word, one_word_rank,
-                      parse_code, pivot_state, primitive_root, subset_bfs,
+                      parse_code, pivot_walk, primitive_root, subset_bfs,
                       validate_code, weinbaum_conjugate)
 from syncword import codes
-from syncword.codes import path_states, pivot_letters
 
 from test_cli import run_optimized
 
@@ -272,38 +271,38 @@ def test_oneword_family_reset_words():
 # ------------------------------------------------------------------- pivot
 
 def test_pivot_decoder(decoder_lit):
-    assert pivot_state(decoder_lit) == decoder_lit.state_of["ab"]
-    assert path_states(decoder_lit) == (0, 1)
-    assert pivot_letters(decoder_lit) == (0, 1)
+    assert pivot_walk(decoder_lit)[2] == decoder_lit.state_of["ab"]
+    assert pivot_walk(decoder_lit)[0] == (0, 1)
+    assert pivot_walk(decoder_lit)[3] == (0, 1)
 
 
 def test_pivot_at_root():
     lit = literal_automaton(validate_code(["ab", "b"]))
-    assert pivot_state(lit) == lit.root
-    assert path_states(lit) == ()
+    assert pivot_walk(lit)[2] == lit.root
+    assert pivot_walk(lit)[0] == ()
 
 
 def test_pivot_one_step_down():
     lit = literal_automaton(validate_code(["aa", "ab"]))
-    assert pivot_state(lit) == lit.state_of["a"]
-    assert path_states(lit) == (lit.root,)
+    assert pivot_walk(lit)[2] == lit.state_of["a"]
+    assert pivot_walk(lit)[0] == (lit.root,)
 
 
 def test_pivot_needs_two_words():
     lit = literal_automaton(validate_code(["ab"]))
     with pytest.raises(InputError):
-        pivot_state(lit)
+        pivot_walk(lit)
 
 
 # --------------------------------------------------------------- filtering
 
 def test_filtering_empty_input_stops_at_active_pivot(decoder_lit):
-    p = pivot_state(decoder_lit)
+    p = pivot_walk(decoder_lit)[2]
     assert filtering_alpha(decoder_lit, p, EPSILON) == EPSILON
 
 
 def test_filtering_output_bounds(decoder_lit):
-    p = pivot_state(decoder_lit)
+    p = pivot_walk(decoder_lit)[2]
     for length in range(0, 6):
         for w in product((0, 1), repeat=length):
             out = filtering_alpha(decoder_lit, p, w)
@@ -313,7 +312,7 @@ def test_filtering_output_bounds(decoder_lit):
 
 def test_filtering_distinctness(decoder_lit):
     # equal-length inputs with outputs shorter than the height are distinct
-    p = pivot_state(decoder_lit)
+    p = pivot_walk(decoder_lit)[2]
     h = decoder_lit.height
     for length in (3, 5):
         outputs = {}
@@ -386,7 +385,7 @@ def test_passes_through_root_matches_replay(code, data):
 # ----------------------------------------------------- compression along P
 
 def test_compress_path_empty_intersection(decoder_lit):
-    assert compress_path_word(decoder_lit, {pivot_state(decoder_lit)}) == EPSILON
+    assert compress_path_word(decoder_lit, {pivot_walk(decoder_lit)[2]}) == EPSILON
 
 
 def test_log_rank_deep_pivot_families():
@@ -410,7 +409,7 @@ def test_compress_path_bound_decoder(decoder_lit):
     w = all_through_root_word(decoder_lit)
     R = decoder_lit.dfa.image(decoder_lit.dfa.states, w)
     v = compress_path_word(decoder_lit, R)
-    P = set(path_states(decoder_lit))
+    P = set(pivot_walk(decoder_lit)[0])
     img = decoder_lit.dfa.image(P & set(R), v)
     h = decoder_lit.height
     if P & set(R):

@@ -6,7 +6,7 @@ import pytest
 from syncword import (EPSILON, UNDEF, InputError, class_reducing_word,
                       collapse_to_single_class_word, gen_random_partial,
                       gen_random_prefix_code, inseparability_partition,
-                      is_strongly_connected, kappa, literal_automaton,
+                      is_strongly_connected, literal_automaton,
                       parse_dfa, quotient, separating_word, validate_code)
 
 
@@ -52,10 +52,10 @@ def test_classes_match_brute_force():
 
 def test_kappa(fig1):
     part = inseparability_partition(fig1)
-    assert kappa(part, fig1.states) == 3
-    assert kappa(part, {0}) == 1
-    assert kappa(part, {0, 1, 3}) == 2
-    assert kappa(part, frozenset()) == 0
+    assert part.kappa(fig1.states) == 3
+    assert part.kappa({0}) == 1
+    assert part.kappa({0, 1, 3}) == 2
+    assert part.kappa(frozenset()) == 0
 
 
 def test_separating_word_levels(fig1):
@@ -88,7 +88,7 @@ def test_class_reducing_word_on_fig1(fig1):
     w = class_reducing_word(fig1, part, fig1.states)
     assert w == fig1.word("b")
     img = fig1.image(fig1.states, w)
-    assert img and kappa(part, img) < 3
+    assert img and part.kappa(img) < 3
     assert len(w) <= 1  # kappa(Q) - kappa(Q) + 1
 
 
@@ -104,16 +104,16 @@ def test_class_reducing_word_random_postconditions():
     for seed in range(40):
         dfa = gen_random_partial(3 + seed % 6, 2, 0.7 + (seed % 3) * 0.1, seed)
         part = inseparability_partition(dfa)
-        kq = kappa(part, dfa.states)
+        kq = part.kappa(dfa.states)
         for _ in range(25):
             S = frozenset(q for q in range(dfa.n) if rnd.random() < 0.6)
-            ks = kappa(part, S)
+            ks = part.kappa(S)
             if ks < 2:
                 continue
             w = class_reducing_word(dfa, part, S)
             img = dfa.image(S, w)
             assert img, "voiding never empties the image"
-            assert 1 <= kappa(part, img) < ks
+            assert 1 <= part.kappa(img) < ks
             assert len(w) <= min(kq - ks + 1, dfa.n - len(S) + 1)
 
 
@@ -124,7 +124,7 @@ def test_collapse_to_single_class(fig1):
     assert w == fig1.word("bab")
     assert len(w) <= 3  # (kappa-1) * (kappa - kappa/2) = 2 * 1.5
     img = fig1.image(fig1.states, w)
-    assert img and kappa(part, img) == 1
+    assert img and part.kappa(img) == 1
     with pytest.raises(InputError):
         collapse_to_single_class_word(fig1, part, frozenset())
 
@@ -135,15 +135,15 @@ def test_collapse_bound_random():
     for seed in range(40):
         dfa = gen_random_partial(3 + seed % 6, 2, 0.75, seed + 900)
         part = inseparability_partition(dfa)
-        kq = kappa(part, dfa.states)
+        kq = part.kappa(dfa.states)
         for _ in range(10):
             S = frozenset(q for q in range(dfa.n) if rnd.random() < 0.7)
             if not S:
                 continue
-            ks = kappa(part, S)
+            ks = part.kappa(S)
             w = collapse_to_single_class_word(dfa, part, S)
             img = dfa.image(S, w)
-            assert img and kappa(part, img) == 1
+            assert img and part.kappa(img) == 1
             assert len(w) <= (ks - 1) * (kq - ks / 2)
 
 

@@ -33,7 +33,7 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       extremal_search, gen_cerny,
                       gen_random_partial, gen_random_prefix_code,
                       greedy_min_rank, inseparability_partition,
-                      literal_automaton, pair_table, pair_word, parse_dfa,
+                      literal_automaton, pair_table, parse_dfa,
                       rank_target_word, strip_gamma, subset_bfs)
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
@@ -171,7 +171,7 @@ def ref_strip_gamma(dfa, tree, w):
     root = frozenset(part.classes[tree.root_class])
     if len(coll.image(root, w)) != 1:
         raise InputError("word does not synchronize the root class in the collecting automaton")
-    qtable = part.qtable
+    qtable = part.table.trans
     out = []
     cls = tree.root_class
     for a in w:
@@ -254,7 +254,7 @@ def assert_picks_match(dfa, S):
         assert best == ref_min_pair(table, S)
         if best is None:
             return steps
-        S = dfa.image(S, pair_word(dfa, table, best[1], best[2]))
+        S = dfa.image(S, table.word(best[1], best[2]))
         steps += 1
 
 
@@ -473,14 +473,14 @@ def flat_dfa(n, k, flat):
 @given(flat_tables())
 def test_bfs_kernel_matches_set_bfs(table):
     n, k, flat = table
-    assert _bfs_witnesses(flat_dfa(n, k, flat)) == ref_bfs_thresholds(n, k, flat)
+    assert _bfs_witnesses(flat_dfa(n, k, flat))[0] == ref_bfs_thresholds(n, k, flat)
 
 
 @settings(max_examples=300, deadline=None)
 @given(wide_tables())
 def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
     n, k, flat = table
-    assert _bfs_witnesses(flat_dfa(n, k, flat)) == ref_bfs_thresholds(n, k, flat)
+    assert _bfs_witnesses(flat_dfa(n, k, flat))[0] == ref_bfs_thresholds(n, k, flat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,7 +578,7 @@ def test_pair_table_items_and_distance(fig1):
     assert [d for _, d, _ in items] == sorted(d for _, d, _ in items)
     for (p, q), d, a in items:
         assert table.distance(p, q) == table.distance(q, p) == d
-        assert pair_word(fig1, table, q, p)[0] == a
+        assert table.word(q, p)[0] == a
     assert table.distance(3, 3) is None
 
 

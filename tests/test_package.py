@@ -1,6 +1,7 @@
 """The package surface: every exported name is imported from its submodule
-on first use, and is that submodule's own object; and no module of the
-package holds an assert statement."""
+on first use, and is that submodule's own object; every public definition
+is exported or used; and no module of the package holds an assert
+statement."""
 import ast
 import importlib
 import importlib.util
@@ -76,3 +77,22 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_public_definition_is_exported_or_used(fresh):
+    """A public top-level function or class of the package is exported from
+    syncword or referenced by another top-level statement of the package;
+    tests do not count as callers."""
+    src = pathlib.Path(importlib.util.find_spec("syncword").origin).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not own.startswith("_"):
+                defined.append(f"{path.stem}.{own}")
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    used |= set(fresh.__all__)
+    assert [name for name in defined if name.split(".")[1] not in used] == []

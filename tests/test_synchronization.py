@@ -1,14 +1,16 @@
 import pytest
 
-from syncword import (EPSILON, InputError, NotStronglyConnected,
+from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       NotSynchronizing, duplicating, gen_cerny,
                       gen_oneword_code, gen_random_partial, greedy_min_rank,
-                      is_synchronizing, literal_automaton,
-                      min_rank_word_via_fixing, pair_table, pair_word,
+                      inseparability_partition, is_synchronizing,
+                      literal_automaton, min_rank_word_via_fixing, pair_table,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
 from syncword import synchronization
 from syncword.automaton import GAMMA_TOKEN
+
+from test_cli import run_python
 
 
 # -------------------------------------------------------------- pair table
@@ -24,7 +26,7 @@ def test_pair_table_fig1(fig1):
     # {q3, q6}: both dying under b is no compression, so distance is 2
     assert table.distance(2, 5) == 2
     # the only merge-type pair: {q1, q4} collide at q1 under b
-    w = pair_word(fig1, table, 0, 3)
+    w = table.word(0, 3)
     assert w == fig1.word("b")
     assert fig1.image({0, 3}, w) == {0}
 
@@ -32,9 +34,76 @@ def test_pair_table_fig1(fig1):
 def test_pair_words_compress(fig1):
     table = pair_table(fig1)
     for (p, q), d, _ in table.items():
-        w = pair_word(fig1, table, p, q)
+        w = table.word(p, q)
         assert len(w) == d
         assert len(fig1.image({p, q}, w)) == 1
+
+
+# gen_random_partial arguments; the first automaton is not synchronizing,
+# so its compression table leaves pairs such as {0, 2} unsettled
+RANDOM_AUTOMATA = [(6, 2, 0.70, 19)] + [
+    (3 + s % 6, 2 + s % 2, 0.7, s + 41) for s in range(10)]
+
+
+def random_tables():
+    """(merge, table) for the compression and the separation table of each
+    of RANDOM_AUTOMATA."""
+    for args in RANDOM_AUTOMATA:
+        dfa = gen_random_partial(*args)
+        yield True, pair_table(dfa)
+        yield False, inseparability_partition(dfa).table
+
+
+def test_recorded_words_settle_their_pairs():
+    for merge, table in random_tables():
+        for p in range(table.n):
+            for q in range(table.n):
+                d = table.distance(p, q)
+                if d is None:
+                    continue
+                w = table.word(p, q)
+                assert len(w) == d
+                x, y = p, q
+                for a in w:
+                    x = UNDEF if x is UNDEF else table.trans[x][a]
+                    y = UNDEF if y is UNDEF else table.trans[y][a]
+                # exactly one dies or, in a compression table, they merge
+                assert (x is UNDEF) != (y is UNDEF) or \
+                    merge and x is not UNDEF and x == y
+
+
+# Runs in a child interpreter: a walk that misses the guard never returns.
+UNSETTLED_SCRIPT = """
+import ast, sys
+from syncword import (InputError, gen_random_partial,
+                      inseparability_partition, pair_table)
+refused = 0
+for args in ast.literal_eval(sys.argv[1]):
+    dfa = gen_random_partial(*args)
+    for table in (pair_table(dfa), inseparability_partition(dfa).table):
+        for p in range(table.n):
+            for q in range(table.n):
+                if table.distance(p, q) is None:
+                    try:
+                        table.word(p, q)
+                    except InputError:
+                        refused += 1
+                    else:
+                        print("returned", p, q)
+print("refused", refused)
+"""
+
+
+def test_unsettled_pairs_have_no_word():
+    # every p == q, and the unsettled pairs of the compression tables
+    unsettled = sum(table.distance(p, q) is None
+                    for _, table in random_tables()
+                    for p in range(table.n) for q in range(table.n))
+    diagonal = sum(table.n for _, table in random_tables())
+    assert unsettled > diagonal
+    proc = run_python("-c", UNSETTLED_SCRIPT, repr(RANDOM_AUTOMATA), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"refused {unsettled}\n"
 
 
 def test_pair_table_complete_dfa_merge_only():
