@@ -242,7 +242,8 @@ def _reach_mask(adj) -> int:
 def strongly_connected_masks(succ, n) -> bool:
     """Strong connectivity of the digraph whose state q has the successor
     bit mask succ[q]: everything is reachable from state 0, forwards and
-    backwards."""
+    backwards.  Each mask takes n bits, so this is for small n only (the
+    extremal search's tables); is_strongly_connected takes any automaton."""
     full = (1 << n) - 1
     if _reach_mask(succ) != full:
         return False
@@ -256,14 +257,34 @@ def strongly_connected_masks(succ, n) -> bool:
     return _reach_mask(pred) == full
 
 
+def _reaches_all(adj, n) -> bool:
+    """Whether every state is reachable from state 0; adj[q] lists the
+    neighbours of q, UNDEF entries skipped."""
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        for t in adj[stack.pop()]:
+            if t is not UNDEF and not seen[t]:
+                seen[t] = 1
+                count += 1
+                stack.append(t)
+    return count == n
+
+
 def is_strongly_connected(dfa: PartialDfa) -> bool:
-    """Strong connectivity of the digraph of defined transitions."""
-    succ = [0] * dfa.n
+    """Strong connectivity of the digraph of defined transitions: every
+    state is reachable from state 0 along the transitions and against them.
+    Memory is O(n k), one list of predecessors per state."""
+    if not _reaches_all(dfa.trans, dfa.n):
+        return False
+    pred = [[] for _ in range(dfa.n)]
     for q, row in enumerate(dfa.trans):
         for t in row:
             if t is not UNDEF:
-                succ[q] |= 1 << t
-    return strongly_connected_masks(succ, dfa.n)
+                pred[t].append(q)
+    return _reaches_all(pred, dfa.n)
 
 
 def is_eulerian(dfa: PartialDfa) -> bool:

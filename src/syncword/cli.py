@@ -429,8 +429,11 @@ def run(argv) -> int:
         return 2
     except Exception as exc:  # anything else is a bug, never a decision
         if not isinstance(exc, SyncwordError):
-            import traceback
-            traceback.print_exc()
+            try:
+                import traceback
+                traceback.print_exc()
+            except Exception:
+                pass  # the report may fail (no memory), the exit code may not
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automaton import EPSILON, UNDEF, PartialDfa, Word, is_strongly_connected
+from .automaton import (EPSILON, UNDEF, PartialDfa, Word, check_cells,
+                        is_strongly_connected)
 from .errors import FormatError, InputError, NotSynchronizing, SyncwordError
 
 ENUMERATION_CAP = 2 ** 22
 
 #: the most codeword letters, summed over the code, that literal_automaton
 #: accepts.  The costs that grow with the square of the total length stay
-#: below MAX_CODE_LETTERS squared: the characters of the proper prefixes,
-#: Weinbaum's split of a one-word code, and the state bit masks of the
-#: strong-connectivity check.  At the cap, `code reset` on one word takes
-#: 8 s (README).
+#: below MAX_CODE_LETTERS squared: the characters of the proper prefixes
+#: and Weinbaum's split of a one-word code.  At the cap, `code reset` on one
+#: word takes 8 s (README).
 MAX_CODE_LETTERS = 1 << 13
 
 
@@ -92,14 +92,16 @@ class LiteralAutomaton:
 
 def literal_automaton(code: PrefixCode) -> LiteralAutomaton:
     """Refuses, before building any prefix, a code of more than
-    MAX_CODE_LETTERS letters in total."""
+    MAX_CODE_LETTERS letters in total, and before building the table, one
+    whose prefixes times letters are above MAX_CELLS."""
     if code.total_length > MAX_CODE_LETTERS:
         raise InputError(f"a code of {code.total_length} letters is above the "
                          f"limit of {MAX_CODE_LETTERS} codeword letters")
     codewords = set(code.words)
     prefixes = sorted({w[:i] for w in codewords for i in range(len(w))})
-    state_of = {p: i for i, p in enumerate(prefixes)}
     alphabet = code.alphabet
+    check_cells(len(prefixes), len(alphabet))
+    state_of = {p: i for i, p in enumerate(prefixes)}
     table = []
     for p in prefixes:
         row = []

@@ -1,10 +1,17 @@
 """Exact ground truth by BFS over the subset lattice.
 
 Subsets are machine-word bit masks of at most 24 states (the desk-scale
-guardrail), so a mask is three bytes.  Each letter has three 256-entry byte
-tables (states 0-7, 8-15 and 16-23; the tables of states beyond n map to 0),
-and the image of a mask is three unrolled lookups OR-ed together: the byte
-indices are computed once per mask and shared by every letter.
+guardrail), so a mask is three bytes of an array('i') item.  Images are
+computed a block of a level at a time, in C: the block's bytes 0, 1 and 2
+are sliced out of the array's buffer, each goes through bytes.translate
+with one 256-byte table per (letter, input byte, output byte) (tables that
+map to no state are dropped), the translated bytes of one output byte are
+OR-ed as int.from_bytes values, and the results are interleaved into an
+array('i') of images in (mask, letter) order.  A block holds at most
+_BLOCK_IMAGES images (and at least one mask), so the transient buffers do
+not grow with the level or the alphabet.  The one Python loop per image is
+the seen-check, which walks the images in that order and appends each new
+mask and its parent.
 
 The search keeps no dict.  While the reachable lattice is sparse, the
 subsets already reached are a set of masks.  At the first level boundary
@@ -16,20 +23,24 @@ lattices move to the map within their first few levels; a lattice that
 stays below the count never allocates it: duplicating(gen_cerny(12))
 reaches 8,192 of 2**24 subsets and peaks at 0.9 MiB under tracemalloc,
 where the map would be 16 MiB.  Each complete BFS level is stored as an
-array('i') of masks in discovery order, with a parallel array('i') of parent
-positions in the previous level.  Memory is the set or the map, 8 bytes per
-reached subset, and 36 to 72 bytes per mask of the level being read and the
-level being built, which are Python lists (gen_cerny(16) peaks at about 10
-bytes per subset).  As each level closes, the first mask of every new subset
-size is recorded as a (level, position) pair.  Letters are tried in order
-for each mask, so the letter that first reached t from m is the least a with
-image(m, a) == t; the witness walk follows the positions back to the full
-set and recomputes it, which costs at most k images per witness letter.
+array('i') of masks in discovery order, with a parallel array('i') whose
+entry for a mask is the position of its parent in the previous level (at
+most 2**24, so it fits).  Memory is the set or the map, 8 bytes per reached
+subset, and 36 to 72 bytes per mask of the level being built, which is a
+Python list (gen_cerny(16) peaks at 0.67 MiB, about 11 bytes per subset).
+As each level closes, the first mask of every new subset size is recorded
+as a (level, position) pair.  Images are walked in (mask, letter) order, so
+the letter that first reached t from m is the least a with image(m, a) ==
+t; the witness walk follows the positions back to the full set one level
+at a time, computing the images of every walk's parent at that level in
+one block and taking the least letter that gives the child.
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from operator import or_
 
@@ -51,6 +62,13 @@ MAX_ORACLE_STATES = 24
 # take more than a quarter of it.
 _SET_ENTRY_BYTES = 128
 _SPARSE_DIVISOR = 4 * _SET_ENTRY_BYTES
+
+# Images computed per block: a level is read in blocks of this many images
+# (at least one mask), so the transient buffers do not grow with the level.
+_BLOCK_IMAGES = 1 << 13
+
+# Offsets of the bytes 0, 1 and 2 of a mask in an array('i') item.
+_OFFSETS = (0, 1, 2) if sys.byteorder == "little" else (3, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -91,24 +109,54 @@ class OracleReport:
         return min(r for r in self.thresholds if r > 0)
 
 
-def _byte_tables(dfa: PartialDfa):
-    """Per letter a, the triple of tables tab[bv] = image under a of the
-    states encoded by byte value bv at byte position 0, 1 and 2."""
-    tables = []
-    for column in dfa.columns:
-        tbit = [0] * MAX_ORACLE_STATES
+def _translate_tables(dfa: PartialDfa):
+    """The image plan of dfa: one (slot, pieces) entry per letter a and
+    output byte o that some state maps into.
+
+    slot is the offset of byte o of the image under a in a block of images
+    laid out as (mask, letter); pieces holds (i, table) for every input byte
+    i that contributes, where table[bv] is byte o of the image under a of
+    the states that byte value bv encodes at byte i.
+    """
+    width = (dfa.n + 7) >> 3
+    plan = []
+    for a, column in enumerate(dfa.columns):
+        tbit = [0] * (8 * width)
         for q, t in enumerate(column):
             if t is not UNDEF:
                 tbit[q] = 1 << t
-        triple = []
-        for base in (0, 8, 16):
+        images = []
+        for i in range(width):
             tab = [0] * 256
             for bv in range(1, 256):
                 low = bv & -bv
-                tab[bv] = tab[bv ^ low] | tbit[base + low.bit_length() - 1]
-            triple.append(tab)
-        tables.append(tuple(triple))
-    return tables
+                tab[bv] = tab[bv ^ low] | tbit[8 * i + low.bit_length() - 1]
+            images.append(array("i", tab).tobytes())
+        for o in range(width):
+            pieces = tuple((i, raw[_OFFSETS[o]::4])
+                           for i, raw in enumerate(images))
+            pieces = tuple(p for p in pieces if any(p[1]))
+            if pieces:
+                plan.append((4 * a + _OFFSETS[o], pieces))
+    return plan
+
+
+def _images(masks, k, plan):
+    """The images of masks (an array('i')) under the k letters of plan, as
+    an array('i') in (mask, letter) order."""
+    raw = masks.tobytes()
+    columns = [raw[off::4] for off in _OFFSETS]
+    count = len(masks)
+    stride = 4 * k
+    out = bytearray(stride * count)
+    for slot, pieces in plan:
+        v = 0
+        for i, table in pieces:
+            v |= int.from_bytes(columns[i].translate(table), "little")
+        out[slot::stride] = v.to_bytes(count, "little")
+    images = array("i")
+    images.frombytes(out)
+    return images
 
 
 def _bfs_witnesses(dfa: PartialDfa):
@@ -121,8 +169,10 @@ def _bfs_witnesses(dfa: PartialDfa):
     last nonempty BFS level.
     """
     n = dfa.n
-    tables = _byte_tables(dfa)
+    k = len(dfa.alphabet)
+    plan = _translate_tables(dfa)
     full = (1 << n) - 1
+    block = max(1, _BLOCK_IMAGES // k)
 
     seen = {full}  # a bytearray indexed by mask once the lattice is dense
     sparse = True
@@ -132,28 +182,26 @@ def _bfs_witnesses(dfa: PartialDfa):
     first = [None] * (n + 1)  # size -> (level, index) of its first mask
     first[n] = (0, 0)
     found = {n}
-    queue = [full]
     while True:
-        # iterating and appending Python ints is cheaper on a list than on an
-        # array, so a level becomes an array only once it is complete
+        # appending Python ints is cheaper to a list than to an array, so a
+        # level becomes an array only once it is complete
+        level = levels[-1]
         nxt = []
         par = []
-        for i, m in enumerate(queue):
-            b0 = m & 0xFF
-            b1 = (m >> 8) & 0xFF
-            b2 = m >> 16
-            for t0, t1, t2 in tables:
-                t = t0[b0] | t1[b1] | t2[b2]
-                if sparse:
-                    if t in seen:
-                        continue
-                    seen.add(t)
-                elif seen[t]:
-                    continue
-                else:
-                    seen[t] = 1
-                nxt.append(t)
-                par.append(i)
+        for s in range(0, len(level), block):
+            images = _images(level[s:s + block], k, plan)
+            if sparse:
+                for j, t in enumerate(images):
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+                        par.append(s + j // k)
+            else:
+                for j, t in enumerate(images):
+                    if not seen[t]:
+                        seen[t] = 1
+                        nxt.append(t)
+                        par.append(s + j // k)
         if not nxt:
             break
         new = set(map(int.bit_count, nxt)) - found
@@ -167,7 +215,6 @@ def _bfs_witnesses(dfa: PartialDfa):
                 first[c] = (len(levels), j)
         levels.append(array("i", nxt))
         parents.append(array("i", par))
-        queue = nxt
         if sparse and len(seen) > sparse_limit:
             marks = bytearray(1 << n)
             for t in seen:
@@ -175,26 +222,26 @@ def _bfs_witnesses(dfa: PartialDfa):
             seen = marks
             sparse = False
 
+    # walk the witnesses back to the full set a level at a time: the letter
+    # of a step is the least one that maps the parent to the child
     out = [None] * (n + 1)
+    walks = [[] for _ in levels]  # d -> (size, position) of walks at level d
     for c, pos in enumerate(first):
-        if pos is None:
+        if pos is not None:
+            out[c] = []
+            walks[pos[0]].append((c, pos[1]))
+    for d in range(len(levels) - 1, 0, -1):
+        walk = walks[d]
+        if not walk:
             continue
-        d, j = pos
-        t = levels[d][j]
-        letters = []
-        while d:
-            j = parents[d][j]
-            d -= 1
-            m = levels[d][j]
-            b0 = m & 0xFF
-            b1 = (m >> 8) & 0xFF
-            b2 = m >> 16
-            for a, (t0, t1, t2) in enumerate(tables):
-                if t0[b0] | t1[b1] | t2[b2] == t:
-                    break
-            letters.append(a)
-            t = m
-        out[c] = letters[::-1]
+        level, up, prev = levels[d], parents[d], levels[d - 1]
+        images = _images(array("i", [prev[up[j]] for _, j in walk]), k, plan)
+        for x, (c, j) in enumerate(walk):
+            out[c].append(images.index(level[j], x * k) - x * k)
+            walks[d - 1].append((c, up[j]))
+    for letters in out:
+        if letters is not None:
+            letters.reverse()
     return out, sum(map(len, levels)), len(levels) - 1
 
 
@@ -320,8 +367,9 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     """Search binary properly incomplete strongly connected automata with a
     single deficient state for the largest reset threshold.
 
-    Exhaustive up to n <= 5 (guardrail: 10 * 5**9 tables take about two
-    minutes, while n = 6 has 12 * 6**11, about 4.4e9, and would take hours);
+    Exhaustive up to n <= 5 (guardrail: 10 * 5**9 tables take about 20 s
+    and 46 MB, while n = 6 has 12 * 6**11, about 4.4e9, and would take
+    hours);
     the randomized profile is deterministic given (seed, trials) and
     limited to MAX_ORACLE_STATES states, since each candidate's reset
     threshold is a BFS over the same subset lattice as the oracle's.
@@ -340,11 +388,25 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     target = (n * n - n) // 2
     gen = (_extremal_candidates_exhaustive(n) if exhaustive
            else _extremal_candidates_random(n, seed, trials))
+    full = (1 << n) - 1
+    # most union graphs leave some state without an in-edge, which rules out
+    # strong connectivity at once; the exhaustive tables share the others,
+    # so each is checked once (271,170 at n = 5), while random draws rarely
+    # repeat one and keep no memo that would grow with the trials
+    strong = {}
     best_rt = -1
     best_rows = None
     count = 0
     for rows_a, rows_b in gen:
-        if not strongly_connected_masks(list(map(or_, rows_a, rows_b)), n):
+        union = tuple(map(or_, rows_a, rows_b))
+        if reduce(or_, union) != full:
+            continue
+        connected = strong.get(union)
+        if connected is None:
+            connected = strongly_connected_masks(union, n)
+            if exhaustive:
+                strong[union] = connected
+        if not connected:
             continue
         count += 1
         rt = _rt_bitmask(rows_a, rows_b, n)

@@ -51,6 +51,39 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "internal error: boom" in capsys.readouterr().err
 
 
+def test_failed_traceback_still_exits_3(capsys, monkeypatch):
+    import traceback
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_cmd_classes", boom)
+    monkeypatch.setattr(traceback, "print_exc", no_memory)
+    assert run(["classes", FIG1]) == 3
+    assert "internal error: boom" in capsys.readouterr().err
+
+
+NO_TRACEBACK_SCRIPT = """
+import sys
+from syncword import cli
+
+def boom(args):
+    raise RuntimeError("boom")
+
+cli._cmd_classes = boom
+sys.modules["traceback"] = None  # `import traceback` raises ImportError
+print("exit", cli.run(["classes", sys.argv[1]]))
+"""
+
+
+def test_unimportable_traceback_still_exits_3():
+    proc = run_python("-c", NO_TRACEBACK_SCRIPT, FIG1)
+    assert (proc.returncode, proc.stdout) == (0, "exit 3\n"), proc.stderr
+    assert "internal error: boom" in proc.stderr
+
+
 def child_env():
     """The environment of a child interpreter that imports this checkout's
     package."""
@@ -478,6 +511,31 @@ def test_pair_table_size_limit(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "pair table over 20000 elements needs 400000000 index entries, " \
         "above the limit" in proc.stderr
+
+
+def test_strong_connectivity_memory(tmp_path):
+    # 200,000 cells are within MAX_CELLS; one bit mask per state took the
+    # strong-connectivity check, which runs before the pair-table guard, to
+    # 1.3 GB on this cycle
+    path = tmp_path / "cycle.dfa"
+    path.write_text(format_dfa(gen_cerny(100000)))
+    proc = run_python("-m", "syncword.cli", "sync", "check", str(path),
+                      timeout=30, address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert "pair table over 100000 elements" in proc.stderr
+
+
+def test_literal_table_size_limit(tmp_path):
+    # 8,192 letters in total are within MAX_CODE_LETTERS, but the literal
+    # automaton of the 4,096 words cc over 4,096 letters would have 4,097
+    # states x 4,096 letters, 16.8 M cells
+    path = tmp_path / "wide.code"
+    path.write_text("".join(chr(0x4E00 + i) * 2 + "\n" for i in range(4096)),
+                    encoding="utf-8")
+    proc = run_python("-m", "syncword.cli", "code", "literal", str(path),
+                      timeout=30, address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert "4097 states x 4096 letters is above the limit" in proc.stderr
 
 
 # the proper prefixes of one 40,000-letter codeword would take 800 MB; the

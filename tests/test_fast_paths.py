@@ -11,10 +11,12 @@ a rebuilt collecting automaton; the pair BFS (integer pair codes in
 flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks) and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
-against the loops they replace; the subset-BFS kernel (byte tables, a
-visited byte map, level arrays with index parents) and its counters against
-a set-based BFS, and extremal search (bit mask rows) against an enumeration
-of transition tables.
+against the loops they replace; the subset-BFS kernel (translate tables
+over blocks of a level, a visited byte map, level arrays with index
+parents) and its counters against a set-based BFS, also in blocks of one
+and three masks; is_strongly_connected (adjacency lists) against the bit
+mask check; and extremal search (bit mask rows) against an enumeration of
+transition tables.
 """
 import os
 import pathlib
@@ -33,8 +35,9 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       extremal_search, gen_cerny,
                       gen_random_partial, gen_random_prefix_code,
                       greedy_min_rank, inseparability_partition,
-                      literal_automaton, pair_table, parse_dfa,
-                      rank_target_word, strip_gamma, subset_bfs)
+                      is_strongly_connected, literal_automaton, pair_table,
+                      parse_dfa, rank_target_word, strip_gamma, subset_bfs)
+from syncword import oracle
 from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
@@ -489,6 +492,32 @@ def test_oracle_counters_match_set_bfs(table):
     n, k, flat = table
     rep = subset_bfs(flat_dfa(n, k, flat))
     assert (rep.subsets, rep.depth) == ref_bfs_counters(n, k, flat)
+
+
+@pytest.mark.parametrize("masks", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(table=st.one_of(flat_tables(), wide_tables()))
+def test_bfs_kernel_in_small_blocks(masks, table):
+    # a level read a few masks at a time gives the same words and counters
+    n, k, flat = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK_IMAGES", masks * k)
+        words, subsets, depth = _bfs_witnesses(flat_dfa(n, k, flat))
+    assert words == ref_bfs_thresholds(n, k, flat)
+    assert (subsets, depth) == ref_bfs_counters(n, k, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_tables())
+def test_strong_connectivity_matches_masks(table):
+    # adjacency-list reachability against the bit-mask check on the union
+    n, k, flat = table
+    succ = [0] * n
+    for i, t in enumerate(flat):
+        if t >= 0:
+            succ[i // k] |= 1 << t
+    assert is_strongly_connected(flat_dfa(n, k, flat)) == \
+        strongly_connected_masks(succ, n)
 
 
 # --------------------------------------------------------------- pair BFS

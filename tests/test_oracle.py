@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 import syncword
 
+from syncword import oracle
 from syncword import (UNDEF, InputError, NotStronglyConnected, PartialDfa,
                       duplicating,
                       duplicating_identity_check, extremal_search, gen_cerny,
@@ -17,7 +19,7 @@ from syncword import (UNDEF, InputError, NotStronglyConnected, PartialDfa,
 from syncword.oracle import MAX_ORACLE_STATES, _SPARSE_DIVISOR, _bfs_witnesses
 
 from conftest import FIXTURES
-from test_fast_paths import ref_bfs_counters, ref_bfs_thresholds
+from test_fast_paths import flat_dfa, ref_bfs_counters, ref_bfs_thresholds
 
 
 def test_fig1_report(fig1):
@@ -121,6 +123,32 @@ def test_subset_bfs_moves_to_the_map_mid_search(dfa):
     assert (rep.subsets, rep.depth) == ref_bfs_counters(n, k, flat)
 
 
+def test_subset_bfs_level_spans_several_blocks(monkeypatch):
+    # 300 letters: one permutation and maps onto at most three states, so
+    # the lattice stays small while level 1 alone holds more masks than one
+    # block of _BLOCK_IMAGES // 300 masks
+    rng = random.Random(12)
+    n, k = 12, 300
+    columns = [rng.sample(range(n), n)]
+    for _ in range(k - 1):
+        targets = rng.sample(range(n), rng.randint(1, 3))
+        columns.append([rng.choice(targets) if rng.random() < 0.8 else -1
+                        for _ in range(n)])
+    flat = [columns[a][q] for q in range(n) for a in range(k)]
+    sizes = []
+    real = oracle._images
+
+    def images(masks, *rest):
+        sizes.append(len(masks))
+        return real(masks, *rest)
+    monkeypatch.setattr(oracle, "_images", images)
+    words, subsets, depth = _bfs_witnesses(flat_dfa(n, k, flat))
+    block = oracle._BLOCK_IMAGES // k
+    assert max(sizes) == block and sizes.count(block) >= 2
+    assert words == ref_bfs_thresholds(n, k, flat)
+    assert (subsets, depth) == ref_bfs_counters(n, k, flat)
+
+
 def test_zero_states_are_rejected():
     # the subset BFS needs n >= 1; no automaton with 0 states can be made
     with pytest.raises(InputError, match="at least one state"):
@@ -212,6 +240,21 @@ def test_extremal_n3():
     assert res.target == 3
     assert res.best_rt == 3 and res.attained
     assert res.candidates == 372
+
+
+def test_extremal_checks_each_union_graph_once(monkeypatch):
+    # 131,072 tables at n=4: those with a state of no in-edge are skipped,
+    # and each of the 4,320 other union graphs is checked once
+    calls = []
+    real = oracle.strongly_connected_masks
+
+    def counted(succ, n):
+        calls.append(succ)
+        return real(succ, n)
+    monkeypatch.setattr(oracle, "strongly_connected_masks", counted)
+    res = extremal_search(4)
+    assert len(calls) == len(set(calls)) == 4320
+    assert (res.best_rt, res.candidates) == (6, 26304)
 
 
 def test_extremal_exhaustive_guardrail():
