@@ -4,10 +4,12 @@ States are dense indices 0..n-1.  A transition table entry is either a state
 index or UNDEF (None); no implicit sink state exists.  Words are tuples of
 letter indices into the automaton's alphabet.
 
-All values are immutable after construction and all operations are pure, so
-everything here can be shared freely across threads.  The one exception is
-the cache of chunk actions inside PartialDfa, which image fills on use; it
-never changes a result, and concurrent fills store equal values.
+All values are immutable after construction and all operations are pure,
+with two exceptions.  The cache of chunk actions inside PartialDfa, which
+image fills on use, never changes a result, and concurrent fills store equal
+values, so automata can be shared freely across threads.  A PairTable lists
+its pairs on demand: its reads grow its arrays in place, without a lock, so
+share one across threads only once it is complete (after all_compressible).
 """
 from __future__ import annotations
 
@@ -332,7 +334,7 @@ def settle_seeds(trans, k, merge):
     """The pairs of states of a table that one letter settles, as (p, q,
     letter) with p < q, yielded in (p, q) order: letter is the least on
     which exactly one of p, q is undefined or, when merge is set, both go
-    to the same state.  These are the distance-1 seeds of pair_bfs; they
+    to the same state.  These are the distance-1 seeds of _pair_bfs; they
     are yielded, not collected, because on automata with many undefined
     transitions most pairs are seeds.
     """
@@ -373,8 +375,9 @@ def settle_seeds(trans, k, merge):
             yield p, q, first[q]
 
 
-def pair_bfs(trans, k, seeds):
-    """Backward BFS over unordered pairs of the states of a table.
+def _pair_bfs(trans, k, seeds):
+    """Backward BFS over unordered pairs of the states of a table, listed a
+    few levels at a time.
 
     trans[q][a] is a state or UNDEF; seeds yields (p, q, letter) (p < q)
     for the pairs a single letter settles, in order (see settle_seeds).  A
@@ -382,24 +385,16 @@ def pair_bfs(trans, k, seeds):
     distance d + 1, with the first such letter in (queue, letter,
     predecessor p, q) order.
 
-    A pair {p, q} with p < q is coded p * n + q.  Returns the arrays
-    (pairs, dist, letter, index): pairs holds the codes of the pairs that
-    reach a seed in BFS order, so dist is non-decreasing; dist and letter
-    run parallel to it; index[p * n + q] == index[q * n + p] is the
-    position of {p, q} in pairs plus 1, or <= 0 when the pair never
-    reaches a seed.
+    A pair {p, q} with p < q is coded p * n + q.  The generator first
+    yields the arrays (pairs, dist, letter, index) holding the seeds, then
+    grows them in place: each send(target) lists levels until at least
+    target pairs are listed or the BFS ends (StopIteration), and pauses
+    only where a level ends.  pairs holds the codes of the listed pairs in
+    BFS order, so dist is non-decreasing; dist and letter run parallel to
+    it; index[p * n + q] == index[q * n + p] is the position of {p, q} in
+    pairs plus 1, or <= 0 while the pair is not listed.
     """
     n = len(trans)
-    inv = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        for a in range(k):
-            t = trans[q][a]
-            if t is not UNDEF:
-                inv[a][t].append(q)
-    # into[t]: (a, predecessors of t under a, inv[a]) for the letters a,
-    # ascending, under which t has a predecessor
-    into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
-            for t in range(n)]
     # PairTable.build keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
     # code and position
     index = array("i", bytes(array("i").itemsize * n * n))
@@ -412,10 +407,28 @@ def pair_bfs(trans, k, seeds):
         letter.append(a)
         index[p * n + q] = index[q * n + p] = len(pairs)
     dist = array("i", [1]) * len(pairs)
+    target = yield pairs, dist, letter, index
+    inv = [[[] for _ in range(n)] for _ in range(k)]
+    for q in range(n):
+        for a in range(k):
+            t = trans[q][a]
+            if t is not UNDEF:
+                inv[a][t].append(q)
+    # into[t]: (a, predecessors of t under a, inv[a]) for the letters a,
+    # ascending, under which t has a predecessor
+    into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
+            for t in range(n)]
     put_pair, put_dist, put_letter = pairs.append, dist.append, letter.append
-    found = len(pairs)
+    found, every, level = len(pairs), n * (n - 1) // 2, 0
     # pairs and dist grow while zip walks them: they are the queue
     for c, d in zip(pairs, dist):
+        if found >= target and d > level:
+            # the queue reaches level d, so levels 1..d are listed in full
+            # and level d + 1 not at all
+            if found == every:
+                return
+            target = yield
+        level = d
         tp, tq = divmod(c, n)
         d += 1
         for a, preds_p, inv_a in into[tp]:
@@ -431,12 +444,11 @@ def pair_bfs(trans, k, seeds):
                         put_letter(a)
                         found += 1
                         index[row + q] = index[q * n + p] = found
-    return pairs, dist, letter, index
 
 
 @dataclass(frozen=True)
 class PairTable:
-    """The pair_bfs result for the unordered pairs of the n elements of a
+    """The _pair_bfs result for the unordered pairs of the n elements of a
     table, made by build: shortest words that settle a pair.
 
     The seeds say what settles a pair: a merge or one state dying for the
@@ -446,7 +458,16 @@ class PairTable:
     pairs[i] is the code p * n + q (p < q) of the i-th pair, dist[i] the
     length of a shortest word settling it and letter[i] the first letter of
     one such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0
-    when no word settles {p, q}.
+    when {p, q} is not listed.
+
+    A built table lists the distance-1 pairs only and keeps the BFS paused
+    in _bfs; readers grow the arrays in place, whole levels at a time, when
+    they need more, so the listed pairs are always levels 1..L of the
+    complete table, in its order.  len(dist) counts the pairs listed so far.
+    all_compressible, items and == complete the table first; distance and
+    word complete it before they answer that no word settles a pair.  _bfs
+    is None once the table is complete, and for a table made from complete
+    arrays.
     """
 
     n: int
@@ -457,6 +478,7 @@ class PairTable:
     dfa: PartialDfa = field(compare=False, repr=False)
     trans: tuple = field(compare=False, repr=False)
     elem: object = field(compare=False, repr=False)
+    _bfs: object = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:
@@ -470,16 +492,39 @@ class PairTable:
             raise InputError(f"a pair table over {n} elements needs {n * n} "
                              f"index entries, above the limit of "
                              f"{MAX_PAIR_INDEX}")
-        return cls(n, *pair_bfs(trans, k, settle_seeds(trans, k, merge)),
-                   dfa, trans, elem)
+        bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge))
+        return cls(n, *next(bfs), dfa, trans, elem, bfs)
+
+    def _grow(self, target: int) -> None:
+        """List levels until at least target pairs are listed, or all."""
+        try:
+            self._bfs.send(target)
+        except StopIteration:
+            object.__setattr__(self, "_bfs", None)
+
+    def _complete(self) -> None:
+        if self._bfs is not None:
+            self._grow(self.n * (self.n - 1) // 2)
+
+    def __eq__(self, other):
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        self._complete()
+        other._complete()
+        return (self.n, self.pairs, self.dist, self.letter, self.index) == \
+            (other.n, other.pairs, other.dist, other.letter, other.index)
 
     def distance(self, p: int, q: int):
         """Length of a shortest word settling {p, q}, or None."""
         i = self.index[p * self.n + q]
+        if i <= 0 and self._bfs is not None:
+            self._complete()
+            i = self.index[p * self.n + q]
         return self.dist[i - 1] if i > 0 else None
 
     def all_compressible(self) -> bool:
         """Every pair of distinct states is settled by some word."""
+        self._complete()
         return len(self.dist) == self.n * (self.n - 1) // 2
 
     def least_pair(self, rep):
@@ -489,17 +534,30 @@ class PairTable:
         rep[e] is the state that element e of the table stands for, or None
         when e is outside the subset; distinct elements stand for distinct
         states, and p < q are the states of the pair's two elements, so
-        ties break by states, not by elements.  Pairs are listed in
+        ties break by states, not by elements.  A pair of the subset among
+        the listed levels beats every pair of a later level, so the table
+        grows, to at least twice the pairs listed, only while the listed
+        levels hold none.
+        """
+        states = [x for x in rep if x is not None]
+        if len(states) < 2:
+            return None
+        while True:
+            best = self._least_listed(rep, states)
+            if best is not None or self._bfs is None:
+                return best
+            self._grow(2 * len(self.dist))
+
+    def _least_listed(self, rep, states):
+        """least_pair among the listed pairs.  Pairs are listed in
         non-decreasing distance order, so the first level holding a pair of
         the subset, walked to its end, gives the answer.  The walk gets as
         many checks as the subset has pairs; when they run out first, the
-        pairs of the subset are scanned instead.
-        """
+        pairs of the subset are scanned instead."""
         n = self.n
-        states = [x for x in rep if x is not None]
         budget = len(states) * (len(states) - 1) // 2
         # p * N + q with N above every state orders pairs as (p, q) does
-        N = max(states, default=0) + 1
+        N = max(states) + 1
         level = key = None
         for c, d in islice(zip(self.pairs, self.dist), budget):
             if level is not None and d > level:
@@ -530,6 +588,7 @@ class PairTable:
     def items(self):
         """((p, q), distance, first letter) per settled pair (p < q), in BFS
         (non-decreasing distance) order."""
+        self._complete()
         n = self.n
         for c, d, a in zip(self.pairs, self.dist, self.letter):
             yield divmod(c, n), d, a
@@ -562,6 +621,8 @@ class PairTable:
         two elements merge or at least one of them dies.  Raises InputError
         when no word settles {p, q}, as for p == q."""
         n, trans, letter, index = self.n, self.trans, self.letter, self.index
+        if index[p * n + q] <= 0:
+            self._complete()
         if index[p * n + q] <= 0:
             raise InputError(f"pair {(min(p, q), max(p, q))} is not settled")
         out = []

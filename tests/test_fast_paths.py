@@ -8,7 +8,8 @@ letter-by-letter set code they replace, and PairTable.steps refuses a step
 that does not shrink the image; strip_gamma (one
 replay, in the partial automaton) against the copy that checked its input on
 a rebuilt collecting automaton; the pair BFS (integer pair codes in
-flat arrays) against a BFS on tuple-keyed dicts, its seeds (bit masks) and
+flat arrays, listed a level at a time on demand) against a BFS on
+tuple-keyed dicts, its seeds (bit masks) and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (translate tables
@@ -38,7 +39,7 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       is_strongly_connected, literal_automaton, pair_table,
                       parse_dfa, rank_target_word, strip_gamma, subset_bfs)
 from syncword import oracle
-from syncword.automaton import (_chunk_length, pair_bfs, settle_seeds,
+from syncword.automaton import (_chunk_length, settle_seeds,
                                 strongly_connected_masks)
 from syncword.constructions import lift_word_to_partial
 from syncword.oracle import _bfs_witnesses, _rt_bitmask
@@ -584,11 +585,14 @@ def test_settle_seeds_match_pair_loops(table, merge):
 @settings(max_examples=300, deadline=None)
 @given(flat_tables(), st.booleans())
 def test_pair_bfs_matches_dict_bfs_in_order(table, merge):
+    # a built table drained to completion holds the whole BFS
     trans = nested(table)
     n, k = table[0], table[1]
     seeds = ref_settle_seeds(trans, k, merge)
-    pairs, dist, letter, index = pair_bfs(
-        trans, k, ((p, q, a) for (p, q), a in seeds.items()))
+    drained = PairTable.build(flat_dfa(*table), trans, range(n), merge)
+    drained.all_compressible()
+    pairs, dist, letter, index = (drained.pairs, drained.dist, drained.letter,
+                                  drained.index)
     ref_dist, ref_letter = ref_pair_bfs(trans, k, seeds)
     assert [(divmod(c, n), d, a) for c, d, a in zip(pairs, dist, letter)] == \
         [(key, d, ref_letter[key]) for key, d in ref_dist.items()]
@@ -599,6 +603,125 @@ def test_pair_bfs_matches_dict_bfs_in_order(table, merge):
                 assert i <= 0
             else:
                 assert pairs[i - 1] == min(p, q) * n + max(p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_tables(), st.booleans())
+def test_pair_table_grows_by_whole_levels(table, merge):
+    # grown one level at a time, a built table always lists a prefix of
+    # the drained table's arrays that ends where a level ends
+    trans = nested(table)
+    n = table[0]
+    dfa = flat_dfa(*table)
+    drained = PairTable.build(dfa, trans, range(n), merge)
+    drained.all_compressible()
+    grown = PairTable.build(dfa, trans, range(n), merge)
+    assert set(grown.dist) <= {1}
+    while True:
+        m = len(grown.dist)
+        assert grown.pairs == drained.pairs[:m]
+        assert grown.dist == drained.dist[:m]
+        assert grown.letter == drained.letter[:m]
+        assert m == len(drained.dist) or drained.dist[m] > drained.dist[m - 1]
+        listed = set(grown.pairs)
+        for p in range(n):
+            for q in range(n):
+                i = grown.index[p * n + q]
+                if p != q and min(p, q) * n + max(p, q) in listed:
+                    assert i == drained.index[p * n + q]
+                else:
+                    assert i <= 0
+        if grown._bfs is None:
+            break
+        grown._grow(m + 1)
+        if m == len(drained.dist):
+            assert len(grown.dist) == m and grown._bfs is None
+        else:
+            # one step lists exactly the next level
+            assert set(grown.dist[m:]) == {drained.dist[m]}
+    assert (grown.pairs, grown.dist, grown.letter, grown.index) == \
+        (drained.pairs, drained.dist, drained.letter, drained.index)
+
+
+def fresh_reads(dfa, subsets):
+    """least_pair, word and steps of a fresh table for each subset against
+    those of one drained table; the number of fresh tables that grew."""
+    drained = pair_table(dfa)
+    drained.all_compressible()
+    grew = 0
+    for S in subsets:
+        fresh = pair_table(dfa)
+        seeds = len(fresh.dist)
+        best = min_pair(fresh, S)
+        assert best == min_pair(drained, S) == ref_min_pair(drained, S)
+        if best is not None:
+            assert fresh.word(best[1], best[2]) == drained.word(best[1], best[2])
+        grew += len(fresh.dist) > seeds
+        assert list(pair_table(dfa).steps(S)) == list(drained.steps(S))
+    return grew
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(ks=(2, 3)), st.data())
+def test_fresh_table_reads_as_drained(dfa, data):
+    fresh_reads(dfa, [frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
+                      for _ in range(4)])
+
+
+def cerny_times_parity(m):
+    """The cycle family on m states times a bit that letter 0 flips: strongly
+    connected for odd m, and no word merges states of different bits."""
+    c = gen_cerny(m)
+    return PartialDfa(2 * m, c.alphabet, tuple(
+        tuple(c.trans[q][a] * 2 + (b ^ (a == 0)) for a in range(2))
+        for q in range(m) for b in range(2)))
+
+
+def test_fresh_table_reads_as_drained_parity():
+    # a non-synchronizing automaton whose pairs spread over ten levels: some
+    # subsets find their pair at level 1, others make the table grow, up to
+    # completion for a subset of no settled pair
+    dfa = cerny_times_parity(7)
+    rng = random.Random(7)
+    subsets = [frozenset(rng.sample(range(dfa.n), rng.randrange(2, dfa.n)))
+               for _ in range(40)] + [frozenset({0, 1})]
+    assert 10 <= fresh_reads(dfa, subsets) < 40
+
+
+def test_negative_reads_complete_the_table():
+    dfa = cerny_times_parity(5)
+    assert is_strongly_connected(dfa)
+
+    def partly_grown():
+        table = pair_table(dfa)
+        table._grow(len(table.dist) + 1)
+        assert set(table.dist) == {1, 2} and table._bfs is not None
+        return table
+
+    # a listed pair is read as it is; (0, 1), states of different bits,
+    # is settled by no word
+    table = partly_grown()
+    p, q = divmod(table.pairs[-1], table.n)
+    assert table.distance(q, p) == 2 and table._bfs is not None
+    assert table.distance(0, 1) is None and table._bfs is None
+    table = partly_grown()
+    assert len(table.word(p, q)) == 2 and table._bfs is not None
+    with pytest.raises(InputError, match="not settled"):
+        table.word(0, 1)
+    assert table._bfs is None
+    table = partly_grown()
+    assert not table.all_compressible() and table._bfs is None
+    assert len(table.dist) == 20
+
+
+def test_tables_compare_as_complete_tables():
+    dfa = gen_cerny(12)
+    grown, fresh = pair_table(dfa), pair_table(dfa)
+    grown._grow(len(grown.dist) + 1)
+    assert len(fresh.dist) < len(grown.dist) < 66
+    assert grown == fresh
+    assert grown._bfs is None and fresh._bfs is None
+    assert pair_table(dfa) != pair_table(gen_cerny(11))
 
 
 def test_pair_table_items_and_distance(fig1):

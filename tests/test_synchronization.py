@@ -2,13 +2,14 @@ import pytest
 
 from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       NotSynchronizing, duplicating, gen_cerny,
-                      gen_oneword_code, gen_random_partial, greedy_min_rank,
+                      gen_oneword_code, gen_random_partial,
+                      gen_random_prefix_code, greedy_min_rank,
                       inseparability_partition, is_synchronizing,
                       literal_automaton, min_rank_word_via_fixing, pair_table,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
 from syncword import synchronization
-from syncword.automaton import GAMMA_TOKEN
+from syncword.automaton import GAMMA_TOKEN, PairTable, settle_seeds
 
 from test_cli import run_python
 
@@ -296,6 +297,45 @@ def test_collecting_route_random():
             continue
         w = reset_word_via_collecting(dfa)
         assert dfa.rank(w) == 1
+
+
+def built_tables(monkeypatch):
+    """The pair tables PairTable.build makes from now on, as (merge, table)."""
+    tables = []
+    real = PairTable.build
+
+    def recording(dfa, trans, elem, merge):
+        tables.append((merge, real(dfa, trans, elem, merge)))
+        return tables[-1][1]
+    monkeypatch.setattr(PairTable, "build", staticmethod(recording))
+    return tables
+
+
+def test_collecting_route_lists_one_level(monkeypatch):
+    # greedy on the collecting automaton finds a distance-1 pair in every
+    # image, so its table lists the seeds and nothing more: 62 of 231 pairs
+    dfa = literal_automaton(gen_random_prefix_code(12, 6, 3, 1)).dfa
+    tables = built_tables(monkeypatch)
+    assert dfa.rank(reset_word_via_collecting(dfa)) == 1
+    (merge, coll), = [(m, t) for m, t in tables if m]
+    seeds = list(settle_seeds(coll.trans, len(coll.dfa.alphabet), True))
+    assert (coll.n, len(coll.dist), set(coll.dist)) == (22, len(seeds), {1})
+    assert len(seeds) == 62 and coll._bfs is not None
+    (_, separation), = [(m, t) for m, t in tables if not m]
+    assert separation._bfs is None
+
+
+# greedy on the cycle family reads nearly every level of its table, which
+# has one pair per level: grown to twice its size from the one seed at a
+# time, the table lists a power of two of pairs, or all n(n-1)/2
+@pytest.mark.parametrize("n, listed", [(5, 10), (12, 64), (100, 4096),
+                                       (170, 14365)])
+def test_greedy_lists_the_cycle_family_table(monkeypatch, n, listed):
+    tables = built_tables(monkeypatch)
+    assert greedy_min_rank(gen_cerny(n)).final_rank == 1
+    (_, table), = tables
+    assert len(table.dist) == listed
+    assert (table._bfs is None) == (listed == n * (n - 1) // 2)
 
 
 # ------------------------------------------------------------- rank target
