@@ -32,7 +32,10 @@ class Lcg64:
         return self.state
 
     def below(self, bound: int) -> int:
-        return ((self.next_u64() >> 32) * bound) >> 32
+        # the step of next_u64 inline: the randomized extremal profile draws
+        # 2n + 2 of these per table
+        self.state = x = (self.MULT * self.state + self.INC) & self.MASK
+        return ((x >> 32) * bound) >> 32
 
     def unit(self) -> float:
         return (self.next_u64() >> 11) / (1 << 53)

@@ -41,7 +41,8 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
+from itertools import combinations, permutations, product
+from math import factorial
 from operator import or_
 
 from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
@@ -339,40 +340,147 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
     return None
 
 
-def _extremal_candidates_exhaustive(n):
-    """All binary tables with exactly one undefined (state, letter) slot, as
-    per-letter rows of target bit masks (0 at the undefined slot).
+def _canonical_tables(n):
+    """The BFS-canonical strongly connected binary tables with exactly one
+    undefined (state, letter) slot, lazily, as flat tuples of target bit
+    masks: slot 2*q + a holds 1 << t for the transition q -a-> t, or 0 at
+    the undefined slot.
 
-    Slots are numbered row-major, 2*q + a; the undefined slot runs over them
-    in order and the other slots take every assignment in product order.
+    A table is canonical when its states are numbered in the order a
+    breadth-first search from state 0 meets them, reading the slots in
+    order: state j >= 1 first appears as a target in a slot below 2*j, and
+    after the first appearances of 1..j-1.  Such a table reaches every
+    state from 0, so only the way back to 0 is checked.  Each undefined
+    slot and each choice of first-appearance slots fixes the choices of the
+    other slots (any state met before the slot), which run in product order.
     """
-    targets = [1 << t for t in range(n)]
-    for hole in range(2 * n):
-        for assign in product(targets, repeat=2 * n - 1):
-            flat = assign[:hole] + (0,) + assign[hole:]
-            yield flat[0::2], flat[1::2]
+    slots = 2 * n
+    full = (1 << n) - 1
+    masks = [1 << t for t in range(n)]
+    for hole in range(slots):
+        free = [i for i in range(slots) if i != hole]
+        for firsts in combinations(free, n - 1):
+            if any(f >= 2 * j for j, f in enumerate(firsts, 1)):
+                continue
+            choices = [None] * slots
+            choices[hole] = (0,)
+            met = 1
+            for i in free:
+                if met < n and i == firsts[met - 1]:
+                    choices[i] = (masks[met],)
+                    met += 1
+                else:
+                    choices[i] = masks[:met]
+            for flat in product(*choices):
+                union = tuple(map(or_, flat[0::2], flat[1::2]))
+                back = 1  # the states known to reach state 0
+                while back != full:
+                    more = back
+                    for q in range(1, n):
+                        if union[q] & more:
+                            more |= masks[q]
+                    if more == back:
+                        break
+                    back = more
+                if back == full:
+                    yield flat
 
 
-def _extremal_candidates_random(n, seed, trials):
+def _least_relabeling(n, tables):
+    """The least relabeling of the flat tables, in the order of the
+    labelled enumeration: undefined slot first, then the targets slot by
+    slot."""
+    best = None
+    for flat in tables:
+        for label in permutations(range(n)):
+            new = [0] * (2 * n)
+            for i, m in enumerate(flat):
+                if m:
+                    t = label[m.bit_length() - 1]
+                    new[2 * label[i >> 1] + (i & 1)] = 1 << t
+            key = (new.index(0), new)
+            if best is None or key < best:
+                best = key
+    return best[1]
+
+
+def _extremal_exhaustive(n):
+    """(best_rt, best flat table, candidates) over every labelled one-hole
+    binary table on n states; the search visits the canonical ones only."""
+    best_rt = -1
+    best = []
+    count = 0
+    for flat in _canonical_tables(n):
+        count += 1
+        rt = _rt_bitmask(flat[0::2], flat[1::2], n)
+        if rt is None or rt < best_rt:
+            continue
+        if rt > best_rt:
+            best_rt = rt
+            best = []
+        best.append(flat)
+    winner = _least_relabeling(n, best) if best else None
+    return best_rt, winner, factorial(n - 1) * count
+
+
+def _extremal_random(n, seed, trials):
+    """(best_rt, first best flat table, candidates) over trials random
+    one-hole binary tables drawn from Lcg64(seed)."""
     from .generators import Lcg64
     rng = Lcg64(seed)
+    full = (1 << n) - 1
+    best_rt = -1
+    best = None
+    count = 0
     for _ in range(trials):
         hole = 2 * rng.below(n) + rng.below(2)
         flat = [1 << rng.below(n) for _ in range(2 * n)]
         flat[hole] = 0
-        yield flat[0::2], flat[1::2]
+        rows_a, rows_b = flat[0::2], flat[1::2]
+        # most union graphs leave some state without an in-edge, which
+        # rules out strong connectivity at once
+        union = tuple(map(or_, rows_a, rows_b))
+        if (reduce(or_, union) != full
+                or not strongly_connected_masks(union, n)):
+            continue
+        count += 1
+        rt = _rt_bitmask(rows_a, rows_b, n)
+        if rt is not None and rt > best_rt:
+            best_rt = rt
+            best = flat
+    return best_rt, best, count
 
 
 def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     """Search binary properly incomplete strongly connected automata with a
     single deficient state for the largest reset threshold.
 
-    Exhaustive up to n <= 5 (guardrail: 10 * 5**9 tables take about 20 s
-    and 46 MB, while n = 6 has 12 * 6**11, about 4.4e9, and would take
-    hours);
-    the randomized profile is deterministic given (seed, trials) and
-    limited to MAX_ORACLE_STATES states, since each candidate's reset
-    threshold is a BFS over the same subset lattice as the oracle's.
+    The exhaustive profile covers every labelled table with one undefined
+    slot, but visits only the BFS-canonical ones (_canonical_tables; see
+    Almeida, Moreira & Reis, TCS 2007, and Kisielewicz & Szykula, CIAA
+    2013) and runs one reset-threshold BFS per canonical strongly connected
+    table.  Its results are those of the labelled enumeration:
+
+    - candidates, the labelled strongly connected tables, is (n-1)! times
+      the canonical count.  Each labelled table paired with one of its n
+      start states has exactly one canonical form, its BFS relabeling.
+      Each canonical form comes from exactly n! such pairs: relabelings by
+      two permutations that give the same table and start differ by an
+      automorphism fixing the start, and an automorphism of an automaton
+      whose every state is reachable from the start fixes each state along
+      the path that reaches it, so it is the identity.  Hence n times the
+      labelled count is n! times the canonical count.
+    - best_dfa is the first table the labelled enumeration would meet with
+      the best reset threshold (undefined slot first, then the targets in
+      slot order): the least relabeling of the canonical tables that reach
+      best_rt, since relabeling keeps the reset threshold.
+
+    Exhaustive up to n <= 5 (guardrail: n = 5 takes about 0.6 s and 16 MB,
+    while n = 6 has 5,116,092 canonical strongly connected tables and takes
+    about 30 s); the randomized profile draws every table from Lcg64(seed),
+    is deterministic given (seed, trials) and limited to MAX_ORACLE_STATES
+    states, since each candidate's reset threshold is a BFS over the same
+    subset lattice as the oracle's.
     """
     if n < 2:
         raise InputError("need at least two states")
@@ -386,36 +494,12 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
             f"exhaustive profile limited to n <= 5, got {n} (use the "
             f"randomized profile)")
     target = (n * n - n) // 2
-    gen = (_extremal_candidates_exhaustive(n) if exhaustive
-           else _extremal_candidates_random(n, seed, trials))
-    full = (1 << n) - 1
-    # most union graphs leave some state without an in-edge, which rules out
-    # strong connectivity at once; the exhaustive tables share the others,
-    # so each is checked once (271,170 at n = 5), while random draws rarely
-    # repeat one and keep no memo that would grow with the trials
-    strong = {}
-    best_rt = -1
-    best_rows = None
-    count = 0
-    for rows_a, rows_b in gen:
-        union = tuple(map(or_, rows_a, rows_b))
-        if reduce(or_, union) != full:
-            continue
-        connected = strong.get(union)
-        if connected is None:
-            connected = strongly_connected_masks(union, n)
-            if exhaustive:
-                strong[union] = connected
-        if not connected:
-            continue
-        count += 1
-        rt = _rt_bitmask(rows_a, rows_b, n)
-        if rt is not None and rt > best_rt:
-            best_rt = rt
-            best_rows = (rows_a, rows_b)
+    best_rt, flat, count = (_extremal_exhaustive(n) if exhaustive
+                            else _extremal_random(n, seed, trials))
     best = None
-    if best_rows is not None:
+    if flat is not None:
         best = PartialDfa(n, ("a", "b"), tuple(
-            tuple(UNDEF if m == 0 else m.bit_length() - 1 for m in row)
-            for row in zip(*best_rows)))
+            tuple(UNDEF if m == 0 else m.bit_length() - 1
+                  for m in flat[q:q + 2])
+            for q in range(0, 2 * n, 2)))
     return ExtremalResult(n, target, best_rt, best, best_rt >= target, count)

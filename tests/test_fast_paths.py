@@ -16,8 +16,9 @@ against the loops they replace; the subset-BFS kernel (translate tables
 over blocks of a level, a visited byte map, level arrays with index
 parents) and its counters against a set-based BFS, also in blocks of one
 and three masks; is_strongly_connected (adjacency lists) against the bit
-mask check; and extremal search (bit mask rows) against an enumeration of
-transition tables.
+mask check; and extremal search (bit mask rows over BFS-canonical tables)
+against an enumeration of transition tables, and its canonical tables
+against the BFS relabelings of the strongly connected ones.
 """
 import os
 import pathlib
@@ -860,6 +861,33 @@ def assert_extremal_matches(res, n, tables):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_extremal_exhaustive_matches_table_enumeration(n):
     assert_extremal_matches(extremal_search(n), n, ref_exhaustive_tables(n))
+
+
+def ref_bfs_relabel(table, start):
+    """table renumbered in the order a breadth-first search from start meets
+    its states, reading each state's letters in order, as flat target bit
+    masks (0 at an undefined slot)."""
+    label = {start: 0}
+    order = [start]
+    for q in order:
+        for t in table[q]:
+            if t is not UNDEF and t not in label:
+                label[t] = len(order)
+                order.append(t)
+    return tuple(0 if t is UNDEF else 1 << label[t]
+                 for q in order for t in table[q])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_tables_are_the_bfs_relabelings(n):
+    got = list(oracle._canonical_tables(n))
+    assert len(got) == len(set(got))
+    strong = [table for table in ref_exhaustive_tables(n)
+              if strongly_connected_masks(
+                  [sum(1 << t for t in set(row) - {UNDEF}) for row in table],
+                  n)]
+    assert set(got) == {ref_bfs_relabel(table, start)
+                        for table in strong for start in range(n)}
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (4, 9), (5, 21), (6, 4)])

@@ -14,6 +14,13 @@ def test_lcg64_golden_values():
     assert 0.0 <= Lcg64(7).unit() < 1.0
 
 
+def test_lcg64_below_takes_the_top_bits_of_the_next_state():
+    rng, ref = Lcg64(9), Lcg64(9)
+    for bound in [1, 2, 5, 6, 24, 1 << 31, (1 << 32) - 1] * 40:
+        assert rng.below(bound) == ((ref.next_u64() >> 32) * bound) >> 32
+    assert rng.state == ref.state
+
+
 def test_cerny_structure():
     for n in (1, 2, 4, 8):
         cn = gen_cerny(n)

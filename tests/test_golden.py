@@ -248,6 +248,7 @@ def test_golden_oracle_thresholds(name):
     ((4,), 6, 26304, ((UNDEF, 1), (2, 2), (3, 0), (1, 3))),
     ((5, False, 5, 3000), 9, 498,
      ((1, 4), (2, 3), (3, UNDEF), (0, 1), (4, 0))),
+    ((5,), 9, 3250320, ((UNDEF, 1), (2, 2), (3, 0), (1, 4), (4, 3))),
 ])
 def test_golden_extremal(args, best_rt, candidates, trans):
     res = extremal_search(*args)

@@ -242,19 +242,19 @@ def test_extremal_n3():
     assert res.candidates == 372
 
 
-def test_extremal_checks_each_union_graph_once(monkeypatch):
-    # 131,072 tables at n=4: those with a state of no in-edge are skipped,
-    # and each of the 4,320 other union graphs is checked once
+def test_extremal_runs_one_bfs_per_canonical_table(monkeypatch):
+    # the 26,304 labelled strongly connected tables at n=4 are 3! relabelings
+    # each of 4,384 canonical ones, and each of those gets one BFS
     calls = []
-    real = oracle.strongly_connected_masks
+    real = oracle._rt_bitmask
 
-    def counted(succ, n):
-        calls.append(succ)
-        return real(succ, n)
-    monkeypatch.setattr(oracle, "strongly_connected_masks", counted)
+    def counted(rows_a, rows_b, n):
+        calls.append((rows_a, rows_b))
+        return real(rows_a, rows_b, n)
+    monkeypatch.setattr(oracle, "_rt_bitmask", counted)
     res = extremal_search(4)
-    assert len(calls) == len(set(calls)) == 4320
-    assert (res.best_rt, res.candidates) == (6, 26304)
+    assert len(calls) == len(set(calls)) == 4384
+    assert (res.best_rt, res.candidates) == (6, 3 * 2 * 4384)
 
 
 def test_extremal_exhaustive_guardrail():
