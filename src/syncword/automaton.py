@@ -10,6 +10,8 @@ image fills on use, never changes a result, and concurrent fills store equal
 values, so automata can be shared freely across threads.  A PairTable lists
 its pairs on demand: its reads grow its arrays in place, without a lock, so
 share one across threads only once it is complete (after all_compressible).
+The same holds for the separation table of an equivalence.Partition: share
+a partition only after part.table.all_compressible().
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ def check_cells(n: int, k: int) -> None:
 
 
 #: the most index entries (elements squared) of a pair table that
-#: PairTable.build accepts; at the cap, `sync check` and `classes` take 7-12 s
-#: at 180 MB max RSS (README)
+#: PairTable.build accepts; at the cap, `sync check` takes about 4 s at 180 MB
+#: max RSS and `classes` 1.7 s at 84 MB (README)
 MAX_PAIR_INDEX = 1 << 24
 
 

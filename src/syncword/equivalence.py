@@ -1,14 +1,17 @@
 """Inseparability equivalence and the words that exploit it.
 
 Two states are inseparable when no word kills exactly one of them (the
-definedness of every word action agrees).  The classes are computed by
-partition refinement treating UNDEF as a sink that is the only accepting
-state; separation witnesses are a PairTable over class ids, one first letter
-and level per class pair, and a witness is walked letter by letter.
+definedness of every word action agrees).  Hopcroft's partition refinement
+computes the classes, with UNDEF a sink that is the only accepting state,
+and Moore's refinement proves them.  Separation witnesses are a PairTable
+over class ids, one first letter and level per class pair, listed on demand
+(share a Partition across threads only after part.table.all_compressible()),
+and a witness is walked letter by letter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .automaton import UNDEF, PairTable, PartialDfa, Word
 from .errors import InputError, SyncwordError
@@ -79,51 +82,47 @@ def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
     return [set(b) for b in blocks if sink not in b]
 
 
-def _quotient_table(dfa: PartialDfa, class_of, classes):
-    """Class-level transition table; checks well-definedness.
-
-    A failure here means the partition is wrong, i.e. an implementation bug.
-    """
-    k = len(dfa.alphabet)
-    table = []
-    for cls in classes:
-        row = []
-        for a in range(k):
-            targets = {dfa.trans[q][a] for q in cls}
-            defined = {t for t in targets if t is not UNDEF}
-            if defined and len(defined) != len(targets):
-                raise SyncwordError(
-                    f"class {sorted(cls)} splits on definedness of letter {a}")
-            if not defined:
-                row.append(UNDEF)
-            else:
-                tclasses = {class_of[t] for t in defined}
-                if len(tclasses) != 1:
-                    raise SyncwordError(
-                        f"class {sorted(cls)} maps into several classes on letter {a}")
-                row.append(tclasses.pop())
-        table.append(tuple(row))
-    return tuple(table)
+def _moore(rows, block):
+    """Moore's refinement of rows (a state or UNDEF per letter), UNDEF the
+    one accepting sink, from block ids block[q]: the stable ids, numbered by
+    least state, and each block's row of blocks (UNDEF where it dies).  A
+    round names blocks by least state and signs each state with its block
+    and its successors' blocks (-1 for UNDEF), a letter column at a time."""
+    columns = [[-1 if t is UNDEF else t for t in col] for col in zip(*rows)]
+    ids, blocks = block, None
+    while True:
+        dead, least = [*ids, -1], {}  # UNDEF, coded -1, reads the last -1
+        ids = list(map(least.setdefault, zip(
+            ids, *[map(dead.__getitem__, col) for col in columns]), count()))
+        if len(least) == blocks:  # no block split, and not in the first round
+            break
+        blocks = len(least)
+    dense = dict(zip(least.values(), count()))
+    return list(map(dense.__getitem__, ids)), tuple(
+        tuple(UNDEF if b < 0 else dense[b] for b in sig[1:]) for sig in least)
 
 
 def inseparability_partition(dfa: PartialDfa) -> Partition:
-    """Inseparability classes, with a shortest separation witness per class
-    pair from a pair BFS over the quotient seeded by the pairs on which one
-    letter is defined for exactly one of the two classes.
-    """
-    blocks = _hopcroft_classes(dfa)
-    blocks.sort(key=min)
-    classes = tuple(frozenset(b) for b in blocks)
+    """Inseparability classes and their separation table.  Two Moore
+    refinements prove Hopcroft's classes: from the classes none splits, so
+    the rows are the quotient, and on the quotient from one block the blocks
+    end as singletons, so distinct classes are separable."""
+    classes = tuple(sorted(map(frozenset, _hopcroft_classes(dfa)), key=min))
     class_of = [0] * dfa.n
     for cid, cls in enumerate(classes):
         for q in cls:
             class_of[q] = cid
+    ids, trans = _moore(dfa.trans, class_of)
+    for cls in classes:
+        if len({ids[q] for q in cls}) > 1:
+            raise SyncwordError(f"class {sorted(cls)} splits on its letters")
+    for c, b in enumerate(_moore(trans, [0] * len(trans))[0]):
+        if b != c:  # blocks are numbered by least class, so b < c
+            raise SyncwordError(f"classes {sorted(classes[b])} and "
+                                f"{sorted(classes[c])} are not separable")
     class_of = tuple(class_of)
-    table = PairTable.build(dfa, _quotient_table(dfa, class_of, classes),
-                            class_of, merge=False)
-    if not table.all_compressible():
-        raise SyncwordError("distinct classes must all be separable")
-    return Partition(class_of, classes, table)
+    return Partition(class_of, classes,
+                     PairTable.build(dfa, trans, class_of, merge=False))
 
 
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:

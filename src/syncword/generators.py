@@ -91,14 +91,28 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
 
 def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
                            seed: int) -> PrefixCode:
-    """A prefix-free sample of the given size, deterministic per seed."""
-    from .codes import validate_code
+    """A prefix-free sample of the given size, deterministic per seed.
+
+    Refuses, before drawing, what no code command could take (count or
+    maxlen above MAX_CODE_LETTERS, letters past z) and what no prefix code
+    meets: by Kraft's inequality, more than alpha ** maxlen words."""
+    from .codes import MAX_CODE_LETTERS, validate_code
     if count < 1 or maxlen < 1:
         raise InputError("need count >= 1 and maxlen >= 1")
-    if alpha < 1:
-        raise InputError("need alpha >= 1")
+    if not 1 <= alpha <= 26:
+        raise InputError("need 1 <= alpha <= 26: code files spell each "
+                         "letter as one character, a to z")
+    if max(count, maxlen) > MAX_CODE_LETTERS:
+        raise InputError(f"count and maxlen must be at most "
+                         f"{MAX_CODE_LETTERS}, the codeword letters a code "
+                         f"may hold")
     if alpha == 1 and count > 1:
         raise InputError("a unary alphabet admits only one-word prefix codes")
+    # alpha >= 2 here, so alpha ** maxlen > count once maxlen reaches the
+    # bit length of count, and the power is taken only below it
+    if maxlen < count.bit_length() and count > alpha ** maxlen:
+        raise InputError(f"no prefix code has {count} words of at most "
+                         f"{maxlen} letters over {alpha}")
     letters = [_letter_name(i) for i in range(alpha)]
     rng = Lcg64(seed)
     chosen: list[str] = []

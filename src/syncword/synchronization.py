@@ -161,6 +161,8 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
     greedy: shortest prefix of the greedy minimum-rank word that reaches the
     target.  oracle: exact witness by subset BFS (small n only).
     """
+    if method not in ("greedy", "oracle"):
+        raise InputError(f"unknown method {method!r}")
     if not is_strongly_connected(dfa):
         raise NotStronglyConnected("needs strong connectivity")
     if not 1 <= r <= dfa.n:
@@ -182,12 +184,10 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
             S = img
         raise InputError(
             f"minimal non-zero rank is {len(S)}, above target {r}")
-    if method == "oracle":
-        from .oracle import subset_bfs
-        report = subset_bfs(dfa)
-        options = [(report.length(s), s) for s in range(1, r + 1) if report.reachable(s)]
-        if not options:
-            raise InputError(f"no word of non-zero rank <= {r} exists")
-        _, s = min(options)
-        return report.witness(s)
-    raise InputError(f"unknown method {method!r}")
+    from .oracle import subset_bfs
+    report = subset_bfs(dfa)
+    options = [(report.length(s), s) for s in range(1, r + 1) if report.reachable(s)]
+    if not options:
+        raise InputError(f"no word of non-zero rank <= {r} exists")
+    _, s = min(options)
+    return report.witness(s)

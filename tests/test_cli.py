@@ -493,6 +493,23 @@ def test_gen_size_limit(capsys, args):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--count", "1000000", "--maxlen", "2"],
+     "count and maxlen must be at most 8192"),
+    (["--count", "2", "--maxlen", "1000000000"],
+     "count and maxlen must be at most 8192"),
+    (["--count", "5000", "--maxlen", "12"],
+     "no prefix code has 5000 words of at most 12 letters over 2"),
+    (["--count", "2", "--maxlen", "2", "--alpha", "30"],
+     "need 1 <= alpha <= 26"),
+], ids=["count", "maxlen", "kraft", "alpha"])
+def test_gen_random_code_refuses_before_drawing(args, message):
+    proc = run_python("-m", "syncword.cli", "gen", "random-code", *args,
+                      "--seed", "1", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+
+
 def test_parse_size_limit(capsys, tmp_path):
     path = tmp_path / "huge.dfa"
     path.write_text("dfa v1\nstates 1000000000\nalphabet a b\n")

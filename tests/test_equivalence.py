@@ -4,10 +4,14 @@ from itertools import product
 import pytest
 
 from syncword import (EPSILON, UNDEF, InputError, class_reducing_word,
-                      collapse_to_single_class_word, gen_random_partial,
-                      gen_random_prefix_code, inseparability_partition,
-                      is_strongly_connected, literal_automaton,
-                      parse_dfa, quotient, separating_word, validate_code)
+                      collapse_to_single_class_word, format_dfa, gen_cerny,
+                      gen_random_partial, gen_random_prefix_code,
+                      inseparability_partition, is_strongly_connected,
+                      literal_automaton, parse_dfa, quotient,
+                      separating_word, validate_code)
+
+from conftest import FIXTURES
+from test_cli import run_optimized
 
 
 def brute_classes(dfa, maxlen):
@@ -260,3 +264,44 @@ def test_partition_memory_per_class_pair():
     kappa_ = len(part.classes)
     assert kappa_ == 118
     assert retained < 64 * (kappa_ * (kappa_ - 1) // 2)
+
+
+# Mutants of the class computation, run under python -O so that a check
+# written as an assert would let them through.  Merging two separable
+# classes of fig1 gives a class that splits; the singletons of a complete
+# automaton form a congruence, so only the refinement of the quotient can
+# refuse them.
+MUTANT_SCRIPT = """
+import sys
+from syncword import SyncwordError, cli, equivalence, parse_dfa
+real = equivalence._hopcroft_classes
+
+def merged(dfa):
+    first, second, *rest = sorted(real(dfa), key=min)
+    return [first | second, *rest]
+
+def singletons(dfa):
+    return [{q} for q in range(dfa.n)]
+
+assert False, "assert statements must be off"
+equivalence._hopcroft_classes = globals()[sys.argv[1]]
+try:
+    equivalence.inseparability_partition(parse_dfa(open(sys.argv[2]).read()))
+except SyncwordError as exc:
+    print(type(exc).__name__, exc)
+sys.exit(cli.run(["classes", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("mutant, text, message", [
+    ("merged", (FIXTURES / "fig1left.dfa").read_text(),
+     "class [0, 1, 3, 4] splits on its letters"),
+    ("singletons", format_dfa(gen_cerny(5)),
+     "classes [0] and [1] are not separable"),
+], ids=["too-coarse", "too-fine"])
+def test_wrong_classes_are_refused(tmp_path, mutant, text, message):
+    path = tmp_path / "input.dfa"
+    path.write_text(text)
+    proc = run_optimized(MUTANT_SCRIPT, mutant, str(path))
+    assert (proc.returncode, proc.stdout) == (3, f"SyncwordError {message}\n")
+    assert proc.stderr == f"internal error: {message}\n"

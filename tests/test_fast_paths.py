@@ -778,6 +778,8 @@ def test_class_pick_matches_pair_scan_random(n, k, density, data):
 def test_class_pick_matches_pair_scan_literal():
     lit = literal_automaton(gen_random_prefix_code(12, 6, 3, 6)).dfa
     part = inseparability_partition(lit)
+    # the levels below are read off the complete table
+    assert part.table.all_compressible()
     level_end = {}
     for pos, lvl in enumerate(part.table.dist):
         level_end[lvl] = pos + 1

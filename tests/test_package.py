@@ -72,8 +72,8 @@ def test_submodules_import_from_the_package(fresh):
 def test_package_has_no_assert_statements():
     """Checks that carry correctness raise, so they hold under python -O."""
     src = pathlib.Path(importlib.util.find_spec("syncword").origin).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []

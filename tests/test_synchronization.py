@@ -313,7 +313,8 @@ def built_tables(monkeypatch):
 
 def test_collecting_route_lists_one_level(monkeypatch):
     # greedy on the collecting automaton finds a distance-1 pair in every
-    # image, so its table lists the seeds and nothing more: 62 of 231 pairs
+    # image, so its table lists the seeds and nothing more: 62 of 231 pairs;
+    # the separation table lists its seeds only, 146 of 171 class pairs
     dfa = literal_automaton(gen_random_prefix_code(12, 6, 3, 1)).dfa
     tables = built_tables(monkeypatch)
     assert dfa.rank(reset_word_via_collecting(dfa)) == 1
@@ -322,7 +323,8 @@ def test_collecting_route_lists_one_level(monkeypatch):
     assert (coll.n, len(coll.dist), set(coll.dist)) == (22, len(seeds), {1})
     assert len(seeds) == 62 and coll._bfs is not None
     (_, separation), = [(m, t) for m, t in tables if not m]
-    assert separation._bfs is None
+    assert (separation.n, len(separation.dist)) == (19, 146)
+    assert separation._bfs is not None
 
 
 # greedy on the cycle family reads nearly every level of its table, which
@@ -369,6 +371,13 @@ def test_rank_target_unreachable_rank():
         rank_target_word(lit.dfa, 1)
     with pytest.raises(InputError):
         rank_target_word(lit.dfa, 1, method="oracle")
+
+
+@pytest.mark.parametrize("r", [1, 4])
+def test_rank_target_unknown_method(r):
+    # r == n is answered by the empty word, yet the method is still checked
+    with pytest.raises(InputError, match="unknown method 'bogus'"):
+        rank_target_word(gen_cerny(4), r, method="bogus")
 
 
 def test_rank_target_range_check(fig1):
