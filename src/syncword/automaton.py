@@ -45,7 +45,7 @@ def check_cells(n: int, k: int) -> None:
 
 #: the most index entries (elements squared) of a pair table that
 #: PairTable.build accepts; at the cap, `sync check` takes about 4 s at 180 MB
-#: max RSS and `classes` 1.7 s at 84 MB (README)
+#: max RSS and `classes` 1.4 s at 83 MB (README)
 MAX_PAIR_INDEX = 1 << 24
 
 

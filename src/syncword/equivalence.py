@@ -48,46 +48,40 @@ def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
             t = dfa.trans[q][a]
             inv[a][sink if t is UNDEF else t].append(q)
 
-    live = frozenset(range(n))
-    blocks = {live, frozenset([sink])}
-    block_of = {q: live for q in range(n)}
-    block_of[sink] = frozenset([sink])
-    worklist = {frozenset([sink])}  # smaller of the two seed blocks
-
+    blocks = [set(range(n)), {sink}]
+    block_of = [0] * n + [1]
+    worklist = {1}  # smaller of the two seed blocks
     while worklist:
-        splitter = worklist.pop()
+        splitter = list(blocks[worklist.pop()])
         for a in range(k):
-            touched: dict[frozenset, set] = {}
+            touched: dict[int, list[int]] = {}
             for t in splitter:
                 for q in inv[a][t]:
-                    touched.setdefault(block_of[q], set()).add(q)
-            for block, overlap in touched.items():
-                if len(overlap) == len(block):
+                    touched.setdefault(block_of[q], []).append(q)
+            for b, moved in touched.items():
+                block = blocks[b]
+                if len(moved) == len(block):
                     continue
-                part1 = frozenset(overlap)
-                part2 = block - part1
-                blocks.remove(block)
-                blocks.update((part1, part2))
-                for q in part1:
-                    block_of[q] = part1
-                for q in part2:
-                    block_of[q] = part2
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.update((part1, part2))
-                else:
-                    # only the smaller half -- keeps it O(|Sigma| n log n)
-                    worklist.add(part1 if len(part1) <= len(part2) else part2)
-
-    return [set(b) for b in blocks if sink not in b]
+                # the touched states move to a new block, in time linear in
+                # their number, and the block keeps the rest
+                block.difference_update(moved)
+                for q in moved:
+                    block_of[q] = len(blocks)
+                # both halves when the block was waiting, else only the
+                # smaller one -- keeps it O(|Sigma| n log n)
+                worklist.add(len(blocks) if b in worklist or
+                             len(moved) <= len(block) else b)
+                blocks.append(set(moved))
+    del blocks[1]  # the sink's
+    return blocks
 
 
 def _moore(rows, block):
     """Moore's refinement of rows (a state or UNDEF per letter), UNDEF the
     one accepting sink, from block ids block[q]: the stable ids, numbered by
-    least state, and each block's row of blocks (UNDEF where it dies).  A
-    round names blocks by least state and signs each state with its block
-    and its successors' blocks (-1 for UNDEF), a letter column at a time."""
+    least state, and each block's row of blocks (UNDEF where it dies).  Each
+    round signs a state with its block and its successors' blocks, a letter
+    column at a time, and names the blocks by least state."""
     columns = [[-1 if t is UNDEF else t for t in col] for col in zip(*rows)]
     ids, blocks = block, None
     while True:
@@ -108,21 +102,20 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
     the rows are the quotient, and on the quotient from one block the blocks
     end as singletons, so distinct classes are separable."""
     classes = tuple(sorted(map(frozenset, _hopcroft_classes(dfa)), key=min))
-    class_of = [0] * dfa.n
-    for cid, cls in enumerate(classes):
-        for q in cls:
-            class_of[q] = cid
+    cid = {q: c for c, cls in enumerate(classes) for q in cls}
+    class_of = tuple(map(cid.__getitem__, range(dfa.n)))
     ids, trans = _moore(dfa.trans, class_of)
     for cls in classes:
         if len({ids[q] for q in cls}) > 1:
             raise SyncwordError(f"class {sorted(cls)} splits on its letters")
+    # built first, as it refuses a quotient above MAX_PAIR_INDEX: the
+    # rounds of the refinement below can number as many as the classes
+    table = PairTable.build(dfa, trans, class_of, merge=False)
     for c, b in enumerate(_moore(trans, [0] * len(trans))[0]):
         if b != c:  # blocks are numbered by least class, so b < c
             raise SyncwordError(f"classes {sorted(classes[b])} and "
                                 f"{sorted(classes[c])} are not separable")
-    class_of = tuple(class_of)
-    return Partition(class_of, classes,
-                     PairTable.build(dfa, trans, class_of, merge=False))
+    return Partition(class_of, classes, table)
 
 
 def separating_word(dfa: PartialDfa, part: Partition, p: int, q: int) -> Word:

@@ -5,6 +5,8 @@ generator, so golden files stay portable across implementations.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .automaton import UNDEF, PartialDfa, check_cells, is_strongly_connected
 from .errors import InputError
 
@@ -95,7 +97,9 @@ def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
 
     Refuses, before drawing, what no code command could take (count or
     maxlen above MAX_CODE_LETTERS, letters past z) and what no prefix code
-    meets: by Kraft's inequality, more than alpha ** maxlen words."""
+    meets: by Kraft's inequality, more than alpha ** maxlen words.  Gives
+    up after CODE_RETRIES draws per word or CODE_RETRIES letters drawn per
+    codeword letter a code command accepts, whichever comes first."""
     from .codes import MAX_CODE_LETTERS, validate_code
     if count < 1 or maxlen < 1:
         raise InputError("need count >= 1 and maxlen >= 1")
@@ -116,25 +120,37 @@ def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
     letters = [_letter_name(i) for i in range(alpha)]
     rng = Lcg64(seed)
     chosen: list[str] = []
-    attempts = 0
+    # chosen, sorted: as chosen is prefix-free, a chosen prefix of a draw
+    # sits just before the draw's place in it, a chosen extension just after
+    ordered: list[str] = []
+    attempts = drawn = 0
     stalled = 0
     while len(chosen) < count:
         attempts += 1
-        if attempts > CODE_RETRIES * count:
+        # draws per codeword, and letters per letter a code command takes,
+        # which bounds a feasible but tight request such as 8192 words of at
+        # most 14 letters over 2
+        if attempts > CODE_RETRIES * count or \
+                drawn > CODE_RETRIES * MAX_CODE_LETTERS:
             raise InputError("could not sample a prefix-free set; "
                              "raise maxlen or lower count")
         length = 1 + rng.below(maxlen)
+        drawn += length
         w = "".join(letters[rng.below(alpha)] for _ in range(length))
-        if any(w.startswith(c) or c.startswith(w) for c in chosen):
+        i = bisect_left(ordered, w)
+        if i < len(ordered) and ordered[i].startswith(w) or \
+                i and w.startswith(ordered[i - 1]):
             # early picks can block every completion (e.g. a short word
             # eating a whole subtree); restart rather than backtrack
             stalled += 1
             if stalled > 20 + 2 * count:
                 chosen.clear()
+                ordered.clear()
                 stalled = 0
             continue
         stalled = 0
         chosen.append(w)
+        ordered.insert(i, w)
     return validate_code(chosen)
 
 

@@ -9,7 +9,7 @@ import syncword
 from syncword import (cli, constructions, format_dfa, gen_cerny,
                       gen_oneword_code, gen_random_partial, literal_automaton,
                       oracle, parse_code, parse_dfa, validate_code)
-from syncword.automaton import PairTable
+from syncword.automaton import UNDEF, PairTable, PartialDfa
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -510,6 +510,16 @@ def test_gen_random_code_refuses_before_drawing(args, message):
     assert message in proc.stderr
 
 
+def test_gen_random_code_tight_request_gives_up():
+    # 8,192 words of at most 14 letters meet Kraft's inequality, but a draw
+    # almost never fits; the sampler stops after 1000 letters drawn per
+    # letter a code command accepts, not 1000 draws per word
+    proc = run_python("-m", "syncword.cli", "gen", "random-code", "--count",
+                      "8192", "--maxlen", "14", "--seed", "1", timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "could not sample a prefix-free set" in proc.stderr
+
+
 def test_parse_size_limit(capsys, tmp_path):
     path = tmp_path / "huge.dfa"
     path.write_text("dfa v1\nstates 1000000000\nalphabet a b\n")
@@ -540,6 +550,23 @@ def test_strong_connectivity_memory(tmp_path):
                       timeout=30, address_space=1 << 30)
     assert proc.returncode == 2, proc.stderr
     assert "pair table over 100000 elements" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["classes"], ["build", "collecting"],
+    ["sync", "word", "--method", "collecting"],
+], ids=["classes", "build", "sync-word"])
+def test_partition_size_limit(tmp_path, command):
+    # a cycle with a second letter defined on state 0 only has 20,000
+    # classes; the partition must refuse their pair table before proving
+    # them separable, whose refinement rounds number as many as the classes
+    path = tmp_path / "cycle.dfa"
+    path.write_text(format_dfa(PartialDfa(20000, ("a", "b"), tuple(
+        ((q + 1) % 20000, 0 if q == 0 else UNDEF) for q in range(20000)))))
+    proc = run_python("-m", "syncword.cli", *command, str(path), timeout=30,
+                      address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert "pair table over 20000 elements" in proc.stderr
 
 
 def test_literal_table_size_limit(tmp_path):
