@@ -227,40 +227,6 @@ def fully_undefined_letters(dfa: PartialDfa) -> list[int]:
             if all(t is UNDEF for t in col)]
 
 
-def _reach_mask(adj) -> int:
-    """Bit mask of the states reachable from state 0; adj[q] is the bit
-    mask of the neighbours of q."""
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        mm = frontier
-        while mm:
-            low = mm & -mm
-            nxt |= adj[low.bit_length() - 1]
-            mm ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen
-
-
-def strongly_connected_masks(succ, n) -> bool:
-    """Strong connectivity of the digraph whose state q has the successor
-    bit mask succ[q]: everything is reachable from state 0, forwards and
-    backwards.  Each mask takes n bits, so this is for small n only (the
-    extremal search's tables); is_strongly_connected takes any automaton."""
-    full = (1 << n) - 1
-    if _reach_mask(succ) != full:
-        return False
-    pred = [0] * n
-    for q in range(n):
-        mm = succ[q]
-        while mm:
-            low = mm & -mm
-            pred[low.bit_length() - 1] |= 1 << q
-            mm ^= low
-    return _reach_mask(pred) == full
-
-
 def _reaches_all(adj, n) -> bool:
     """Whether every state is reachable from state 0; adj[q] lists the
     neighbours of q, UNDEF entries skipped."""
@@ -280,7 +246,9 @@ def _reaches_all(adj, n) -> bool:
 def is_strongly_connected(dfa: PartialDfa) -> bool:
     """Strong connectivity of the digraph of defined transitions: every
     state is reachable from state 0 along the transitions and against them.
-    Memory is O(n k), one list of predecessors per state."""
+    Memory is O(n k), one list of predecessors per state, for any n.  Only
+    the extremal search, on tables of at most 24 states, checks with bit
+    masks instead (oracle._reaches_zero)."""
     if not _reaches_all(dfa.trans, dfa.n):
         return False
     pred = [[] for _ in range(dfa.n)]

@@ -118,9 +118,9 @@ def _cmd_sync_check(args):
 
 
 def _word_output(args, dfa, word, r):
-    _emit(args.format,
-          [dfa.format_word(word), f"rank={r} len={len(word)}"],
-          [("word", dfa.format_word(word)), ("rank", r), ("len", len(word))])
+    text = dfa.format_word(word)
+    _emit(args.format, [text, f"rank={r} len={len(word)}"],
+          [("word", text), ("rank", r), ("len", len(word))])
 
 
 def _cmd_sync_word(args):
@@ -254,8 +254,9 @@ def _cmd_code(args):
         if k == 1:
             lit = codes.literal_automaton(code)
             w = codes.literal_reset_word(lit)
-            lines.append(f"reset_word={lit.dfa.format_word(w)} len={len(w)}")
-            pairs.extend([("reset_word", lit.dfa.format_word(w)), ("len", len(w))])
+            text = lit.dfa.format_word(w)
+            lines.append(f"reset_word={text} len={len(w)}")
+            pairs.extend([("reset_word", text), ("len", len(w))])
             _emit(args.format, lines, pairs)
             return 0
         lines.append("not synchronizing")
@@ -282,10 +283,10 @@ def _cmd_code(args):
         r = lit.dfa.rank(word)
         h = lit.height
         bound = codes.log_rank_bound(lit)
+        text = lit.dfa.format_word(word)
         _emit(args.format,
-              [lit.dfa.format_word(word),
-               f"rank={r} len={len(word)} bound={bound} height={h}"],
-              [("word", lit.dfa.format_word(word)), ("rank", r),
+              [text, f"rank={r} len={len(word)} bound={bound} height={h}"],
+              [("word", text), ("rank", r),
                ("len", len(word)), ("bound", bound), ("height", h)])
         return 0
     # reset

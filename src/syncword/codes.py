@@ -90,13 +90,18 @@ class LiteralAutomaton:
         return tuple(map(self.dfa.alphabet.index, s))
 
 
+def check_code_letters(code: PrefixCode) -> None:
+    """Refuse a code of more than MAX_CODE_LETTERS letters in total."""
+    if code.total_length > MAX_CODE_LETTERS:
+        raise InputError(f"a code of {code.total_length} letters is above the "
+                         f"limit of {MAX_CODE_LETTERS} codeword letters")
+
+
 def literal_automaton(code: PrefixCode) -> LiteralAutomaton:
     """Refuses, before building any prefix, a code of more than
     MAX_CODE_LETTERS letters in total, and before building the table, one
     whose prefixes times letters are above MAX_CELLS."""
-    if code.total_length > MAX_CODE_LETTERS:
-        raise InputError(f"a code of {code.total_length} letters is above the "
-                         f"limit of {MAX_CODE_LETTERS} codeword letters")
+    check_code_letters(code)
     codewords = set(code.words)
     prefixes = sorted({w[:i] for w in codewords for i in range(len(w))})
     alphabet = code.alphabet

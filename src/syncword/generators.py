@@ -11,6 +11,7 @@ from .automaton import UNDEF, PartialDfa, check_cells, is_strongly_connected
 from .errors import InputError
 
 PARTIAL_RETRIES = 5000  # tables gen_random_partial draws before giving up
+PARTIAL_CELLS = 1 << 22  # transition cells it draws before giving up
 CODE_RETRIES = 1000  # draws per codeword before gen_random_prefix_code gives up
 
 
@@ -67,7 +68,10 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
     regenerated until strongly connected.
 
     Strong connectivity is rare for sparse tables (below one percent at
-    n = 8, binary, density 0.6), hence the generous retry budget.
+    n = 8, binary, density 0.6), hence the generous retry budget: it gives
+    up after PARTIAL_RETRIES tables or PARTIAL_CELLS transition cells,
+    whichever comes first, so all the tables are drawn while n * alpha <=
+    838, and a table at the MAX_CELLS cap is drawn at most 4 times.
     """
     if not 0 < density <= 1:
         raise InputError("density must be in (0, 1]")
@@ -76,7 +80,8 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
     check_cells(n, alpha)
     letters = tuple(_letter_name(i) for i in range(alpha))
     rng = Lcg64(seed)
-    for _ in range(PARTIAL_RETRIES):
+    tries = min(PARTIAL_RETRIES, PARTIAL_CELLS // (n * alpha))
+    for _ in range(tries):
         table = tuple(
             tuple(rng.below(n) if rng.unit() < density else UNDEF
                   for _ in range(alpha))
@@ -85,7 +90,7 @@ def gen_random_partial(n: int, alpha: int, density: float, seed: int) -> Partial
         if is_strongly_connected(dfa):
             return dfa
     raise InputError(
-        f"no strongly connected automaton in {PARTIAL_RETRIES} tries; " + (
+        f"no strongly connected automaton in {tries} tries; " + (
             f"a one-letter automaton is strongly connected only as a single "
             f"{n}-cycle, at most (n-1)!/n^n of the draws" if alpha == 1
             else "raise the density"))
@@ -99,8 +104,10 @@ def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
     maxlen above MAX_CODE_LETTERS, letters past z) and what no prefix code
     meets: by Kraft's inequality, more than alpha ** maxlen words.  Gives
     up after CODE_RETRIES draws per word or CODE_RETRIES letters drawn per
-    codeword letter a code command accepts, whichever comes first."""
-    from .codes import MAX_CODE_LETTERS, validate_code
+    codeword letter a code command accepts, whichever comes first.  Refuses,
+    after drawing, a code of more than MAX_CODE_LETTERS letters in total,
+    which no code command takes either."""
+    from .codes import MAX_CODE_LETTERS, check_code_letters, validate_code
     if count < 1 or maxlen < 1:
         raise InputError("need count >= 1 and maxlen >= 1")
     if not 1 <= alpha <= 26:
@@ -151,7 +158,9 @@ def gen_random_prefix_code(count: int, maxlen: int, alpha: int,
         stalled = 0
         chosen.append(w)
         ordered.insert(i, w)
-    return validate_code(chosen)
+    code = validate_code(chosen)
+    check_code_letters(code)
+    return code
 
 
 def _letter_name(i: int) -> str:

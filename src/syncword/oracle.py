@@ -45,8 +45,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from operator import or_
 
-from .automaton import (UNDEF, PartialDfa, is_strongly_connected,
-                        strongly_connected_masks)
+from .automaton import UNDEF, PartialDfa, is_strongly_connected
 from .errors import InputError, NotStronglyConnected, SyncwordError
 
 # Read by perfbench/run.py, which records it in each run's environment.
@@ -340,6 +339,25 @@ def _rt_bitmask(rows_a, rows_b, n) -> int | None:
     return None
 
 
+def _reaches_zero(succ, n):
+    """Whether every state reaches state 0 along the successor bit masks
+    succ.  Sweeps the states from n - 1 down to 1, adding each state with a
+    successor known to reach 0, until a sweep adds none.  Downwards, a
+    strongly connected BFS-canonical table at n = 5 takes 1.7 sweeps on
+    average, against 2.3 upwards."""
+    full = (1 << n) - 1
+    back = 1
+    while back != full:
+        more = back
+        for q in range(n - 1, 0, -1):
+            if succ[q] & more:
+                more |= 1 << q
+        if more == back:
+            return False
+        back = more
+    return True
+
+
 def _canonical_tables(n):
     """The BFS-canonical strongly connected binary tables with exactly one
     undefined (state, letter) slot, lazily, as flat tuples of target bit
@@ -355,7 +373,6 @@ def _canonical_tables(n):
     other slots (any state met before the slot), which run in product order.
     """
     slots = 2 * n
-    full = (1 << n) - 1
     masks = [1 << t for t in range(n)]
     for hole in range(slots):
         free = [i for i in range(slots) if i != hole]
@@ -372,17 +389,7 @@ def _canonical_tables(n):
                 else:
                     choices[i] = masks[:met]
             for flat in product(*choices):
-                union = tuple(map(or_, flat[0::2], flat[1::2]))
-                back = 1  # the states known to reach state 0
-                while back != full:
-                    more = back
-                    for q in range(1, n):
-                        if union[q] & more:
-                            more |= masks[q]
-                    if more == back:
-                        break
-                    back = more
-                if back == full:
+                if _reaches_zero(tuple(map(or_, flat[0::2], flat[1::2])), n):
                     yield flat
 
 
@@ -440,8 +447,14 @@ def _extremal_random(n, seed, trials):
         # most union graphs leave some state without an in-edge, which
         # rules out strong connectivity at once
         union = tuple(map(or_, rows_a, rows_b))
-        if (reduce(or_, union) != full
-                or not strongly_connected_masks(union, n)):
+        if reduce(or_, union) != full or not _reaches_zero(union, n):
+            continue
+        # state 0 reaches every state: every state reaches 0 backwards
+        pred = [0] * n
+        for i, m in enumerate(flat):
+            if m:
+                pred[m.bit_length() - 1] |= 1 << (i >> 1)
+        if not _reaches_zero(pred, n):
             continue
         count += 1
         rt = _rt_bitmask(rows_a, rows_b, n)

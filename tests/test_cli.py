@@ -510,6 +510,31 @@ def test_gen_random_code_refuses_before_drawing(args, message):
     assert message in proc.stderr
 
 
+def test_gen_random_code_refuses_a_code_above_the_letter_cap():
+    # count and maxlen are each at most the cap; what the three words drawn
+    # sum to decides: 13,601 letters on seed 1, 6,918 on seed 5
+    proc = run_python("-m", "syncword.cli", "gen", "random-code", "--count",
+                      "3", "--maxlen", "8192", "--seed", "1", timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "a code of 13601 letters is above the limit of 8192 codeword " \
+        "letters" in proc.stderr
+    proc = run_python("-m", "syncword.cli", "gen", "random-code", "--count",
+                      "3", "--maxlen", "8192", "--seed", "5", timeout=20)
+    assert proc.returncode == 0
+    assert literal_automaton(parse_code(proc.stdout)).code.total_length == 6918
+
+
+def test_gen_random_dfa_gives_up_after_a_cell_budget():
+    # 2**22 cells are 256 tables of 8192 x 2 cells, a few seconds, where
+    # 5000 tables would take about a minute
+    proc = run_python("-m", "syncword.cli", "gen", "random-dfa", "--n",
+                      "8192", "--alpha", "2", "--density", "0.5", "--seed",
+                      "1", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "no strongly connected automaton in 256 tries; raise the " \
+        "density" in proc.stderr
+
+
 def test_gen_random_code_tight_request_gives_up():
     # 8,192 words of at most 14 letters meet Kraft's inequality, but a draw
     # almost never fits; the sampler stops after 1000 letters drawn per

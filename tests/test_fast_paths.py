@@ -16,7 +16,8 @@ against the loops they replace; the subset-BFS kernel (translate tables
 over blocks of a level, a visited byte map, level arrays with index
 parents) and its counters against a set-based BFS, also in blocks of one
 and three masks; is_strongly_connected (adjacency lists) against the bit
-mask check; and extremal search (bit mask rows over BFS-canonical tables)
+mask check of the extremal search, forwards and backwards; and extremal
+search (bit mask rows over BFS-canonical tables)
 against an enumeration of transition tables, and its canonical tables
 against the BFS relabelings of the strongly connected ones.
 """
@@ -40,10 +41,9 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       is_strongly_connected, literal_automaton, pair_table,
                       parse_dfa, rank_target_word, strip_gamma, subset_bfs)
 from syncword import oracle
-from syncword.automaton import (_chunk_length, settle_seeds,
-                                strongly_connected_masks)
+from syncword.automaton import _chunk_length, settle_seeds
 from syncword.constructions import lift_word_to_partial
-from syncword.oracle import _bfs_witnesses, _rt_bitmask
+from syncword.oracle import _bfs_witnesses, _reaches_zero, _rt_bitmask
 from syncword.synchronization import PairTable
 
 from test_golden import CASES
@@ -512,14 +512,17 @@ def test_bfs_kernel_in_small_blocks(masks, table):
 @settings(max_examples=300, deadline=None)
 @given(flat_tables())
 def test_strong_connectivity_matches_masks(table):
-    # adjacency-list reachability against the bit-mask check on the union
+    # adjacency-list reachability against the extremal search's bit-mask
+    # check, run on the successor masks and on the predecessor masks
     n, k, flat = table
     succ = [0] * n
+    pred = [0] * n
     for i, t in enumerate(flat):
         if t >= 0:
             succ[i // k] |= 1 << t
-    assert is_strongly_connected(flat_dfa(n, k, flat)) == \
-        strongly_connected_masks(succ, n)
+            pred[t] |= 1 << (i // k)
+    assert is_strongly_connected(flat_dfa(n, k, flat)) == (
+        _reaches_zero(succ, n) and _reaches_zero(pred, n))
 
 
 # --------------------------------------------------------------- pair BFS
@@ -841,11 +844,10 @@ def ref_extremal(n, tables):
     """(best_rt, best table, strongly connected candidates) over tables."""
     best_rt, best, count = -1, None, 0
     for table in tables:
+        if not is_strongly_connected(PartialDfa(n, ("a", "b"), table)):
+            continue
         rows_a = [0 if row[0] is UNDEF else 1 << row[0] for row in table]
         rows_b = [0 if row[1] is UNDEF else 1 << row[1] for row in table]
-        if not strongly_connected_masks([x | y for x, y in zip(rows_a, rows_b)],
-                                        n):
-            continue
         count += 1
         rt = _rt_bitmask(rows_a, rows_b, n)
         if rt is not None and rt > best_rt:
@@ -885,9 +887,7 @@ def test_canonical_tables_are_the_bfs_relabelings(n):
     got = list(oracle._canonical_tables(n))
     assert len(got) == len(set(got))
     strong = [table for table in ref_exhaustive_tables(n)
-              if strongly_connected_masks(
-                  [sum(1 << t for t in set(row) - {UNDEF}) for row in table],
-                  n)]
+              if is_strongly_connected(PartialDfa(n, ("a", "b"), table))]
     assert set(got) == {ref_bfs_relabel(table, start)
                         for table in strong for start in range(n)}
 
