@@ -56,10 +56,15 @@ def gen_cerny(n: int) -> PartialDfa:
 
 def gen_oneword_code(k: int) -> PrefixCode:
     """The tight one-word family {a^k b a^(k+1) b}: the literal automaton
-    has 2k+3 states and reset threshold k+1."""
-    from .codes import validate_code
+    has 2k+3 states and reset threshold k+1.  A code of more than
+    MAX_CODE_LETTERS letters (k > 4094), which every code command refuses,
+    is refused before the word is built."""
+    from .codes import MAX_CODE_LETTERS, validate_code
     if k < 1:
         raise InputError("k must be at least 1")
+    if 2 * k + 3 > MAX_CODE_LETTERS:
+        raise InputError(f"k = {k} gives a code of {2 * k + 3} letters, above "
+                         f"the limit of {MAX_CODE_LETTERS} codeword letters")
     return validate_code(["a" * k + "b" + "a" * (k + 1) + "b"])
 
 

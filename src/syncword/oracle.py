@@ -11,7 +11,7 @@ array('i') of images in (mask, letter) order.  A block holds at most
 _BLOCK_IMAGES images (and at least one mask), so the transient buffers do
 not grow with the level or the alphabet.  The one Python loop per image is
 the seen-check, which walks the images in that order and appends each new
-mask and its parent.
+mask and its source.
 
 The search keeps no dict.  While the reachable lattice is sparse, the
 subsets already reached are a set of masks.  At the first level boundary
@@ -21,19 +21,21 @@ A mask costs the set 64 to 137 bytes and the map one byte, reached or not,
 so at that count the set is about a quarter of the map's size.  Dense
 lattices move to the map within their first few levels; a lattice that
 stays below the count never allocates it: duplicating(gen_cerny(12))
-reaches 8,192 of 2**24 subsets and peaks at 0.9 MiB under tracemalloc,
-where the map would be 16 MiB.  Each complete BFS level is stored as an
-array('i') of masks in discovery order, with a parallel array('i') whose
-entry for a mask is the position of its parent in the previous level (at
-most 2**24, so it fits).  Memory is the set or the map, 8 bytes per reached
-subset, and 36 to 72 bytes per mask of the level being built, which is a
-Python list (gen_cerny(16) peaks at 0.67 MiB, about 11 bytes per subset).
-As each level closes, the first mask of every new subset size is recorded
-as a (level, position) pair.  Images are walked in (mask, letter) order, so
-the letter that first reached t from m is the least a with image(m, a) ==
-t; the witness walk follows the positions back to the full set one level
-at a time, computing the images of every walk's parent at that level in
-one block and taking the least letter that gives the child.
+reaches 8,192 of 2**24 subsets and peaks at 0.8 MiB under tracemalloc,
+where the map would be 16 MiB.  Only the frontier level is kept, as an
+array('i') of masks in discovery order.  For every reached mask the search
+stores its source, the index p * k + a of the image that first reached it
+(p the parent's position in the previous level, a the letter), in one
+array per level: array('i') while k * 2**n <= 2**31 (a level holds fewer
+than 2**n masks, so the index fits), else array('q').  Memory is the set
+or the map, 4 bytes of source per reached subset (8 past that bound), the
+frontier's masks, and 36 to 72 bytes per mask of the level being built,
+which is a Python list (gen_cerny(16) peaks at 0.34 MiB, about 5.5 bytes
+per subset).  As each level closes, the first mask of
+every new subset size is recorded as a (level, position) pair.  Images are
+walked in (mask, letter) order, so the source of a mask is its first
+parent under the least letter that reaches it, and a witness reads back to
+the full set with one divmod per level.
 """
 from __future__ import annotations
 
@@ -177,31 +179,33 @@ def _bfs_witnesses(dfa: PartialDfa):
     seen = {full}  # a bytearray indexed by mask once the lattice is dense
     sparse = True
     sparse_limit = (1 << n) // _SPARSE_DIVISOR
-    levels = [array("i", (full,))]
-    parents = [array("i", (0,))]
+    # a source p * k + a is below k * 2**n: a level holds fewer than 2**n masks
+    code = "i" if k << n <= 1 << 31 else "q"
+    level = array("i", (full,))
+    sources = [None]  # d -> the image that first reached each mask at level d
     first = [None] * (n + 1)  # size -> (level, index) of its first mask
     first[n] = (0, 0)
     found = {n}
+    subsets = 1
     while True:
         # appending Python ints is cheaper to a list than to an array, so a
-        # level becomes an array only once it is complete
-        level = levels[-1]
+        # level and its sources become arrays only once the level is complete
         nxt = []
-        par = []
+        src = []
         for s in range(0, len(level), block):
             images = _images(level[s:s + block], k, plan)
             if sparse:
-                for j, t in enumerate(images):
+                for j, t in enumerate(images, s * k):
                     if t not in seen:
                         seen.add(t)
                         nxt.append(t)
-                        par.append(s + j // k)
+                        src.append(j)
             else:
-                for j, t in enumerate(images):
+                for j, t in enumerate(images, s * k):
                     if not seen[t]:
                         seen[t] = 1
                         nxt.append(t)
-                        par.append(s + j // k)
+                        src.append(j)
         if not nxt:
             break
         new = set(map(int.bit_count, nxt)) - found
@@ -212,9 +216,10 @@ def _bfs_witnesses(dfa: PartialDfa):
             c = t.bit_count()
             if c in new:
                 new.remove(c)
-                first[c] = (len(levels), j)
-        levels.append(array("i", nxt))
-        parents.append(array("i", par))
+                first[c] = (len(sources), j)
+        subsets += len(nxt)
+        level = array("i", nxt)
+        sources.append(array(code, src))
         if sparse and len(seen) > sparse_limit:
             marks = bytearray(1 << n)
             for t in seen:
@@ -222,27 +227,19 @@ def _bfs_witnesses(dfa: PartialDfa):
             seen = marks
             sparse = False
 
-    # walk the witnesses back to the full set a level at a time: the letter
-    # of a step is the least one that maps the parent to the child
+    # read each witness back to the full set, one divmod per level
     out = [None] * (n + 1)
-    walks = [[] for _ in levels]  # d -> (size, position) of walks at level d
     for c, pos in enumerate(first):
-        if pos is not None:
-            out[c] = []
-            walks[pos[0]].append((c, pos[1]))
-    for d in range(len(levels) - 1, 0, -1):
-        walk = walks[d]
-        if not walk:
+        if pos is None:
             continue
-        level, up, prev = levels[d], parents[d], levels[d - 1]
-        images = _images(array("i", [prev[up[j]] for _, j in walk]), k, plan)
-        for x, (c, j) in enumerate(walk):
-            out[c].append(images.index(level[j], x * k) - x * k)
-            walks[d - 1].append((c, up[j]))
-    for letters in out:
-        if letters is not None:
-            letters.reverse()
-    return out, sum(map(len, levels)), len(levels) - 1
+        d, j = pos
+        letters = []
+        while d:
+            j, a = divmod(sources[d][j], k)
+            letters.append(a)
+            d -= 1
+        out[c] = letters[::-1]
+    return out, subsets, len(sources) - 1
 
 
 def subset_bfs(dfa: PartialDfa) -> OracleReport:

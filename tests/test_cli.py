@@ -524,6 +524,27 @@ def test_gen_random_code_refuses_a_code_above_the_letter_cap():
     assert literal_automaton(parse_code(proc.stdout)).code.total_length == 6918
 
 
+def test_gen_oneword_at_the_letter_cap(capsys):
+    # 2k + 3 letters: k = 4094 is the largest code the code commands take
+    assert run(["gen", "oneword", "--k", "4094"]) == 0
+    assert parse_code(capsys.readouterr().out).total_length == 8191
+    assert run(["gen", "oneword", "--k", "4095"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "k = 4095 gives a code of 8193 letters, above the limit of 8192 " \
+        "codeword letters" in err
+
+
+@pytest.mark.parametrize("k", [5000, 1000000000])
+def test_gen_oneword_refuses_before_building(k):
+    # 5,000 gave a code that `code reset` refused; 10**9 ran out of memory
+    # building the word
+    proc = run_python("-m", "syncword.cli", "gen", "oneword", "--k", str(k),
+                      timeout=30, address_space=1 << 30)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert f"a code of {2 * k + 3} letters, above the limit" in proc.stderr
+
+
 def test_gen_random_dfa_gives_up_after_a_cell_budget():
     # 2**22 cells are 256 tables of 8192 x 2 cells, a few seconds, where
     # 5000 tables would take about a minute

@@ -13,11 +13,11 @@ tuple-keyed dicts, its seeds (bit masks) and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (translate tables
-over blocks of a level, a visited byte map, level arrays with index
-parents) and its counters against a set-based BFS, also in blocks of one
-and three masks; is_strongly_connected (adjacency lists) against the bit
-mask check of the extremal search, forwards and backwards; and extremal
-search (bit mask rows over BFS-canonical tables)
+over blocks of a level, a visited byte map, per-level arrays of image
+sources, int32 or int64) and its counters against a set-based BFS, also in
+blocks of one and three masks; is_strongly_connected (adjacency lists)
+against the bit mask check of the extremal search, forwards and backwards;
+and extremal search (bit mask rows over BFS-canonical tables)
 against an enumeration of transition tables, and its canonical tables
 against the BFS relabelings of the strongly connected ones.
 """
@@ -31,7 +31,7 @@ from collections import Counter, deque
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       class_reducing_word, collecting, collecting_tree,
@@ -467,6 +467,27 @@ def wide_tables(draw):
     return n, k, [columns[a][q] for q in range(n) for a in range(k)]
 
 
+def int64_table():
+    """A row-major table with n = 24 and 129 letters, so k * 2**n > 2**31
+    and the kernel stores its sources as array('q'): one permutation, four
+    letters whose images hold at most 3 states and copies of those four,
+    with undefined entries; 450 subsets over 180 levels."""
+    rng = random.Random(24)
+    n, k = 24, 129
+    columns = [rng.sample(range(n), n)]
+    for _ in range(4):
+        targets = rng.sample(range(n), rng.randint(1, 3))
+        columns.append([rng.choice(targets) if rng.random() < 0.8 else -1
+                        for _ in range(n)])
+    while len(columns) < k:
+        columns.append(list(rng.choice(columns[1:])))
+    rng.shuffle(columns)
+    return n, k, [columns[a][q] for q in range(n) for a in range(k)]
+
+
+INT64_TABLE = int64_table()
+
+
 def flat_dfa(n, k, flat):
     """The automaton of a row-major table, -1 meaning undefined."""
     return PartialDfa(n, tuple(f"x{a}" for a in range(k)), tuple(
@@ -482,6 +503,7 @@ def test_bfs_kernel_matches_set_bfs(table):
 
 
 @settings(max_examples=300, deadline=None)
+@example(INT64_TABLE)
 @given(wide_tables())
 def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
     n, k, flat = table
@@ -489,6 +511,7 @@ def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
 
 
 @settings(max_examples=200, deadline=None)
+@example(INT64_TABLE)
 @given(st.one_of(flat_tables(), wide_tables()))
 def test_oracle_counters_match_set_bfs(table):
     n, k, flat = table
@@ -498,6 +521,7 @@ def test_oracle_counters_match_set_bfs(table):
 
 @pytest.mark.parametrize("masks", [1, 3])
 @settings(max_examples=150, deadline=None)
+@example(table=INT64_TABLE)
 @given(table=st.one_of(flat_tables(), wide_tables()))
 def test_bfs_kernel_in_small_blocks(masks, table):
     # a level read a few masks at a time gives the same words and counters

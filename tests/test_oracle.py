@@ -73,8 +73,8 @@ def test_guardrail():
 
 def test_subset_bfs_memory_per_subset():
     # 2**16 - 1 subsets: the visited map holds one byte per mask and the
-    # level arrays eight (mask and parent index), so the search stays
-    # below 16 B per subset
+    # search keeps one 4-byte source per subset plus the masks of the
+    # frontier level, so it stays below 8 B per subset
     dfa = gen_cerny(16)
     tracemalloc.start()
     try:
@@ -82,7 +82,7 @@ def test_subset_bfs_memory_per_subset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 1 << 19
     assert rep.subsets == 2**16 - 1
 
 
