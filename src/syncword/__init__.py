@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "automaton": (
-        "EPSILON", "GAMMA_TOKEN", "UNDEF", "PartialDfa", "Word",
+        "EPSILON", "GAMMA_TOKEN", "UNDEF", "PairTable", "PartialDfa", "Word",
         "connecting_word", "format_dfa", "is_complete", "is_eulerian",
         "is_properly_incomplete", "is_strongly_connected", "parse_dfa"),
     "codes": (
@@ -43,7 +43,7 @@ _EXPORTS = {
         "KERNEL_BACKEND", "OracleReport", "duplicating_identity_check",
         "extremal_search", "subset_bfs"),
     "synchronization": (
-        "PairTable", "SyncResult", "greedy_min_rank", "is_synchronizing",
+        "SyncResult", "greedy_min_rank", "is_synchronizing",
         "min_rank_word_via_fixing", "pair_table", "rank_target_word",
         "reduction_to_complete", "reset_word_via_collecting"),
 }

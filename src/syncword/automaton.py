@@ -44,8 +44,10 @@ def check_cells(n: int, k: int) -> None:
 
 
 #: the most index entries (elements squared) of a pair table that
-#: PairTable.build accepts; at the cap, `sync check` takes about 4 s at 180 MB
-#: max RSS and `classes` 1.4 s at 83 MB (README)
+#: PairTable.build accepts; it also takes at most 4 * MAX_PAIR_INDEX pair
+#: transitions (elements squared times letters), so 4 letters at 4,096
+#: elements.  At the cap, `sync check` takes about 4 s at 180 MB max RSS and
+#: `classes` 1.4-1.9 s at 84 MB (README)
 MAX_PAIR_INDEX = 1 << 24
 
 
@@ -456,12 +458,17 @@ class PairTable:
         state q of dfa stands for element elem[q]: dfa.trans and range(n)
         for compression (merge set), the quotient and class_of for
         separation.  Refuses, before allocating anything, an index above
-        MAX_PAIR_INDEX (elements squared)."""
+        MAX_PAIR_INDEX (elements squared), and pair transitions (elements
+        squared times letters) above 4 * MAX_PAIR_INDEX."""
         n, k = len(trans), len(dfa.alphabet)
         if n * n > MAX_PAIR_INDEX:
             raise InputError(f"a pair table over {n} elements needs {n * n} "
                              f"index entries, above the limit of "
                              f"{MAX_PAIR_INDEX}")
+        if n * n * k > 4 * MAX_PAIR_INDEX:
+            raise InputError(f"a pair table over {n} elements and {k} letters "
+                             f"needs {n * n * k} pair transitions, above the "
+                             f"limit of {4 * MAX_PAIR_INDEX}")
         bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge))
         return cls(n, *next(bfs), dfa, trans, elem, bfs)
 

@@ -384,8 +384,8 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
     """Reset word for a synchronizing literal automaton.
 
     One-word codes: the shorter part of a Weinbaum conjugate split (length
-    <= |x|/2).  Otherwise: the log-rank word followed by greedy pair
-    compression of its image in the base automaton.
+    <= |x|/2).  Otherwise: the log-rank word, then greedy pair compression of
+    its image, which ends in one state iff every pair settles.
     """
     from .synchronization import compress_pairs, pair_table
 
@@ -403,14 +403,14 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
         return word
 
     table = pair_table(dfa)
-    if not table.all_compressible():
+    word = list(log_rank_word(lit))
+    S = compress_pairs(table, dfa.image(dfa.states, tuple(word)), word, [])
+    if len(S) >= 2:
         p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)
                     if table.distance(p, q) is None)
         raise NotSynchronizing(
             f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
             "is incompressible")
-    word = list(log_rank_word(lit))
-    compress_pairs(table, dfa.image(dfa.states, tuple(word)), word, [])
     word = tuple(word)
     if dfa.rank(word) != 1:
         raise SyncwordError("greedy compression must end in a reset word")

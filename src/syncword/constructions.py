@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
                         is_complete, is_strongly_connected)
 from .errors import InputError, NotStronglyConnected, SyncwordError
+
+if TYPE_CHECKING:
+    from .equivalence import Partition
 
 
 def fixing(dfa: PartialDfa) -> PartialDfa:

@@ -6,9 +6,13 @@ generator, so golden files stay portable across implementations.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 from .automaton import UNDEF, PartialDfa, check_cells, is_strongly_connected
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .codes import PrefixCode
 
 PARTIAL_RETRIES = 5000  # tables gen_random_partial draws before giving up
 PARTIAL_CELLS = 1 << 22  # transition cells it draws before giving up

@@ -14,11 +14,16 @@ attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
                         is_strongly_connected)
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
                      SyncwordError)
+
+if TYPE_CHECKING:
+    from .constructions import CollectingTree
+    from .equivalence import Partition
 
 
 def pair_table(dfa: PartialDfa) -> PairTable:
@@ -81,10 +86,10 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     """Minimum-rank word through the fixing automaton.
 
     Pipeline: greedy word on the fixing automaton, lifted back to the
-    partial automaton, then while the image spans several inseparability
-    classes shrink their number with voiding words, and finally compress
-    pairs inside the single remaining class.  Classes map into classes, so
-    the number of classes the image meets never grows again.
+    partial automaton; then, only while the image has two or more states,
+    voiding words shrink the number of inseparability classes it meets, and
+    pairs are compressed inside the single remaining class.  Classes map
+    into classes, so that number never grows again.
     """
     from .constructions import fixing, lift_word_to_partial
     from .equivalence import inseparability_partition
@@ -95,8 +100,8 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     S = dfa.image(dfa.states, lifted)
     word = list(lifted)
     trace = [(len(S), lifted)]
-    part = inseparability_partition(dfa)
-    S = compress_pairs(part.table, S, word, trace)
+    if len(S) >= 2:
+        S = compress_pairs(inseparability_partition(dfa).table, S, word, trace)
     if len(S) >= 2:
         S = compress_pairs(pair_table(dfa), S, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))

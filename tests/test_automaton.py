@@ -27,8 +27,10 @@ def test_cell_limit_is_states_times_letters():
                   + " ".join(f"t{i}" for i in range(MAX_CELLS // 2 + 1)) + "\n")
 
 
-def cycle(n):
-    return PartialDfa(n, ("a",), tuple(((q + 1) % n,) for q in range(n)))
+def cycle(n, letters="a"):
+    """The n-cycle with every letter a copy of the one cycle letter."""
+    return PartialDfa(n, tuple(letters),
+                      tuple(((q + 1) % n,) * len(letters) for q in range(n)))
 
 
 @pytest.mark.parametrize("merge", [True, False])
@@ -40,6 +42,19 @@ def test_pair_limit_is_elements_squared(monkeypatch, merge):
     assert PairTable.build(cycle(4), cycle(4).trans, range(4), merge).n == 4
     with pytest.raises(InputError, match="5 elements"):
         PairTable.build(cycle(5), cycle(5).trans, range(5), merge)
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_pair_limit_counts_letters(monkeypatch, merge):
+    # 4 elements take 16 index entries, and 16 pair transitions per letter
+    # against 4 x 16: four letters are the most
+    monkeypatch.setattr(automaton, "MAX_PAIR_INDEX", 16)
+    four = cycle(4, "abcd")
+    assert PairTable.build(four, four.trans, range(4), merge).n == 4
+    five = cycle(4, "abcde")
+    with pytest.raises(InputError, match="4 elements and 5 letters needs 80 "
+                       "pair transitions, above the limit of 64"):
+        PairTable.build(five, five.trans, range(4), merge)
 
 
 def test_parse_one_state_loop():

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import syncword
-from syncword import (cli, constructions, format_dfa, gen_cerny,
-                      gen_oneword_code, gen_random_partial, literal_automaton,
-                      oracle, parse_code, parse_dfa, validate_code)
+from syncword import (cli, constructions, format_code, format_dfa, gen_cerny,
+                      gen_oneword_code, gen_random_partial,
+                      gen_random_prefix_code, literal_automaton, oracle,
+                      parse_code, parse_dfa, validate_code)
 from syncword.automaton import UNDEF, PairTable, PartialDfa
 from syncword.cli import run
 
@@ -215,24 +216,48 @@ def test_sync_word_nonsynchronizing_output(capsys, tmp_path, method):
     assert capsys.readouterr().out == "synchronizing=false\nmin_rank=2\n"
 
 
-# each method decides synchronizability from the word it computes, so only
-# the tables its own route needs are built: one compression table, greedy's
-# on the input, fixing's and collecting's on the automaton they build, and
-# for these two the separation table of one inseparability partition; the
-# oracle builds none
-@pytest.mark.parametrize("method, tables", [
-    ("greedy", 1), ("fixing", 1), ("collecting", 1), ("oracle", 0)])
-def test_sync_word_pair_tables_per_method(capsys, monkeypatch, method, tables):
-    merges = []
+@pytest.fixture
+def built_tables(monkeypatch):
+    """(merge, table) for every pair table built while the test runs."""
+    built = []
     real = PairTable.build
 
-    def counting(dfa, trans, elem, merge):
-        merges.append(merge)
-        return real(dfa, trans, elem, merge)
-    monkeypatch.setattr(PairTable, "build", staticmethod(counting))
+    def keeping(dfa, trans, elem, merge):
+        built.append((merge, real(dfa, trans, elem, merge)))
+        return built[-1][1]
+    monkeypatch.setattr(PairTable, "build", staticmethod(keeping))
+    return built
+
+
+def table_counts(built):
+    """(compression tables, separation tables) among built_tables."""
+    merges = [merge for merge, _ in built]
+    return merges.count(True), merges.count(False)
+
+
+# each method decides synchronizability from the word it computes, so only
+# the tables its own route reads are built: one compression table, greedy's
+# on the input, fixing's and collecting's on the automaton they build;
+# collecting's separation table of the inseparability partition, and
+# fixing's only while its lifted word leaves two or more states, which on
+# fig1 it does not; the oracle builds none
+@pytest.mark.parametrize("method, tables", [
+    ("greedy", 1), ("fixing", 1), ("collecting", 1), ("oracle", 0)])
+def test_sync_word_pair_tables_per_method(capsys, built_tables, method, tables):
     assert run(["sync", "word", FIG1, "--method", method]) == 0
-    separations = 1 if method in ("fixing", "collecting") else 0
-    assert (merges.count(True), merges.count(False)) == (tables, separations)
+    separations = 1 if method == "collecting" else 0
+    assert table_counts(built_tables) == (tables, separations)
+
+
+def test_sync_word_fixing_separates_above_rank_one(capsys, built_tables,
+                                                   tmp_path):
+    # greedy on this automaton's fixing automaton stops at rank 2, so the
+    # lifted image has two states and the class steps run
+    path = tmp_path / "rand.dfa"
+    path.write_text(format_dfa(gen_random_partial(4, 2, 0.7, 13)))
+    assert run(["sync", "word", str(path), "--method", "fixing"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "a a b b"
+    assert table_counts(built_tables) == (1, 1)
 
 
 def test_rank_min(capsys):
@@ -434,6 +459,26 @@ def test_code_reset_nonsynchronizing(capsys, tmp_path):
     assert run(["code", "reset", str(path)]) == 1
 
 
+def test_code_reset_names_an_incompressible_pair(capsys, tmp_path):
+    path = tmp_path / "uniform.code"
+    path.write_text("aa\nab\nba\nbb\n")
+    assert run(["code", "reset", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        "not synchronizing: pair {'', 'a'} is incompressible\n"
+
+
+def test_code_reset_lists_only_the_pairs_greedy_reads(capsys, built_tables,
+                                                     tmp_path):
+    # a positive answer comes from the word, so the compression table of
+    # the 452-state literal automaton is never completed
+    path = tmp_path / "random.code"
+    path.write_text(format_code(gen_random_prefix_code(80, 16, 3, 2)))
+    assert run(["code", "reset", str(path)]) == 0
+    [(merge, table)] = built_tables
+    assert (merge, table.n) == (True, 452)
+    assert len(table.dist) < table.n * (table.n - 1) // 2
+
+
 def test_code_oneword(capsys):
     assert run(["code", "oneword", "aabaaab"]) == 0
     out = capsys.readouterr().out
@@ -584,6 +629,26 @@ def test_pair_table_size_limit(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "pair table over 20000 elements needs 400000000 index entries, " \
         "above the limit" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["classes"], ["sync", "check"]],
+                         ids=["classes", "sync-check"])
+def test_pair_table_letter_limit(tmp_path, command):
+    # a 2,048-cycle with a letter defined on state 0 only and 62 copies of
+    # the cycle letter: 4.2 M index entries are within the limit, but before
+    # the letters counted, its 268 M pair transitions took `classes` 5 s and
+    # `sync check` 13 s
+    n, k = 2048, 64
+    path = tmp_path / "wide.dfa"
+    rows = tuple(((q + 1) % n, 1 if q == 0 else UNDEF) + ((q + 1) % n,) * (k - 2)
+                 for q in range(n))
+    letters = tuple(f"t{a}" for a in range(k))
+    path.write_text(format_dfa(PartialDfa(n, letters, rows)))
+    proc = run_python("-m", "syncword.cli", *command, str(path), timeout=30,
+                      address_space=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert "pair table over 2048 elements and 64 letters needs 268435456 " \
+        "pair transitions, above the limit of 67108864" in proc.stderr
 
 
 def test_strong_connectivity_memory(tmp_path):

@@ -12,6 +12,7 @@ from syncword import (EPSILON, UNDEF, InputError, NotSynchronizing,
                       parse_code, pivot_walk, primitive_root, subset_bfs,
                       validate_code, weinbaum_conjugate)
 from syncword import codes
+from syncword.synchronization import compress_pairs, pair_table
 
 from test_cli import run_optimized
 
@@ -487,12 +488,49 @@ def test_literal_reset_word_rejects_abab():
 
 
 def test_literal_reset_word_rejects_incompressible_pair():
-    lit = literal_automaton(validate_code(["aab", "bba"]))
-    try:
-        w = literal_reset_word(lit)
-        assert lit.dfa.rank(w) == 1
-    except NotSynchronizing as exc:
-        assert "incompressible" in str(exc)
+    # every codeword has length 2, so each letter moves the states across
+    # the two levels {''} and {'a', 'b'}: '' never meets 'a'
+    lit = literal_automaton(validate_code(["aa", "ab", "ba", "bb"]))
+    with pytest.raises(NotSynchronizing) as exc:
+        literal_reset_word(lit)
+    assert str(exc.value) == \
+        "not synchronizing: pair {'', 'a'} is incompressible"
+
+
+def _reset_word_from_complete_table(lit):
+    """literal_reset_word on a multi-word code, deciding up front from the
+    complete pair table: the word, or the message of the negative answer."""
+    dfa = lit.dfa
+    table = pair_table(dfa)
+    if not table.all_compressible():
+        p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)
+                    if table.distance(p, q) is None)
+        return (f"not synchronizing: pair {{{lit.prefixes[p]!r}, "
+                f"{lit.prefixes[q]!r}}} is incompressible")
+    word = list(log_rank_word(lit))
+    compress_pairs(table, dfa.image(dfa.states, tuple(word)), word, [])
+    return tuple(word)
+
+
+def test_literal_reset_word_decides_as_the_complete_table():
+    # greedy from the log-rank word's image ends in one state iff every
+    # pair of the literal automaton settles
+    codes_seen = negatives = 0
+    for seed in range(3000):
+        try:
+            code = gen_random_prefix_code(2 + seed % 6, 2 + seed % 7,
+                                          2 + seed % 2, seed)
+        except InputError:
+            continue  # more words than the length and alphabet allow
+        lit = literal_automaton(code)
+        try:
+            got = literal_reset_word(lit)
+        except NotSynchronizing as exc:
+            got = str(exc)
+            negatives += 1
+        assert got == _reset_word_from_complete_table(lit), seed
+        codes_seen += 1
+    assert (codes_seen, negatives) == (2929, 79)
 
 
 def test_literal_reset_word_random_codes():

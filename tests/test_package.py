@@ -1,12 +1,14 @@
 """The package surface: every exported name is imported from its submodule
 on first use, and is that submodule's own object; every public definition
-is exported or used; and no module of the package holds an assert
-statement."""
+is exported or used; every annotation resolves; and no module of the
+package holds an assert statement."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
+import typing
 
 import pytest
 
@@ -38,6 +40,18 @@ def test_exported_names_are_their_submodules_objects(fresh):
         value = getattr(fresh, name)
         module = sys.modules[f"syncword.{fresh._SUBMODULE[name]}"]
         assert value is getattr(module, name), name
+
+
+def test_exported_definitions_are_filed_under_their_own_module(fresh):
+    # reading a name imports the module it is filed under, so a class or
+    # function filed elsewhere loads that module for nothing
+    misfiled = []
+    for name in fresh.__all__:
+        value = getattr(fresh, name)
+        if (inspect.isclass(value) or inspect.isfunction(value)) and \
+                value.__module__ != f"syncword.{fresh._SUBMODULE[name]}":
+            misfiled.append(f"{name} (defined in {value.__module__})")
+    assert misfiled == []
 
 
 def test_dir_lists_every_export(fresh):
@@ -96,3 +110,47 @@ def test_every_public_definition_is_exported_or_used(fresh):
                      if isinstance(node, (ast.Name, ast.Attribute))} - {own}
     used |= set(fresh.__all__)
     assert [name for name in defined if name.split(".")[1] not in used] == []
+
+
+def _type_checking_namespace(module):
+    """The module's globals with its `if TYPE_CHECKING:` imports run: the
+    names a type checker resolves the module's annotations in."""
+    namespace = dict(vars(module))
+    for stmt in ast.parse(inspect.getsource(module)).body:
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(stmt.body, []), module.__file__, "exec"),
+                 namespace)
+    return namespace
+
+
+def _annotated(module):
+    """The functions and classes the module defines, with the methods,
+    class methods, static methods and property getters of its classes."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            yield value
+            for member in vars(value).values():
+                member = getattr(member, "fget", member)
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in pathlib.Path(
+        importlib.util.find_spec("syncword").origin).parent.glob("*.py")
+    if path.stem != "__init__"))
+def test_annotations_resolve(name):
+    module = importlib.import_module(f"syncword.{name}")
+    namespace = _type_checking_namespace(module)
+    unresolved = []
+    for value in _annotated(module):
+        try:
+            typing.get_type_hints(value, globalns=namespace)
+        except NameError as exc:
+            unresolved.append(f"{value.__qualname__}: {exc}")
+    assert unresolved == []
