@@ -8,8 +8,9 @@ All values are immutable after construction and all operations are pure,
 with two exceptions.  The cache of chunk actions inside PartialDfa, which
 image fills on use, never changes a result, and concurrent fills store equal
 values, so automata can be shared freely across threads.  A PairTable lists
-its pairs on demand: its reads grow its arrays in place, without a lock, so
-share one across threads only once it is complete (after all_compressible).
+its pairs on demand, from none at build: its reads grow its arrays in place
+and keep its settle masks, without a lock, so share one across threads only
+once it is complete (after all_compressible).
 The same holds for the separation table of an equivalence.Partition: share
 a partition only after part.table.all_compressible().
 """
@@ -302,18 +303,12 @@ def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
     raise NotStronglyConnected(f"state {q} not reachable from state {p}")
 
 
-def settle_seeds(trans, k, merge):
-    """The pairs of states of a table that one letter settles, as (p, q,
-    letter) with p < q, yielded in (p, q) order: letter is the least on
-    which exactly one of p, q is undefined or, when merge is set, both go
-    to the same state.  These are the distance-1 seeds of _pair_bfs; they
-    are yielded, not collected, because on automata with many undefined
-    transitions most pairs are seeds.
-    """
-    n = len(trans)
+def _settle_masks(trans, k, merge):
+    """The bit masks behind the one-letter settle rule of a table's
+    elements: undef[a] holds the elements letter a kills and, when merge is
+    set, same[a][t] those it maps to t (same is None otherwise)."""
     undef = [0] * k
-    # same[a][t]: the states that letter a maps to t
-    same = [[0] * n for _ in range(k)] if merge else None
+    same = [[0] * len(trans) for _ in range(k)] if merge else None
     for q, row in enumerate(trans):
         bit = 1 << q
         for a, t in enumerate(row):
@@ -321,18 +316,38 @@ def settle_seeds(trans, k, merge):
                 undef[a] |= bit
             elif merge:
                 same[a][t] |= bit
-    full = (1 << n) - 1
+    return undef, same
+
+
+def _settled_with(row, undef, same):
+    """(a, m) per letter a, for the element e whose transition row is row:
+    m holds the elements that a settles with e, those for which exactly one
+    of the two is undefined or, when same is given, both go to the same
+    state.  m may hold e itself, and bits above every element; callers mask
+    it."""
+    for a, t in enumerate(row):
+        if t is UNDEF:
+            yield a, ~undef[a]
+        elif same is None:
+            yield a, undef[a]
+        else:
+            yield a, undef[a] | same[a][t]
+
+
+def settle_seeds(trans, k, merge):
+    """The pairs of states of a table that one letter settles, as (p, q,
+    letter) with p < q, yielded in (p, q) order: letter is the least that
+    settles them (_settled_with).  These are the distance-1 seeds of
+    _pair_bfs; they are yielded, not collected, because on automata with
+    many undefined transitions most pairs are seeds.
+    """
+    undef, same = _settle_masks(trans, k, merge)
+    full = (1 << len(trans)) - 1
     for p, row in enumerate(trans):
         above = full ^ ((2 << p) - 1)
         first = {}
         taken = 0
-        for a, t in enumerate(row):
-            if t is UNDEF:
-                m = ~undef[a]
-            elif merge:
-                m = undef[a] | same[a][t]
-            else:
-                m = undef[a]
+        for a, m in _settled_with(row, undef, same):
             m &= above & ~taken
             if not m:
                 continue
@@ -347,9 +362,10 @@ def settle_seeds(trans, k, merge):
             yield p, q, first[q]
 
 
-def _pair_bfs(trans, k, seeds):
+def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
     """Backward BFS over unordered pairs of the states of a table, listed a
-    few levels at a time.
+    few levels at a time into the empty arrays pairs, dist, letter and
+    index, which it grows in place.
 
     trans[q][a] is a state or UNDEF; seeds yields (p, q, letter) (p < q)
     for the pairs a single letter settles, in order (see settle_seeds).  A
@@ -357,29 +373,31 @@ def _pair_bfs(trans, k, seeds):
     distance d + 1, with the first such letter in (queue, letter,
     predecessor p, q) order.
 
-    A pair {p, q} with p < q is coded p * n + q.  The generator first
-    yields the arrays (pairs, dist, letter, index) holding the seeds, then
-    grows them in place: each send(target) lists levels until at least
-    target pairs are listed or the BFS ends (StopIteration), and pauses
-    only where a level ends.  pairs holds the codes of the listed pairs in
-    BFS order, so dist is non-decreasing; dist and letter run parallel to
-    it; index[p * n + q] == index[q * n + p] is the position of {p, q} in
-    pairs plus 1, or <= 0 while the pair is not listed.
+    A pair {p, q} with p < q is coded p * n + q.  Primed with next(), the
+    generator has listed nothing; each send(target) lists levels until at
+    least target pairs are listed or the BFS ends (StopIteration), and
+    pauses only where a level ends, so send(0) lists the seeds alone.
+    pairs holds the codes of the listed pairs in BFS order, so dist is
+    non-decreasing; dist and letter run parallel to it; index, allocated
+    by the first send, holds index[p * n + q] == index[q * n + p], the
+    position of {p, q} in pairs plus 1, or <= 0 while the pair is not
+    listed.
     """
     n = len(trans)
+    target = yield
     # PairTable.build keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
     # code and position
-    index = array("i", bytes(array("i").itemsize * n * n))
+    index.append(0)
+    index *= n * n
     for q in range(n):
         index[q * n + q] = -1
-    pairs = array("i")
-    letter = array("i")
     for p, q, a in seeds:
         pairs.append(p * n + q)
         letter.append(a)
         index[p * n + q] = index[q * n + p] = len(pairs)
-    dist = array("i", [1]) * len(pairs)
-    target = yield pairs, dist, letter, index
+    # every seed has distance 1; repeated in place, with no temporary array
+    dist.append(1)
+    dist *= len(pairs)
     inv = [[[] for _ in range(n)] for _ in range(k)]
     for q in range(n):
         for a in range(k):
@@ -424,22 +442,27 @@ class PairTable:
     table, made by build: shortest words that settle a pair.
 
     The seeds say what settles a pair: a merge or one state dying for the
-    compression table of synchronization, exactly one class dying for the
-    separation table of an inseparability partition.  Settled pairs are
-    listed in BFS order, so distances never decrease along the list:
-    pairs[i] is the code p * n + q (p < q) of the i-th pair, dist[i] the
-    length of a shortest word settling it and letter[i] the first letter of
-    one such word.  index[p * n + q] == index[q * n + p] is i + 1, or <= 0
-    when {p, q} is not listed.
+    compression table of synchronization (merge set), exactly one class
+    dying for the separation table of an inseparability partition.
+    Settled pairs are listed in BFS order, so distances never decrease
+    along the list: pairs[i] is the code p * n + q (p < q) of the i-th
+    pair, dist[i] the length of a shortest word settling it and letter[i]
+    the first letter of one such word.  index[p * n + q] ==
+    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.
 
-    A built table lists the distance-1 pairs only and keeps the BFS paused
-    in _bfs; readers grow the arrays in place, whole levels at a time, when
-    they need more, so the listed pairs are always levels 1..L of the
-    complete table, in its order.  len(dist) counts the pairs listed so far.
-    all_compressible, items and == complete the table first; distance and
-    word complete it before they answer that no word settles a pair.  _bfs
-    is None once the table is complete, and for a table made from complete
-    arrays.
+    A built table lists nothing, index included, and keeps the BFS paused
+    in _bfs.  While it is unlisted, least_pair answers for a subset that
+    holds a distance-1 pair, and word for such a pair, from the bit masks
+    of the settle rule (_settle_masks, kept in _masks until it lists), so on
+    automata with many undefined transitions the seeds, most of the table,
+    are often never listed.  Otherwise reads list the seed level whole and
+    grow the arrays in place, whole levels at a time, so the listed pairs
+    are always levels 1..L of the complete table, in its order, and
+    len(dist) counts the pairs listed so far (0 while unlisted).
+    all_compressible, items and == complete the table first; distance lists
+    the seeds, and distance and word complete the table before they answer
+    that no word settles a pair.  _bfs is None once the table is complete,
+    and for a table made from complete arrays.
     """
 
     n: int
@@ -450,16 +473,18 @@ class PairTable:
     dfa: PartialDfa = field(compare=False, repr=False)
     trans: tuple = field(compare=False, repr=False)
     elem: object = field(compare=False, repr=False)
+    merge: bool = field(default=False, compare=False, repr=False)
     _bfs: object = field(default=None, compare=False, repr=False)
+    _masks: object = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:
         """The table of trans seeded by settle_seeds(trans, k, merge), where
         state q of dfa stands for element elem[q]: dfa.trans and range(n)
         for compression (merge set), the quotient and class_of for
-        separation.  Refuses, before allocating anything, an index above
-        MAX_PAIR_INDEX (elements squared), and pair transitions (elements
-        squared times letters) above 4 * MAX_PAIR_INDEX."""
+        separation.  Lists nothing (see the class), and refuses an index
+        above MAX_PAIR_INDEX (elements squared), and pair transitions
+        (elements squared times letters) above 4 * MAX_PAIR_INDEX."""
         n, k = len(trans), len(dfa.alphabet)
         if n * n > MAX_PAIR_INDEX:
             raise InputError(f"a pair table over {n} elements needs {n * n} "
@@ -469,11 +494,15 @@ class PairTable:
             raise InputError(f"a pair table over {n} elements and {k} letters "
                              f"needs {n * n * k} pair transitions, above the "
                              f"limit of {4 * MAX_PAIR_INDEX}")
-        bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge))
-        return cls(n, *next(bfs), dfa, trans, elem, bfs)
+        arrays = array("i"), array("i"), array("i"), array("i")
+        bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge), *arrays)
+        next(bfs)
+        return cls(n, *arrays, dfa, trans, elem, merge, bfs)
 
     def _grow(self, target: int) -> None:
-        """List levels until at least target pairs are listed, or all."""
+        """List levels until at least target pairs are listed, or all.  A
+        table that lists anything has no more use for its settle masks."""
+        object.__setattr__(self, "_masks", None)
         try:
             self._bfs.send(target)
         except StopIteration:
@@ -482,6 +511,13 @@ class PairTable:
     def _complete(self) -> None:
         if self._bfs is not None:
             self._grow(self.n * (self.n - 1) // 2)
+
+    def _settled(self, e):
+        """_settled_with for element e of the table."""
+        if self._masks is None:
+            object.__setattr__(self, "_masks", _settle_masks(
+                self.trans, len(self.dfa.alphabet), self.merge))
+        return _settled_with(self.trans[e], *self._masks)
 
     def __eq__(self, other):
         if not isinstance(other, PairTable):
@@ -493,6 +529,8 @@ class PairTable:
 
     def distance(self, p: int, q: int):
         """Length of a shortest word settling {p, q}, or None."""
+        if not self.index:
+            self._grow(0)
         i = self.index[p * self.n + q]
         if i <= 0 and self._bfs is not None:
             self._complete()
@@ -511,19 +549,46 @@ class PairTable:
         rep[e] is the state that element e of the table stands for, or None
         when e is outside the subset; distinct elements stand for distinct
         states, and p < q are the states of the pair's two elements, so
-        ties break by states, not by elements.  A pair of the subset among
-        the listed levels beats every pair of a later level, so the table
-        grows, to at least twice the pairs listed, only while the listed
-        levels hold none.
+        ties break by states, not by elements.  An unlisted table first
+        looks for a distance-1 pair (_least_seed), and lists its seeds only
+        when the subset holds none.  A pair of the subset among the listed
+        levels beats every pair of a later level, so the table grows, to at
+        least twice the pairs listed, only while the listed levels hold
+        none.
         """
         states = [x for x in rep if x is not None]
         if len(states) < 2:
             return None
+        if not self.index:
+            best = self._least_seed(rep)
+            if best is not None:
+                return best
+            self._grow(0)
         while True:
             best = self._least_listed(rep, states)
             if best is not None or self._bfs is None:
                 return best
             self._grow(2 * len(self.dist))
+
+    def _least_seed(self, rep):
+        """least_pair among the distance-1 pairs, from the settle masks:
+        the elements of the subset are walked in the order of the states
+        they stand for, and the first that one letter settles with a later
+        one is p, the least of those later ones q."""
+        order = sorted((x, e) for e, x in enumerate(rep) if x is not None)
+        later = 0
+        for _, e in order:
+            later |= 1 << e
+        for i, (x, e) in enumerate(order):
+            later ^= 1 << e
+            m = 0
+            for _, settled in self._settled(e):
+                m |= settled
+            m &= later
+            if m:
+                return 1, x, next(y for y, f in islice(order, i + 1, None)
+                                  if m >> f & 1)
+        return None
 
     def _least_listed(self, rep, states):
         """least_pair among the listed pairs.  Pairs are listed in
@@ -595,8 +660,16 @@ class PairTable:
     def word(self, p: int, q: int) -> Word:
         """The word the table records for the settled pair {p, q} of
         elements: the recorded first letters, followed in trans until the
-        two elements merge or at least one of them dies.  Raises InputError
-        when no word settles {p, q}, as for p == q."""
+        two elements merge or at least one of them dies; on an unlisted
+        table, the least letter that settles a distance-1 pair.  Raises
+        InputError when no word settles {p, q}, as for p == q."""
+        if not self.index:
+            if p != q:
+                a = next((a for a, settled in self._settled(p)
+                          if settled >> q & 1), None)
+                if a is not None:
+                    return (a,)
+            self._grow(0)
         n, trans, letter, index = self.n, self.trans, self.letter, self.index
         if index[p * n + q] <= 0:
             self._complete()

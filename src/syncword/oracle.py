@@ -36,6 +36,12 @@ every new subset size is recorded as a (level, position) pair.  Images are
 walked in (mask, letter) order, so the source of a mask is its first
 parent under the least letter that reaches it, and a witness reads back to
 the full set with one divmod per level.
+
+The work is the reached subsets times the letters, which n <= 24 alone does
+not bound: 64 letters over the 22-state cycle would take about 12 s.  The
+search counts the images it computes and, at the first level boundary past
+MAX_ORACLE_IMAGES, refuses the input with an InputError; the binary full
+lattice at n = 24 stays below that budget.
 """
 from __future__ import annotations
 
@@ -57,6 +63,13 @@ KERNEL_BACKEND = "python"
 _bfs_c = None
 
 MAX_ORACLE_STATES = 24
+
+# The most images (reached subsets times letters) the subset BFS computes
+# before it refuses the input: the binary full lattice at n = 24 computes
+# 2 * (2**24 - 1), just below it.  The search runs at about 25 million
+# images a second, so the budget is a few seconds; the cycle family at
+# n = 22 with its letters copied out to 64 would need 2**28 images.
+MAX_ORACLE_IMAGES = 1 << 25
 
 # Bytes a reached mask costs the subset BFS's set: its slot in a hash table
 # kept at most 60 % full plus the int object, 64 to 137 bytes under
@@ -208,6 +221,12 @@ def _bfs_witnesses(dfa: PartialDfa):
                         src.append(j)
         if not nxt:
             break
+        # every subset reached so far has been imaged under every letter
+        if k * subsets > MAX_ORACLE_IMAGES:
+            raise InputError(
+                f"the subset BFS computed {k * subsets} images (reached "
+                f"subsets times {k} letters) by level {len(sources)}, above "
+                f"the limit of {MAX_ORACLE_IMAGES}")
         new = set(map(int.bit_count, nxt)) - found
         found |= new
         for j, t in enumerate(nxt):

@@ -291,6 +291,19 @@ def test_oracle_words_over_the_letter_dash(capsys, tmp_path):
         "r=2 len=0 word=", "r=1 len=1 word=-", "r=0 len=2 word=a a"]
 
 
+def test_oracle_refuses_a_wide_lattice(tmp_path):
+    # the cycle family at n = 22 with its two letters copied out to 64
+    # would compute 64 images of each of 2**22 subsets, about 12 s; the
+    # image budget stops it at a level boundary within a few seconds
+    c = gen_cerny(22)
+    path = tmp_path / "wide.dfa"
+    path.write_text(format_dfa(PartialDfa(22, tuple(f"x{i}" for i in range(64)),
+        tuple(tuple(row[i % 2] for i in range(64)) for row in c.trans))))
+    proc = run_python("-m", "syncword.cli", "oracle", str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "images" in proc.stderr and proc.stdout == ""
+
+
 def test_classes_output(capsys):
     assert run(["classes", FIG1]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 3", "1 4", "2 5"]
@@ -469,14 +482,14 @@ def test_code_reset_names_an_incompressible_pair(capsys, tmp_path):
 
 def test_code_reset_lists_only_the_pairs_greedy_reads(capsys, built_tables,
                                                      tmp_path):
-    # a positive answer comes from the word, so the compression table of
-    # the 452-state literal automaton is never completed
+    # a positive answer comes from the word, and the log-rank word already
+    # resets the 452-state literal automaton, so its compression table
+    # lists no pair, not even its seeds
     path = tmp_path / "random.code"
     path.write_text(format_code(gen_random_prefix_code(80, 16, 3, 2)))
     assert run(["code", "reset", str(path)]) == 0
     [(merge, table)] = built_tables
-    assert (merge, table.n) == (True, 452)
-    assert len(table.dist) < table.n * (table.n - 1) // 2
+    assert (merge, table.n, len(table.dist)) == (True, 452, 0)
 
 
 def test_code_oneword(capsys):

@@ -9,7 +9,8 @@ that does not shrink the image; strip_gamma (one
 replay, in the partial automaton) against the copy that checked its input on
 a rebuilt collecting automaton; the pair BFS (integer pair codes in
 flat arrays, listed a level at a time on demand) against a BFS on
-tuple-keyed dicts, its seeds (bit masks) and
+tuple-keyed dicts, its seeds (bit masks), the picks and words of a table
+that lists nothing (the same masks) against a drained table, and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (translate tables
@@ -636,14 +637,17 @@ def test_pair_bfs_matches_dict_bfs_in_order(table, merge):
 @settings(max_examples=300, deadline=None)
 @given(flat_tables(), st.booleans())
 def test_pair_table_grows_by_whole_levels(table, merge):
-    # grown one level at a time, a built table always lists a prefix of
-    # the drained table's arrays that ends where a level ends
+    # a built table lists nothing; grown one level at a time, it always
+    # lists a prefix of the drained table's arrays that ends where a level
+    # ends
     trans = nested(table)
     n = table[0]
     dfa = flat_dfa(*table)
     drained = PairTable.build(dfa, trans, range(n), merge)
     drained.all_compressible()
     grown = PairTable.build(dfa, trans, range(n), merge)
+    assert (len(grown.pairs), len(grown.index)) == (0, 0)
+    grown._grow(0)
     assert set(grown.dist) <= {1}
     while True:
         m = len(grown.dist)
@@ -673,17 +677,21 @@ def test_pair_table_grows_by_whole_levels(table, merge):
 
 def fresh_reads(dfa, subsets):
     """least_pair, word and steps of a fresh table for each subset against
-    those of one drained table; the number of fresh tables that grew."""
+    those of one drained table; the number of fresh tables that listed
+    levels past the seeds.  A fresh table whose pick has distance 1 lists
+    nothing."""
     drained = pair_table(dfa)
     drained.all_compressible()
+    seeds = list(drained.dist).count(1)
     grew = 0
     for S in subsets:
         fresh = pair_table(dfa)
-        seeds = len(fresh.dist)
         best = min_pair(fresh, S)
         assert best == min_pair(drained, S) == ref_min_pair(drained, S)
         if best is not None:
             assert fresh.word(best[1], best[2]) == drained.word(best[1], best[2])
+            if best[0] == 1:
+                assert len(fresh.dist) == 0
         grew += len(fresh.dist) > seeds
         assert list(pair_table(dfa).steps(S)) == list(drained.steps(S))
     return grew
@@ -694,6 +702,68 @@ def fresh_reads(dfa, subsets):
 def test_fresh_table_reads_as_drained(dfa, data):
     fresh_reads(dfa, [frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
                       for _ in range(4)])
+
+
+def subsets_without_seeds(drained):
+    """A pair of each distance above 1, and one pair no word settles, of a
+    drained table, as subsets of elements: none holds a distance-1 pair."""
+    n = drained.n
+    deep = {d: divmod(c, n) for c, d in zip(drained.pairs, drained.dist)
+            if d > 1}
+    unsettled = [(p, q) for p in range(n) for q in range(p + 1, n)
+                 if drained.index[p * n + q] <= 0][:1]
+    return [frozenset(pq) for pq in [*deep.values(), *unsettled]]
+
+
+@st.composite
+def blown_up_automata(draw):
+    """A random partial automaton on m classes with each class copied to
+    one or more states in shuffled order: a state goes under a letter to
+    some copy of its class's target, so copies are inseparable and class
+    minima interleave."""
+    m, k = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    n = draw(st.integers(m, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cls = [*range(m), *(rng.randrange(m) for _ in range(n - m))]
+    rng.shuffle(cls)
+    copies = [[q for q in range(n) if cls[q] == c] for c in range(m)]
+    quotient = [[rng.randrange(m) if rng.random() < 0.7 else UNDEF
+                 for _ in range(k)] for _ in range(m)]
+    return PartialDfa(n, tuple(f"x{i}" for i in range(k)), tuple(
+        tuple(UNDEF if t is UNDEF else rng.choice(copies[t])
+              for t in quotient[c]) for c in cls))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(automata(ks=(2, 3, 4)), blown_up_automata()), st.data())
+def test_fresh_tables_read_as_drained_with_and_without_seeds(dfa, data):
+    # compression (merge, elements are states) and separation (no merge,
+    # each class stands for its least state of S, so element order differs
+    # from state order, as when S drops the least state of each class): a
+    # fresh table picks, spells and steps as a drained one, also for
+    # subsets that hold no distance-1 pair
+    drawn = [frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
+             for _ in range(3)]
+    drained = pair_table(dfa)
+    drained.all_compressible()
+    fresh_reads(dfa, drawn + subsets_without_seeds(drained))
+    part = inseparability_partition(dfa)
+    drained = part.table
+    drained.all_compressible()
+    no_seeds = [frozenset(min(part.classes[c]) for c in pair)
+                for pair in subsets_without_seeds(drained)]
+    not_least = frozenset(range(dfa.n)) - {min(c) for c in part.classes
+                                           if len(c) > 1}
+    for S in [*drawn, *no_seeds, not_least]:
+        fresh = PairTable.build(dfa, drained.trans, part.class_of, merge=False)
+        best = class_pick(part, S)
+        assert best == fresh_class_pick(fresh, part, S)
+        if best is not None:
+            c1, c2 = part.class_of[best[1]], part.class_of[best[2]]
+            assert fresh.word(c1, c2) == drained.word(c1, c2)
+            assert len(fresh.dist) == 0 or best[0] > 1
+        fresh = PairTable.build(dfa, drained.trans, part.class_of, merge=False)
+        assert list(fresh.steps(S)) == list(drained.steps(S))
 
 
 def cerny_times_parity(m):
@@ -722,6 +792,7 @@ def test_negative_reads_complete_the_table():
 
     def partly_grown():
         table = pair_table(dfa)
+        table._grow(0)
         table._grow(len(table.dist) + 1)
         assert set(table.dist) == {1, 2} and table._bfs is not None
         return table
@@ -740,15 +811,29 @@ def test_negative_reads_complete_the_table():
     table = partly_grown()
     assert not table.all_compressible() and table._bfs is None
     assert len(table.dist) == 20
+    # an unlisted table spells a distance-1 pair without listing; any
+    # other read lists the seeds first, and a negative one completes
+    seed = divmod(partly_grown().pairs[0], 10)
+    table = pair_table(dfa)
+    assert len(table.word(*seed)) == 1 and len(table.dist) == 0
+    assert table.distance(*seed) == 1 and 0 < len(table.dist) < 20
+    assert table._bfs is not None
+    table = pair_table(dfa)
+    with pytest.raises(InputError, match="not settled"):
+        table.word(0, 1)
+    assert table._bfs is None and len(table.dist) == 20
 
 
 def test_tables_compare_as_complete_tables():
+    # unlisted, seeds only, grown past the seeds: all compare as complete
     dfa = gen_cerny(12)
-    grown, fresh = pair_table(dfa), pair_table(dfa)
+    fresh, seeded, grown = pair_table(dfa), pair_table(dfa), pair_table(dfa)
+    seeded._grow(0)
+    grown._grow(0)
     grown._grow(len(grown.dist) + 1)
-    assert len(fresh.dist) < len(grown.dist) < 66
-    assert grown == fresh
-    assert grown._bfs is None and fresh._bfs is None
+    assert 0 == len(fresh.dist) < len(seeded.dist) < len(grown.dist) < 66
+    assert grown == fresh == seeded
+    assert all(t._bfs is None for t in (fresh, seeded, grown))
     assert pair_table(dfa) != pair_table(gen_cerny(11))
 
 
@@ -767,10 +852,15 @@ def test_pair_table_items_and_distance(fig1):
 def class_pick(part, S):
     """The pick of a step of part.table.steps: each class of S stands for
     its least state of S."""
+    return fresh_class_pick(part.table, part, S)
+
+
+def fresh_class_pick(table, part, S):
+    """class_pick read from table, a separation table of part."""
     rep = [None] * len(part.classes)
     for q in sorted(S, reverse=True):
         rep[part.class_of[q]] = q
-    return part.table.least_pair(rep)
+    return table.least_pair(rep)
 
 
 def ref_least_separated_pair(part, S):
@@ -838,6 +928,28 @@ def test_class_pick_breaks_ties_by_states():
     table = hand_table(4, {(0, 1): 1, (0, 2): 2, (0, 3): 2, (1, 2): 2,
                            (1, 3): 2, (2, 3): 2})
     assert table.least_pair([None, 5, 1, 3]) == (2, 1, 3)
+
+
+def test_built_tables_break_ties_by_states():
+    # classes {0, 3}, {1} and {2}, every two settled by one letter: with
+    # S = {1, 2, 3} class 0 stands for state 3, so a pick in element order
+    # would give classes (0, 1), that is states (1, 3)
+    dfa = PartialDfa(4, ("a", "b"), ((3, 1), (UNDEF, 0), (UNDEF, UNDEF),
+                                     (0, 1)))
+    part = inseparability_partition(dfa)
+    assert part.classes == tuple(map(frozenset, ({0, 3}, {1}, {2})))
+    assert class_pick(part, {1, 2, 3}) == (1, 1, 2)
+    assert class_reducing_word(dfa, part, {1, 2, 3}) == (1,)
+    # a and b both settle classes 0 and 2: the word is the least letter
+    assert part.table.word(2, 0) == (0,)
+    assert len(part.table.dist) == 0
+    # states 1 and 2 both die under a, which settles neither table's pair
+    table = pair_table(dfa)
+    assert table.word(1, 2) == (1,) and min_pair(table, {1, 2}) == (1, 1, 2)
+    assert len(table.dist) == 0
+    assert table.distance(1, 2) == 1 and table.word(1, 2) == (1,)
+    part.table.all_compressible()
+    assert part.table.word(0, 2) == (0,) and part.table.word(1, 2) == (1,)
 
 
 # --------------------------------------------------------------- extremal
