@@ -10,9 +10,9 @@ image fills on use, never changes a result, and concurrent fills store equal
 values, so automata can be shared freely across threads.  A PairTable lists
 its pairs on demand, from none at build: its reads grow its arrays in place
 and keep its settle masks, without a lock, so share one across threads only
-once it is complete (after all_compressible).
-The same holds for the separation table of an equivalence.Partition: share
-a partition only after part.table.all_compressible().
+once it is complete (after all_compressible).  The same holds for an
+equivalence.Partition, which holds one: share it only after
+part.table.all_compressible().
 """
 from __future__ import annotations
 
@@ -118,9 +118,10 @@ class PartialDfa:
     def image(self, S, w: Word) -> frozenset[int]:
         """{delta(q, w) : q in S, delta(q, w) defined}.
 
-        w is applied in chunks of _chunk_len letters whose actions are
-        cached (at most 256 per automaton), the leftover letters one column
-        at a time.
+        The one word replay on a set of states; only the oracle replays
+        words on bit masks, for n <= 24.  w is applied in chunks of
+        _chunk_len letters whose actions are cached (at most 256 per
+        automaton), the leftover letters one column at a time.
         """
         w = tuple(w)
         cur = set(S)
@@ -448,7 +449,9 @@ class PairTable:
     along the list: pairs[i] is the code p * n + q (p < q) of the i-th
     pair, dist[i] the length of a shortest word settling it and letter[i]
     the first letter of one such word.  index[p * n + q] ==
-    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.
+    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.  The
+    table keeps dfa, the table trans it was built on and elem, where state
+    q of dfa stands for element elem[q].
 
     A built table lists nothing, index included, and keeps the BFS paused
     in _bfs.  While it is unlisted, least_pair answers for a subset that

@@ -188,11 +188,9 @@ def logrank_bounds(p):
 def extremal_bound(p):
     """Criterion 10: exhaustive extremal search attains (n^2 - n)/2.
 
-    Checked for n = 2..4, where it holds.  The one-hole maximum falls short
-    beyond: 9 < 10 at n = 5 and 13 < 15 at n = 6 (5,116,092 canonical
-    strongly connected tables, 613,931,040 labelled ones, about 30 s below
-    the exhaustive guardrail), so with one undefined slot (n^2 - n)/2 is a
-    small-n pattern, not a bound.
+    Checked for n = 2..4, where it holds; the one-hole maximum falls short
+    at n = 5 and 6 (oracle.extremal_search), so (n^2 - n)/2 is a small-n
+    pattern, not a bound.
     """
     top = min(p.size_cap, 4)
     for n in range(2, top + 1):

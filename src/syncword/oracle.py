@@ -5,9 +5,10 @@ guardrail), so a mask is three bytes of an array('i') item.  Images are
 computed a block of a level at a time, in C: the block's bytes 0, 1 and 2
 are sliced out of the array's buffer, each goes through bytes.translate
 with one 256-byte table per (letter, input byte, output byte) (tables that
-map to no state are dropped), the translated bytes of one output byte are
-OR-ed as int.from_bytes values, and the results are interleaved into an
-array('i') of images in (mask, letter) order.  A block holds at most
+map to no state are dropped, so at most 8 states take one translate per
+letter), the translated bytes of one output byte are OR-ed as
+int.from_bytes values, and the results are interleaved into an array('i')
+of images in (mask, letter) order.  A block holds at most
 _BLOCK_IMAGES images (and at least one mask), so the transient buffers do
 not grow with the level or the alphabet.  The one Python loop per image is
 the seen-check, which walks the images in that order and appends each new
@@ -22,7 +23,8 @@ so at that count the set is about a quarter of the map's size.  Dense
 lattices move to the map within their first few levels; a lattice that
 stays below the count never allocates it: duplicating(gen_cerny(12))
 reaches 8,192 of 2**24 subsets and peaks at 0.8 MiB under tracemalloc,
-where the map would be 16 MiB.  Only the frontier level is kept, as an
+where the map would be 16 MiB (`syncword verify duplicating` on the 12-state
+cycle: 17.4 MB max RSS).  Only the frontier level is kept, as an
 array('i') of masks in discovery order.  For every reached mask the search
 stores its source, the index p * k + a of the image that first reached it
 (p the parent's position in the previous level, a the letter), in one
@@ -41,7 +43,10 @@ The work is the reached subsets times the letters, which n <= 24 alone does
 not bound: 64 letters over the 22-state cycle would take about 12 s.  The
 search counts the images it computes and, at the first level boundary past
 MAX_ORACLE_IMAGES, refuses the input with an InputError; the binary full
-lattice at n = 24 stays below that budget.
+lattice at n = 24 stays below that budget.  `syncword oracle` on
+gen_cerny(24) takes 2.8 s at 106 MB max RSS, and on the 22-state cycle
+with its letters copied out to 64 exits 2 in 1.4 s at 28 MB (Python
+3.11.7, 2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -504,12 +509,23 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
       slot order): the least relabeling of the canonical tables that reach
       best_rt, since relabeling keeps the reset threshold.
 
-    Exhaustive up to n <= 5 (guardrail: n = 5 takes about 0.6 s and 16 MB,
-    while n = 6 has 5,116,092 canonical strongly connected tables and takes
-    about 30 s); the randomized profile draws every table from Lcg64(seed),
-    is deterministic given (seed, trials) and limited to MAX_ORACLE_STATES
+    Exhaustive up to n <= 5 (guardrail: n = 5 takes about 0.6 s and 16 MB);
+    the randomized profile draws every table from Lcg64(seed), is
+    deterministic given (seed, trials) and limited to MAX_ORACLE_STATES
     states, since each candidate's reset threshold is a BFS over the same
     subset lattice as the oracle's.
+
+    The one-hole maximum against (n^2 - n)/2 is 1 = 1, 3 = 3, 6 = 6, 9 < 10
+    and 13 < 15 for n = 2..6, so the target is attained only up to n = 4.
+    n = 6, past the guardrail (_extremal_exhaustive(6)), visits 5,116,092
+    canonical tables standing for 613,931,040 labelled ones in 29.6 s at
+    16.2 MB max RSS (Python 3.11.7, 2-vCPU VM); its least winner is
+    ((None, 1), (2, 2), (3, 3), (4, 5), (1, 4), (0, 1)).  More holes do not
+    help: a one-off enumeration of every BFS-canonical strongly connected
+    binary table gave the maximum reset threshold per number of undefined
+    slots 0..4 at n = 4 as 9, 6, 4, 3, 2, and for 0..5 at n = 5 (320,253
+    tables, about 2 s) as 16, 9, 6, 5, 4, 2, so no table with a hole reaches
+    (n^2 - n)/2 = 10 at n = 5.  No package check covers this yet.
     """
     if n < 2:
         raise InputError("need at least two states")
