@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import FormatError, InputError, NotStronglyConnected, require
+from .errors import (FormatError, InputError, NotStronglyConnected, Value,
+                     require)
 
 UNDEF = None
 
@@ -52,23 +52,17 @@ def check_cells(n: int, k: int) -> None:
 MAX_PAIR_INDEX = 1 << 24
 
 
-@dataclass(frozen=True)
-class PartialDfa:
+class PartialDfa(Value):
     """A partial deterministic finite automaton (no initial/final states).
 
     trans[q][a] is the successor state or UNDEF.  The alphabet is an ordered
     tuple of distinct non-empty tokens; all tie-breaking everywhere in this
-    package follows (letter order, then state order).
+    package follows (letter order, then state order).  columns[a][q] ==
+    trans[q][a].  columns and the chunk caches are set after the fields,
+    so ==, hash and repr use n, alphabet and trans alone.
     """
 
-    n: int
-    alphabet: tuple[str, ...]
-    trans: tuple[tuple[int | None, ...], ...]
-    _letter_index: dict = field(init=False, repr=False, compare=False, hash=False)
-    #: columns[a][q] == trans[q][a]
-    columns: tuple = field(init=False, repr=False, compare=False, hash=False)
-    _chunk_len: int = field(init=False, repr=False, compare=False, hash=False)
-    _chunks: dict = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("n", "alphabet", "trans")
 
     def __post_init__(self):
         if self.n < 1:
@@ -437,8 +431,7 @@ def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
                         index[row + q] = index[q * n + p] = found
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(Value):
     """The _pair_bfs result for the unordered pairs of the n elements of a
     table, made by build: shortest words that settle a pair.
 
@@ -468,17 +461,10 @@ class PairTable:
     and for a table made from complete arrays.
     """
 
-    n: int
-    pairs: array
-    dist: array
-    letter: array
-    index: array
-    dfa: PartialDfa = field(compare=False, repr=False)
-    trans: tuple = field(compare=False, repr=False)
-    elem: object = field(compare=False, repr=False)
-    merge: bool = field(default=False, compare=False, repr=False)
-    _bfs: object = field(default=None, compare=False, repr=False)
-    _masks: object = field(default=None, compare=False, repr=False)
+    _fields = ("n", "pairs", "dist", "letter", "index", "dfa", "trans",
+               "elem", "merge", "_bfs", "_masks")
+    _defaults = {"merge": False, "_bfs": None, "_masks": None}
+    _shown = ("n", "pairs", "dist", "letter", "index")
 
     @classmethod
     def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:

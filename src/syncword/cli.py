@@ -8,7 +8,9 @@ summary emits stable key=value lines.
 Every command imports the package modules it runs inside its own function:
 each CLI run is a fresh interpreter, and start-up is a large share of a short
 job, so a command loads no module it does not use
-(tests/test_cli.py::test_command_loads_only_its_modules lists them).
+(tests/test_cli.py::test_command_loads_only_its_modules lists them).  No job
+loads inspect, or the standard data-class module that imports it
+(tests/test_cli.py::test_command_loads_no_introspection_modules).
 """
 from __future__ import annotations
 

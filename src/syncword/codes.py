@@ -10,11 +10,11 @@ branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .automaton import (EPSILON, UNDEF, PartialDfa, Word, check_cells,
                         is_strongly_connected)
-from .errors import FormatError, InputError, NotSynchronizing, SyncwordError
+from .errors import (FormatError, InputError, NotSynchronizing, SyncwordError,
+                     Value)
 
 ENUMERATION_CAP = 2 ** 22
 
@@ -26,11 +26,10 @@ ENUMERATION_CAP = 2 ** 22
 MAX_CODE_LETTERS = 1 << 13
 
 
-@dataclass(frozen=True)
-class PrefixCode:
+class PrefixCode(Value):
     """Non-empty, duplicate-free set of codewords, none a prefix of another."""
 
-    words: tuple[str, ...]
+    _fields = ("words",)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -66,8 +65,7 @@ def validate_code(words) -> PrefixCode:
     return PrefixCode(words)
 
 
-@dataclass(frozen=True)
-class LiteralAutomaton:
+class LiteralAutomaton(Value):
     """Partial DFA on the proper prefixes of a prefix code.
 
     States are the proper prefixes in lexicographic order, so the root
@@ -75,11 +73,7 @@ class LiteralAutomaton:
     one.
     """
 
-    code: PrefixCode
-    dfa: PartialDfa
-    prefixes: tuple[str, ...]
-    state_of: dict
-    height: int
+    _fields = ("code", "dfa", "prefixes", "state_of", "height")
 
     @property
     def root(self) -> int:

@@ -9,12 +9,11 @@ rank threshold while making the automaton properly incomplete.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
                         is_complete, is_strongly_connected)
-from .errors import InputError, NotStronglyConnected, SyncwordError
+from .errors import InputError, NotStronglyConnected, SyncwordError, Value
 
 if TYPE_CHECKING:
     from .equivalence import Partition
@@ -48,17 +47,14 @@ def lift_word_to_partial(dfa: PartialDfa, S, w: Word) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CollectingTree:
+class CollectingTree(Value):
     """Tree on inseparability classes directed toward a root class.
 
     parent maps every non-root class id to (letter, parent class id), where
     the quotient moves the class to its parent under the letter.
     """
 
-    root_class: int
-    parent: dict
-    partition: Partition
+    _fields = ("root_class", "parent", "partition")
 
 
 def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> CollectingTree:
@@ -155,8 +151,7 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InducedAutomaton:
+class InducedAutomaton(Value):
     """Restriction of an automaton to R = image under W1, with one composite
     letter per distinct action of a W2 W1 product word.
 
@@ -164,10 +159,7 @@ class InducedAutomaton:
     composite letter stands for.
     """
 
-    base: PartialDfa
-    R: tuple[int, ...]
-    letters: tuple[Word, ...]
-    dfa: PartialDfa
+    _fields = ("base", "R", "letters", "dfa")
 
 
 def _composite_token(base: PartialDfa, w: Word) -> str:

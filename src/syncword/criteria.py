@@ -7,27 +7,26 @@ all` on quick(size_cap, seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import codes, constructions, equivalence, generators, oracle
 from . import synchronization as sync
-from .errors import InputError, require
+from .errors import InputError, Value, require
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Value):
     """size_cap bounds the states of the cycle family and random automata,
     min(size_cap, 6) of the duplicating inputs and min(size_cap, 4) of the
     extremal search; seed offsets every corpus seed."""
 
-    size_cap: int
-    seed: int
-    automata: int  # random partial automata, shared by criteria 6-8
-    subsets: int  # subsets, and then words, drawn per automaton (criterion 8)
-    codes: int  # random prefix codes (criterion 9)
-    complete: int  # random complete automata (criterion 4)
-    oneword: int  # largest k of the one-word family (criterion 2)
+    _fields = (
+        "size_cap", "seed",
+        "automata",  # random partial automata, shared by criteria 6-8
+        "subsets",  # subsets, and then words, drawn per automaton (criterion 8)
+        "codes",  # random prefix codes (criterion 9)
+        "complete",  # random complete automata (criterion 4)
+        "oneword",  # largest k of the one-word family (criterion 2)
+    )
 
 
 ACCEPTANCE = Profile(size_cap=8, seed=0, automata=500, subsets=100,
@@ -43,7 +42,7 @@ def quick(size_cap, seed):
     cap, the largest size the checks are meant to run at."""
     if not 3 <= size_cap <= 8:
         raise InputError(f"--size-cap must be in 3..8, got {size_cap}")
-    return replace(QUICK, size_cap=size_cap, seed=seed)
+    return QUICK.replace(size_cap=size_cap, seed=seed)
 
 
 @lru_cache(maxsize=1)

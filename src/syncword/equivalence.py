@@ -11,15 +11,13 @@ by letter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 
 from .automaton import UNDEF, PairTable, PartialDfa, Word
-from .errors import InputError, SyncwordError
+from .errors import InputError, SyncwordError, Value
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Inseparability classes plus separating-word witnesses.
 
     classes are ordered by their minimal state and class_of maps each state
@@ -30,9 +28,8 @@ class Partition:
     table.word(c1, c2) is such a word.
     """
 
-    class_of: tuple[int, ...]
-    classes: tuple[frozenset[int], ...]
-    table: PairTable = field(compare=False, repr=False)
+    _fields = ("class_of", "classes", "table")
+    _compare = _shown = ("class_of", "classes")
 
     def kappa(self, S) -> int:
         """Number of classes intersecting S."""

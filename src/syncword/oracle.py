@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import factorial
 from operator import or_
 
 from .automaton import UNDEF, PartialDfa, is_strongly_connected
-from .errors import InputError, NotStronglyConnected, SyncwordError
+from .errors import InputError, NotStronglyConnected, SyncwordError, Value
 
 # Read by perfbench/run.py, which records it in each run's environment.
 KERNEL_BACKEND = "python"
@@ -91,8 +90,7 @@ _BLOCK_IMAGES = 1 << 13
 _OFFSETS = (0, 1, 2) if sys.byteorder == "little" else (3, 2, 1)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Value):
     """Shortest-word lengths and witnesses per achievable rank.
 
     thresholds[r] = (length, word) for every rank r whose subsets are
@@ -102,10 +100,8 @@ class OracleReport:
     depth its last nonempty BFS level; neither takes part in equality.
     """
 
-    n: int
-    thresholds: dict
-    subsets: int = field(compare=False)
-    depth: int = field(compare=False)
+    _fields = ("n", "thresholds", "subsets", "depth")
+    _compare = ("n", "thresholds")
 
     def reachable(self, r: int) -> bool:
         return r in self.thresholds
@@ -320,14 +316,8 @@ def duplicating_identity_check(dfa: PartialDfa):
     return results
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    n: int
-    target: int
-    best_rt: int
-    best_dfa: PartialDfa | None
-    attained: bool
-    candidates: int
+class ExtremalResult(Value):
+    _fields = ("n", "target", "best_rt", "best_dfa", "attained", "candidates")
 
 
 def _rt_bitmask(rows_a, rows_b, n) -> int | None:

@@ -13,13 +13,12 @@ attempted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
                         is_strongly_connected)
 from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
-                     SyncwordError)
+                     SyncwordError, Value)
 
 if TYPE_CHECKING:
     from .constructions import CollectingTree
@@ -38,8 +37,7 @@ def is_synchronizing(dfa: PartialDfa) -> bool:
     return pair_table(dfa).all_compressible()
 
 
-@dataclass(frozen=True)
-class SyncResult:
+class SyncResult(Value):
     """A produced word with its measured rank and the greedy trace.
 
     Each trace entry is (subset size after the step, sub-word applied);
@@ -47,9 +45,7 @@ class SyncResult:
     final_rank.
     """
 
-    word: Word
-    final_rank: int
-    trace: tuple
+    _fields = ("word", "final_rank", "trace")
 
     def replay(self, dfa: PartialDfa) -> bool:
         S = dfa.states

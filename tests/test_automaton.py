@@ -121,6 +121,22 @@ def test_fully_undefined_letter_flagged():
     assert fully_undefined_letters(dfa) == [1]
 
 
+def test_constructor_and_replace_check_the_fields():
+    dfa = cycle(3, "ab")
+    assert PartialDfa(n=3, alphabet=("a", "b"), trans=dfa.trans) == dfa
+    renamed = dfa.replace(alphabet=("x", "y"))
+    assert (renamed.trans, renamed.word("y x")) == (dfa.trans, (1, 0))
+    with pytest.raises(InputError, match="one row per state"):
+        dfa.replace(n=4)
+    with pytest.raises(TypeError):
+        dfa.replace(start=0)
+    for args, kwargs in [((3, "ab"), {}), ((3, "ab", dfa.trans), {"n": 3}),
+                         ((3, "ab", dfa.trans, None), {}),
+                         ((3, "ab", dfa.trans), {"start": 0})]:
+        with pytest.raises(TypeError):
+            PartialDfa(*args, **kwargs)
+
+
 # ------------------------------------------------------------ word actions
 
 def test_image_of_full_set_under_b(fig1):

@@ -111,12 +111,12 @@ def run_optimized(script, *args):
 
 
 FAILED_BOUND_SCRIPT = """
-import dataclasses, sys
+import sys
 from syncword import cli, oracle
 
 real = oracle.extremal_search
-oracle.extremal_search = lambda *a, **kw: dataclasses.replace(
-    real(*a, **kw), attained=False)
+oracle.extremal_search = lambda *a, **kw: real(*a, **kw).replace(
+    attained=False)
 assert False, "assert statements must be off"
 sys.exit(cli.run(["verify", "all"]))
 """
@@ -773,7 +773,7 @@ def loads(modules, *argv):
                         id=" ".join(a for a in argv if a != "FILE"))
 
 
-@pytest.mark.parametrize("argv, modules", [
+COMMAND_LINES = [
     loads(["cli", "errors"], "--help"),
     loads(ORACLE, "oracle", "FILE"),
     loads(ORACLE, "search", "extremal", "--n", "3", "--exhaustive"),
@@ -790,16 +790,41 @@ def loads(modules, *argv):
     loads(["automaton", "cli", "errors", "generators"],
           "gen", "cerny", "--n", "3"),
     loads(ALL, "verify", "all", "--size-cap", "3"),
-])
-def test_command_loads_only_its_modules(tmp_path, argv, modules):
-    # every CLI job is a fresh interpreter: a module a command does not run
-    # is start-up time on each job, so a new eager import fails here
+]
+
+
+def last_stderr_line(tmp_path, script, argv):
+    """The words of the last stderr line of script run on argv, with FILE
+    a complete automaton."""
     path = tmp_path / "cerny4.dfa"
     path.write_text(format_dfa(gen_cerny(4)))
     argv = [str(path) if a == "FILE" else a for a in argv]
-    proc = run_python("-c", LOADED_MODULES_SCRIPT, *argv)
-    assert proc.stderr.splitlines()[-1].split() == [
+    return run_python("-c", script, *argv).stderr.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_LINES)
+def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    # every CLI job is a fresh interpreter: a module a command does not run
+    # is start-up time on each job, so a new eager import fails here
+    assert last_stderr_line(tmp_path, LOADED_MODULES_SCRIPT, argv) == [
         "0", *(f"syncword.{m}" for m in modules)]
+
+
+INTROSPECTION_SCRIPT = """
+import sys
+heavy = {"dataclasses", "inspect"}
+bare = heavy & set(sys.modules)  # what `python -c pass` already holds
+from syncword import cli
+status = cli.run(sys.argv[1:])
+print(status, *sorted(heavy & set(sys.modules) - bare), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_LINES)
+def test_command_loads_no_introspection_modules(tmp_path, argv, modules):
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 5 ms of
+    # every job; the value types build on errors.Value instead
+    assert last_stderr_line(tmp_path, INTROSPECTION_SCRIPT, argv) == ["0"]
 
 
 def test_closed_stdout_ends_quietly():
