@@ -23,30 +23,31 @@ so at that count the set is about a quarter of the map's size.  Dense
 lattices move to the map within their first few levels; a lattice that
 stays below the count never allocates it: duplicating(gen_cerny(12))
 reaches 8,192 of 2**24 subsets and peaks at 0.8 MiB under tracemalloc,
-where the map would be 16 MiB (`syncword verify duplicating` on the 12-state
-cycle: 17.4 MB max RSS).  Only the frontier level is kept, as an
+where the map would be 16 MiB (`syncword verify duplicating` on the
+12-state cycle: 17.4 MB max RSS).  Only the frontier level is kept, as an
 array('i') of masks in discovery order.  For every reached mask the search
 stores its source, the index p * k + a of the image that first reached it
 (p the parent's position in the previous level, a the letter), in one
-array per level: array('i') while k * 2**n <= 2**31 (a level holds fewer
-than 2**n masks, so the index fits), else array('q').  Memory is the set
-or the map, 4 bytes of source per reached subset (8 past that bound), the
-frontier's masks, and 36 to 72 bytes per mask of the level being built,
-which is a Python list (gen_cerny(16) peaks at 0.34 MiB, about 5.5 bytes
-per subset).  As each level closes, the first mask of
-every new subset size is recorded as a (level, position) pair.  Images are
-walked in (mask, letter) order, so the source of a mask is its first
-parent under the least letter that reaches it, and a witness reads back to
-the full set with one divmod per level.
+array('i') per level: the index is below the images computed, which the
+budget below keeps under 2**31.  Memory is the set or the map, 4 bytes of
+source per reached subset, the frontier's masks, and 36 to 72 bytes per
+mask of the level being built, which is a Python list (gen_cerny(16) peaks
+at 0.34 MiB, about 5.5 bytes per subset).  As each level closes, the first
+mask of every new subset size is recorded as a (level, position) pair.
+Images are walked in (mask, letter) order, so the source of a mask is its
+first parent under the least letter that reaches it, and a witness reads
+back to the full set with one divmod per level.
 
 The work is the reached subsets times the letters, which n <= 24 alone does
-not bound: 64 letters over the 22-state cycle would take about 12 s.  The
-search counts the images it computes and, at the first level boundary past
-MAX_ORACLE_IMAGES, refuses the input with an InputError; the binary full
-lattice at n = 24 stays below that budget.  `syncword oracle` on
-gen_cerny(24) takes 2.8 s at 106 MB max RSS, and on the 22-state cycle
-with its letters copied out to 64 exits 2 in 1.4 s at 28 MB (Python
-3.11.7, 2-vCPU VM).
+not bound: 64 letters over the 22-state cycle would take about 12 s.
+Imaging a level brings the images computed to the subsets reached so far
+times the letters, so before each level the search refuses the input with
+an InputError when that count would pass MAX_ORACLE_IMAGES; it never
+computes more images than the budget, and the binary full lattice at
+n = 24 stays below it.  `syncword oracle` on gen_cerny(24) takes 4.0 s at
+105 MB max RSS, and on the 22-state cycle with its letters copied out to
+64 exits 2 in 1.5 s at 27 MB, before imaging its level 49 (Python 3.11.7,
+2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -72,7 +73,8 @@ MAX_ORACLE_STATES = 24
 # before it refuses the input: the binary full lattice at n = 24 computes
 # 2 * (2**24 - 1), just below it.  The search runs at about 25 million
 # images a second, so the budget is a few seconds; the cycle family at
-# n = 22 with its letters copied out to 64 would need 2**28 images.
+# n = 22 with its letters copied out to 64 would need 2**28 images.  It is
+# below 2**31, so array('i') holds every image source.
 MAX_ORACLE_IMAGES = 1 << 25
 
 # Bytes a reached mask costs the subset BFS's set: its slot in a hash table
@@ -193,8 +195,6 @@ def _bfs_witnesses(dfa: PartialDfa):
     seen = {full}  # a bytearray indexed by mask once the lattice is dense
     sparse = True
     sparse_limit = (1 << n) // _SPARSE_DIVISOR
-    # a source p * k + a is below k * 2**n: a level holds fewer than 2**n masks
-    code = "i" if k << n <= 1 << 31 else "q"
     level = array("i", (full,))
     sources = [None]  # d -> the image that first reached each mask at level d
     first = [None] * (n + 1)  # size -> (level, index) of its first mask
@@ -202,6 +202,12 @@ def _bfs_witnesses(dfa: PartialDfa):
     found = {n}
     subsets = 1
     while True:
+        # imaging this level brings the images computed to k * subsets
+        if k * subsets > MAX_ORACLE_IMAGES:
+            raise InputError(
+                f"the subset BFS would compute {k * subsets} images (reached "
+                f"subsets times {k} letters) by level {len(sources)}, above "
+                f"the limit of {MAX_ORACLE_IMAGES}")
         # appending Python ints is cheaper to a list than to an array, so a
         # level and its sources become arrays only once the level is complete
         nxt = []
@@ -222,12 +228,6 @@ def _bfs_witnesses(dfa: PartialDfa):
                         src.append(j)
         if not nxt:
             break
-        # every subset reached so far has been imaged under every letter
-        if k * subsets > MAX_ORACLE_IMAGES:
-            raise InputError(
-                f"the subset BFS computed {k * subsets} images (reached "
-                f"subsets times {k} letters) by level {len(sources)}, above "
-                f"the limit of {MAX_ORACLE_IMAGES}")
         new = set(map(int.bit_count, nxt)) - found
         found |= new
         for j, t in enumerate(nxt):
@@ -239,7 +239,7 @@ def _bfs_witnesses(dfa: PartialDfa):
                 first[c] = (len(sources), j)
         subsets += len(nxt)
         level = array("i", nxt)
-        sources.append(array(code, src))
+        sources.append(array("i", src))
         if sparse and len(seen) > sparse_limit:
             marks = bytearray(1 << n)
             for t in seen:
@@ -422,13 +422,38 @@ def _least_relabeling(n, tables):
     return best[1]
 
 
-def _extremal_exhaustive(n):
-    """(best_rt, best flat table, candidates) over every labelled one-hole
-    binary table on n states; the search visits the canonical ones only."""
+def _random_tables(n, seed, trials):
+    """The strongly connected tables among trials random one-hole binary
+    tables drawn from Lcg64(seed), lazily, in the flat layout of
+    _canonical_tables."""
+    from .generators import Lcg64
+    rng = Lcg64(seed)
+    full = (1 << n) - 1
+    for _ in range(trials):
+        hole = 2 * rng.below(n) + rng.below(2)
+        flat = [1 << rng.below(n) for _ in range(2 * n)]
+        flat[hole] = 0
+        # most union graphs leave some state without an in-edge, which
+        # rules out strong connectivity at once
+        union = tuple(map(or_, flat[0::2], flat[1::2]))
+        if reduce(or_, union) != full or not _reaches_zero(union, n):
+            continue
+        # state 0 reaches every state: every state reaches 0 backwards
+        pred = [0] * n
+        for i, m in enumerate(flat):
+            if m:
+                pred[m.bit_length() - 1] |= 1 << (i >> 1)
+        if _reaches_zero(pred, n):
+            yield flat
+
+
+def _best_tables(n, tables):
+    """(best_rt, the tables that reach it in order, count) over the flat
+    tables; best_rt is -1 when none of them synchronizes."""
     best_rt = -1
     best = []
     count = 0
-    for flat in _canonical_tables(n):
+    for flat in tables:
         count += 1
         rt = _rt_bitmask(flat[0::2], flat[1::2], n)
         if rt is None or rt < best_rt:
@@ -437,41 +462,6 @@ def _extremal_exhaustive(n):
             best_rt = rt
             best = []
         best.append(flat)
-    winner = _least_relabeling(n, best) if best else None
-    return best_rt, winner, factorial(n - 1) * count
-
-
-def _extremal_random(n, seed, trials):
-    """(best_rt, first best flat table, candidates) over trials random
-    one-hole binary tables drawn from Lcg64(seed)."""
-    from .generators import Lcg64
-    rng = Lcg64(seed)
-    full = (1 << n) - 1
-    best_rt = -1
-    best = None
-    count = 0
-    for _ in range(trials):
-        hole = 2 * rng.below(n) + rng.below(2)
-        flat = [1 << rng.below(n) for _ in range(2 * n)]
-        flat[hole] = 0
-        rows_a, rows_b = flat[0::2], flat[1::2]
-        # most union graphs leave some state without an in-edge, which
-        # rules out strong connectivity at once
-        union = tuple(map(or_, rows_a, rows_b))
-        if reduce(or_, union) != full or not _reaches_zero(union, n):
-            continue
-        # state 0 reaches every state: every state reaches 0 backwards
-        pred = [0] * n
-        for i, m in enumerate(flat):
-            if m:
-                pred[m.bit_length() - 1] |= 1 << (i >> 1)
-        if not _reaches_zero(pred, n):
-            continue
-        count += 1
-        rt = _rt_bitmask(rows_a, rows_b, n)
-        if rt is not None and rt > best_rt:
-            best_rt = rt
-            best = flat
     return best_rt, best, count
 
 
@@ -479,11 +469,12 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
     """Search binary properly incomplete strongly connected automata with a
     single deficient state for the largest reset threshold.
 
-    The exhaustive profile covers every labelled table with one undefined
-    slot, but visits only the BFS-canonical ones (_canonical_tables; see
-    Almeida, Moreira & Reis, TCS 2007, and Kisielewicz & Szykula, CIAA
-    2013) and runs one reset-threshold BFS per canonical strongly connected
-    table.  Its results are those of the labelled enumeration:
+    Both profiles score through _best_tables, one reset-threshold BFS per
+    strongly connected table.  The exhaustive profile covers every labelled
+    table with one undefined slot, but visits only the BFS-canonical ones
+    (_canonical_tables; see Almeida, Moreira & Reis, TCS 2007, and
+    Kisielewicz & Szykula, CIAA 2013).  Its results are those of the
+    labelled enumeration:
 
     - candidates, the labelled strongly connected tables, is (n-1)! times
       the canonical count.  Each labelled table paired with one of its n
@@ -500,22 +491,23 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
       best_rt, since relabeling keeps the reset threshold.
 
     Exhaustive up to n <= 5 (guardrail: n = 5 takes about 0.6 s and 16 MB);
-    the randomized profile draws every table from Lcg64(seed), is
-    deterministic given (seed, trials) and limited to MAX_ORACLE_STATES
-    states, since each candidate's reset threshold is a BFS over the same
-    subset lattice as the oracle's.
+    the randomized profile draws every table from Lcg64(seed)
+    (_random_tables) and keeps the first drawn table that reaches best_rt.
+    It is deterministic given (seed, trials) and limited to
+    MAX_ORACLE_STATES states, since each candidate's reset threshold is a
+    BFS over the same subset lattice as the oracle's.
 
     The one-hole maximum against (n^2 - n)/2 is 1 = 1, 3 = 3, 6 = 6, 9 < 10
     and 13 < 15 for n = 2..6, so the target is attained only up to n = 4.
-    n = 6, past the guardrail (_extremal_exhaustive(6)), visits 5,116,092
-    canonical tables standing for 613,931,040 labelled ones in 29.6 s at
-    16.2 MB max RSS (Python 3.11.7, 2-vCPU VM); its least winner is
-    ((None, 1), (2, 2), (3, 3), (4, 5), (1, 4), (0, 1)).  More holes do not
-    help: a one-off enumeration of every BFS-canonical strongly connected
-    binary table gave the maximum reset threshold per number of undefined
-    slots 0..4 at n = 4 as 9, 6, 4, 3, 2, and for 0..5 at n = 5 (320,253
-    tables, about 2 s) as 16, 9, 6, 5, 4, 2, so no table with a hole reaches
-    (n^2 - n)/2 = 10 at n = 5.  No package check covers this yet.
+    n = 6, past the guardrail, visits 5,116,092 canonical tables standing
+    for 613,931,040 labelled ones in 29.6 s at 16.2 MB max RSS (Python
+    3.11.7, 2-vCPU VM); its least winner is ((None, 1), (2, 2), (3, 3),
+    (4, 5), (1, 4), (0, 1)).  More holes do not help: a one-off enumeration
+    of every BFS-canonical strongly connected binary table gave the maximum
+    reset threshold per number of undefined slots 0..4 at n = 4 as 9, 6, 4,
+    3, 2, and for 0..5 at n = 5 (320,253 tables, about 2 s) as 16, 9, 6, 5,
+    4, 2, so no table with a hole reaches (n^2 - n)/2 = 10 at n = 5.  No
+    package check covers this yet.
     """
     if n < 2:
         raise InputError("need at least two states")
@@ -529,10 +521,14 @@ def extremal_search(n, exhaustive=True, seed=0, trials=10000) -> ExtremalResult:
             f"exhaustive profile limited to n <= 5, got {n} (use the "
             f"randomized profile)")
     target = (n * n - n) // 2
-    best_rt, flat, count = (_extremal_exhaustive(n) if exhaustive
-                            else _extremal_random(n, seed, trials))
+    if exhaustive:
+        best_rt, tables, count = _best_tables(n, _canonical_tables(n))
+        count *= factorial(n - 1)
+    else:
+        best_rt, tables, count = _best_tables(n, _random_tables(n, seed, trials))
     best = None
-    if flat is not None:
+    if tables:
+        flat = _least_relabeling(n, tables) if exhaustive else tables[0]
         best = PartialDfa(n, ("a", "b"), tuple(
             tuple(UNDEF if m == 0 else m.bit_length() - 1
                   for m in flat[q:q + 2])

@@ -132,7 +132,8 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     synchronizing iff dfa is, and on a complete automaton greedy pair
     compression reaches rank 1 iff it is synchronizing.  So NotSynchronizing
     is raised when greedy on the collecting automaton stops above rank 1,
-    before any other word is built.
+    before any other word is built.  The input checks end there: an
+    InputError while building the words is an internal fault.
     """
     from .constructions import strip_gamma
     from .equivalence import collapse_to_single_class_word, quotient
@@ -141,14 +142,14 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     if coll_result.final_rank != 1:
         raise NotSynchronizing("automaton is not synchronizing")
     part = tree.partition
-
-    v = collapse_to_single_class_word(dfa, part, dfa.states)
-    S = dfa.image(dfa.states, v)
-    p_class = part.class_of[min(S)]
-
-    qdfa, _ = quotient(dfa, part)
-    u = connecting_word(qdfa, p_class, tree.root_class)
-    w = strip_gamma(dfa, tree, coll_result.word)
+    try:
+        v = collapse_to_single_class_word(dfa, part, dfa.states)
+        p_class = part.class_of[min(dfa.image(dfa.states, v))]
+        qdfa, _ = quotient(dfa, part)
+        u = connecting_word(qdfa, p_class, tree.root_class)
+        w = strip_gamma(dfa, tree, coll_result.word)
+    except InputError as exc:
+        raise SyncwordError(str(exc)) from exc
 
     out = v + u + w
     if dfa.rank(out) != 1:

@@ -9,7 +9,7 @@ import syncword
 from syncword import (cli, constructions, format_code, format_dfa, gen_cerny,
                       gen_oneword_code, gen_random_partial,
                       gen_random_prefix_code, literal_automaton, oracle,
-                      parse_code, parse_dfa, validate_code)
+                      parse_code, parse_dfa, synchronization, validate_code)
 from syncword.automaton import UNDEF, PairTable, PartialDfa
 from syncword.cli import run
 
@@ -167,6 +167,24 @@ def test_sync_word_wrong_negative_is_internal_under_optimize():
     assert "internal error: a method found no reset word" in proc.stderr
 
 
+def test_collecting_route_fault_after_the_decision_exits_3(capsys, monkeypatch):
+    # greedy's empty word on the collecting automaton, with rank 1 claimed,
+    # passes the decision; strip_gamma's refusal of it is then a fault of
+    # the route, not of the input
+    real = synchronization.greedy_min_rank
+
+    def empty_on_collecting(dfa):
+        if constructions.GAMMA_TOKEN in dfa.alphabet:
+            return synchronization.SyncResult((), 1, ())
+        return real(dfa)
+    monkeypatch.setattr(synchronization, "greedy_min_rank", empty_on_collecting)
+    assert run(["sync", "word", FIG1, "--method", "collecting"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: word does not synchronize the "
+                            "root class in the collecting automaton\n")
+
+
 def test_sync_word_rejects_non_strongly_connected(capsys, tmp_path):
     path = tmp_path / "chain.dfa"
     path.write_text("dfa v1\nstates 2\nalphabet a\n0 a 1\n1 a 1\n")
@@ -294,7 +312,8 @@ def test_oracle_words_over_the_letter_dash(capsys, tmp_path):
 def test_oracle_refuses_a_wide_lattice(tmp_path):
     # the cycle family at n = 22 with its two letters copied out to 64
     # would compute 64 images of each of 2**22 subsets, about 12 s; the
-    # image budget stops it at a level boundary within a few seconds
+    # image budget refuses it before the level that would pass the budget,
+    # within a few seconds
     c = gen_cerny(22)
     path = tmp_path / "wide.dfa"
     path.write_text(format_dfa(PartialDfa(22, tuple(f"x{i}" for i in range(64)),

@@ -437,6 +437,14 @@ def test_log_rank_two_word_code():
     assert len(w) <= 2 * lit.height
 
 
+def test_one_letter_words_give_height_zero():
+    # the literal automaton of {a, b} is its root alone
+    lit = literal_automaton(validate_code(["a", "b"]))
+    assert (lit.height, lit.dfa.n) == (0, 1)
+    assert all_through_root_word(lit) == EPSILON
+    assert codes.log_rank_bound(lit) == 1
+
+
 def test_log_rank_rejects_one_word_code():
     lit = literal_automaton(validate_code(["abaab"]))
     with pytest.raises(InputError):

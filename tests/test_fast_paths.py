@@ -14,8 +14,8 @@ that lists nothing (the same masks) against a drained table, and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (translate tables
-over blocks of a level, a visited byte map, per-level arrays of image
-sources, int32 or int64) and its counters against a set-based BFS, also in
+over blocks of a level, a visited byte map, per-level int32 arrays of
+image sources) and its counters against a set-based BFS, also in
 blocks of one and three masks; is_strongly_connected (adjacency lists)
 against the bit mask check of the extremal search, forwards and backwards;
 and extremal search (bit mask rows over BFS-canonical tables)
@@ -468,11 +468,11 @@ def wide_tables(draw):
     return n, k, [columns[a][q] for q in range(n) for a in range(k)]
 
 
-def int64_table():
-    """A row-major table with n = 24 and 129 letters, so k * 2**n > 2**31
-    and the kernel stores its sources as array('q'): one permutation, four
-    letters whose images hold at most 3 states and copies of those four,
-    with undefined entries; 450 subsets over 180 levels."""
+def many_letters_table():
+    """A row-major table with n = 24 and 129 letters whose lattice stays
+    small: one permutation, four letters whose images hold at most 3 states
+    and copies of those four, with undefined entries; 450 subsets over 180
+    levels."""
     rng = random.Random(24)
     n, k = 24, 129
     columns = [rng.sample(range(n), n)]
@@ -486,7 +486,7 @@ def int64_table():
     return n, k, [columns[a][q] for q in range(n) for a in range(k)]
 
 
-INT64_TABLE = int64_table()
+MANY_LETTERS_TABLE = many_letters_table()
 
 
 def flat_dfa(n, k, flat):
@@ -504,7 +504,7 @@ def test_bfs_kernel_matches_set_bfs(table):
 
 
 @settings(max_examples=300, deadline=None)
-@example(INT64_TABLE)
+@example(MANY_LETTERS_TABLE)
 @given(wide_tables())
 def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
     n, k, flat = table
@@ -512,7 +512,7 @@ def test_bfs_kernel_matches_set_bfs_on_three_bytes(table):
 
 
 @settings(max_examples=200, deadline=None)
-@example(INT64_TABLE)
+@example(MANY_LETTERS_TABLE)
 @given(st.one_of(flat_tables(), wide_tables()))
 def test_oracle_counters_match_set_bfs(table):
     n, k, flat = table
@@ -522,7 +522,7 @@ def test_oracle_counters_match_set_bfs(table):
 
 @pytest.mark.parametrize("masks", [1, 3])
 @settings(max_examples=150, deadline=None)
-@example(table=INT64_TABLE)
+@example(table=MANY_LETTERS_TABLE)
 @given(table=st.one_of(flat_tables(), wide_tables()))
 def test_bfs_kernel_in_small_blocks(masks, table):
     # a level read a few masks at a time gives the same words and counters

@@ -149,6 +149,34 @@ def test_subset_bfs_level_spans_several_blocks(monkeypatch):
     assert (subsets, depth) == ref_bfs_counters(n, k, flat)
 
 
+@pytest.mark.parametrize("budget", [1, 100, 1000, 2045, 2046])
+def test_subset_bfs_never_computes_past_the_image_budget(monkeypatch, budget):
+    # gen_cerny(10) reaches all 1,023 nonempty subsets, so the whole search
+    # computes 2 * 1,023 = 2,046 images; a smaller budget is refused before
+    # the level that would pass it, the last level included
+    computed = []
+    real = oracle._images
+
+    def counted(masks, *rest):
+        images = real(masks, *rest)
+        computed.append(len(images))
+        return images
+    monkeypatch.setattr(oracle, "_images", counted)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_IMAGES", budget)
+    if budget < 2046:
+        with pytest.raises(InputError, match="would compute"):
+            subset_bfs(gen_cerny(10))
+    else:
+        assert subset_bfs(gen_cerny(10)).subsets == 1023
+    assert sum(computed) <= budget
+
+
+def test_image_budget_bounds_the_sources():
+    # a stored source is below the images computed, so the budget keeps it
+    # in array('i'); the binary full lattice at the state limit fits
+    assert 2 * ((1 << MAX_ORACLE_STATES) - 1) <= oracle.MAX_ORACLE_IMAGES < 2**31
+
+
 def test_zero_states_are_rejected():
     # the subset BFS needs n >= 1; no automaton with 0 states can be made
     with pytest.raises(InputError, match="at least one state"):

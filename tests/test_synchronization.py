@@ -160,6 +160,14 @@ def test_greedy_fig1(fig1):
     assert res.replay(fig1)
 
 
+def test_replay_rejects_a_tampered_trace(fig1):
+    res = greedy_min_rank(fig1)
+    size, sub = res.trace[0]
+    assert not res.replace(trace=((size + 1, sub), *res.trace[1:])).replay(fig1)
+    assert not res.replace(word=res.word + res.word[:1]).replay(fig1)
+    assert not res.replace(final_rank=res.final_rank + 1).replay(fig1)
+
+
 def test_greedy_cerny_family():
     for n in range(2, 9):
         cn = gen_cerny(n)
