@@ -13,6 +13,11 @@ and keep its settle masks, without a lock, so share one across threads only
 once it is complete (after all_compressible).  The same holds for an
 equivalence.Partition, which holds one: share it only after
 part.table.all_compressible().
+
+Three shared rules live here alone: require_strongly_connected, the one
+refusal of every route; predecessors, for the pair BFS, Hopcroft's
+refinement and the collecting tree; and content_lines, for both file
+formats.
 """
 from __future__ import annotations
 
@@ -244,9 +249,10 @@ def _reaches_all(adj, n) -> bool:
 def is_strongly_connected(dfa: PartialDfa) -> bool:
     """Strong connectivity of the digraph of defined transitions: every
     state is reachable from state 0 along the transitions and against them.
-    Memory is O(n k), one list of predecessors per state, for any n.  Only
-    the extremal search, on tables of at most 24 states, checks with bit
-    masks instead (oracle._reaches_zero)."""
+    Memory is O(n k), one list of predecessors per state, for any n (k per
+    state, as predecessors() builds, took 1.4-2.3 times as long at
+    MAX_CELLS).  Only the extremal search, on tables of at most 24 states,
+    checks with bit masks instead (oracle._reaches_zero)."""
     if not _reaches_all(dfa.trans, dfa.n):
         return False
     pred = [[] for _ in range(dfa.n)]
@@ -255,6 +261,25 @@ def is_strongly_connected(dfa: PartialDfa) -> bool:
             if t is not UNDEF:
                 pred[t].append(q)
     return _reaches_all(pred, dfa.n)
+
+
+def require_strongly_connected(dfa: PartialDfa) -> None:
+    """Refuse an automaton that is not strongly connected, as every route
+    does: the reductions hold only for strongly connected input."""
+    if not is_strongly_connected(dfa):
+        raise NotStronglyConnected("the automaton is not strongly connected")
+
+
+def predecessors(trans, k):
+    """inv[a][t], the states that letter a maps to t, ascending, for a
+    table trans of rows of k entries (a state or UNDEF); inv[a][len(trans)]
+    holds the states a leaves undefined."""
+    n = len(trans)
+    inv = [[[] for _ in range(n + 1)] for _ in range(k)]
+    for q, row in enumerate(trans):
+        for a, t in enumerate(row):
+            inv[a][n if t is UNDEF else t].append(q)
+    return inv
 
 
 def is_eulerian(dfa: PartialDfa) -> bool:
@@ -393,12 +418,7 @@ def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
     # every seed has distance 1; repeated in place, with no temporary array
     dist.append(1)
     dist *= len(pairs)
-    inv = [[[] for _ in range(n)] for _ in range(k)]
-    for q in range(n):
-        for a in range(k):
-            t = trans[q][a]
-            if t is not UNDEF:
-                inv[a][t].append(q)
+    inv = predecessors(trans, k)
     # into[t]: (a, predecessors of t under a, inv[a]) for the letters a,
     # ascending, under which t has a predecessor
     into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
@@ -689,14 +709,18 @@ def _is_decimal(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
-    """Parse a `dfa v1` document; errors carry the offending line number."""
-    lines = text.split("\n")
-    items = []
-    for no, raw in enumerate(lines, start=1):
+def content_lines(text: str):
+    """(line number, text) per line of a document, '#' comments and blanks
+    stripped, that leaves any text."""
+    for no, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            items.append((no, stripped))
+            yield no, stripped
+
+
+def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
+    """Parse a `dfa v1` document; errors carry the offending line number."""
+    items = list(content_lines(text))
     if not items or items[0][1] != "dfa v1":
         raise FormatError("expected header 'dfa v1'",
                           line=items[0][0] if items else 1)

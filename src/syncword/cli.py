@@ -17,8 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
-                     SyncwordError, require)
+from .errors import InputError, NotSynchronizing, SyncwordError, require
 
 
 def _read(path):
@@ -130,9 +129,7 @@ def _cmd_sync_word(args):
     from . import automaton
     from . import synchronization as sync_mod
     dfa = _load_dfa(args.file)
-    if not automaton.is_strongly_connected(dfa):
-        raise NotStronglyConnected(
-            "synchronizability is only decided for strongly connected automata")
+    automaton.require_strongly_connected(dfa)
     # each method decides synchronizability from the word it computes
     if args.method == "greedy":
         result = sync_mod.greedy_min_rank(dfa)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .automaton import (EPSILON, UNDEF, PartialDfa, Word, check_cells,
-                        is_strongly_connected)
+                        content_lines, is_strongly_connected)
 from .errors import (FormatError, InputError, NotSynchronizing, SyncwordError,
                      Value)
 
@@ -281,8 +281,6 @@ def all_through_root_word(lit: LiteralAutomaton) -> Word:
     """
     if len(lit.code.words) < 2:
         raise InputError("needs a code with at least two words")
-    if lit.height == 0:
-        return EPSILON
     for candidate in _through_root_candidates(lit):
         return candidate
     raise SyncwordError("no all-through-root word found")
@@ -355,8 +353,6 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
     """
     if len(lit.code.words) < 2:
         raise InputError("one-word codes take the conjugate route instead")
-    if lit.height == 0:
-        return EPSILON  # single-state automaton, rank already 1
     bound = log_rank_bound(lit)
     seen_any = False
     for u in _through_root_candidates(lit):
@@ -415,13 +411,10 @@ def parse_code(text: str) -> PrefixCode:
     """Code file: one codeword per line, single-character letters, '#'
     starts a comment."""
     words = []
-    for no, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if any(ch.isspace() for ch in stripped):
+    for no, word in content_lines(text):
+        if any(ch.isspace() for ch in word):
             raise FormatError("codewords cannot contain whitespace", line=no)
-        words.append(stripped)
+        words.append(word)
     return validate_code(words)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word,
-                        is_complete, is_strongly_connected)
-from .errors import InputError, NotStronglyConnected, SyncwordError, Value
+from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word, is_complete,
+                        predecessors, require_strongly_connected)
+from .errors import InputError, SyncwordError, Value
 
 if TYPE_CHECKING:
     from .equivalence import Partition
@@ -62,25 +62,19 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
 
     Deterministic: predecessors are scanned in (letter, class) order.
     """
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected("collecting tree needs a strongly connected automaton")
+    require_strongly_connected(dfa)
     qtable = part.table.trans
     kappa_ = len(qtable)
     if not 0 <= root_class < kappa_:
         raise InputError(f"no class {root_class}")
-    # into[t][a]: the classes that letter a maps to class t, ascending
-    into = [[[] for _ in dfa.alphabet] for _ in range(kappa_)]
-    for c, row in enumerate(qtable):
-        for a, t in enumerate(row):
-            if t is not UNDEF:
-                into[t][a].append(c)
+    inv = predecessors(qtable, len(dfa.alphabet))
     parent = {}
     seen = {root_class}
     queue = deque([root_class])
     while queue:
         target = queue.popleft()
-        for a, preds in enumerate(into[target]):
-            for c in preds:
+        for a, inv_a in enumerate(inv):
+            for c in inv_a[target]:
                 if c not in seen:
                     parent[c] = (a, target)
                     seen.add(c)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .automaton import UNDEF, PairTable, PartialDfa, Word
+from .automaton import UNDEF, PairTable, PartialDfa, Word, predecessors
 from .errors import InputError, SyncwordError, Value
 
 
@@ -40,12 +40,7 @@ def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
     """Classes of 0..n-1 with the UNDEF sink as the only accepting state."""
     n, k = dfa.n, len(dfa.alphabet)
     sink = n
-    inv = [[[] for _ in range(n + 1)] for _ in range(k)]
-    for q in range(n):
-        for a in range(k):
-            t = dfa.trans[q][a]
-            inv[a][sink if t is UNDEF else t].append(q)
-
+    inv = predecessors(dfa.trans, k)
     blocks = [set(range(n)), {sink}]
     block_of = [0] * n + [1]
     worklist = {1}  # smaller of the two seed blocks

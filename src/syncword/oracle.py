@@ -15,9 +15,9 @@ the seen-check, which walks the images in that order and appends each new
 mask and its source.
 
 The search keeps no dict.  While the reachable lattice is sparse, the
-subsets already reached are a set of masks.  At the first level boundary
-where the set holds more than 2**n / 512 masks, they move into a bytearray
-of 2**n bytes indexed by mask, which marks them for the rest of the search.
+subsets already reached are a set of masks.  After the first block that
+takes the set above 2**n / 512 masks, they move into a bytearray of 2**n
+bytes indexed by mask, which marks them for the rest of the search.
 A mask costs the set 64 to 137 bytes and the map one byte, reached or not,
 so at that count the set is about a quarter of the map's size.  Dense
 lattices move to the map within their first few levels; a lattice that
@@ -32,7 +32,8 @@ array('i') per level: the index is below the images computed, which the
 budget below keeps under 2**31.  Memory is the set or the map, 4 bytes of
 source per reached subset, the frontier's masks, and 36 to 72 bytes per
 mask of the level being built, which is a Python list (gen_cerny(16) peaks
-at 0.34 MiB, about 5.5 bytes per subset).  As each level closes, the first
+at 0.34 MiB, about 5.5 bytes per subset); the lists dominate a wide level
+(below).  As each level closes, the first
 mask of every new subset size is recorded as a (level, position) pair.
 Images are walked in (mask, letter) order, so the source of a mask is its
 first parent under the least letter that reaches it, and a witness reads
@@ -46,8 +47,10 @@ an InputError when that count would pass MAX_ORACLE_IMAGES; it never
 computes more images than the budget, and the binary full lattice at
 n = 24 stays below it.  `syncword oracle` on gen_cerny(24) takes 4.0 s at
 105 MB max RSS, and on the 22-state cycle with its letters copied out to
-64 exits 2 in 1.5 s at 27 MB, before imaging its level 49 (Python 3.11.7,
-2-vCPU VM).
+64 exits 2 in 1.5 s at 27 MB, before imaging its level 49.  Mostly new
+images run near 1 M a second: with 4,096 random letters over 24 states,
+level 2 (at most 16.8 M images, 6.0 M subsets) takes 14-16 s at 554 MB,
+and level 3 is refused (Python 3.11.7, 2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -58,8 +61,8 @@ from itertools import combinations, permutations, product
 from math import factorial
 from operator import or_
 
-from .automaton import UNDEF, PartialDfa, is_strongly_connected
-from .errors import InputError, NotStronglyConnected, SyncwordError, Value
+from .automaton import UNDEF, PartialDfa, require_strongly_connected
+from .errors import InputError, SyncwordError, Value
 
 # Read by perfbench/run.py, which records it in each run's environment.
 KERNEL_BACKEND = "python"
@@ -71,10 +74,10 @@ MAX_ORACLE_STATES = 24
 
 # The most images (reached subsets times letters) the subset BFS computes
 # before it refuses the input: the binary full lattice at n = 24 computes
-# 2 * (2**24 - 1), just below it.  The search runs at about 25 million
-# images a second, so the budget is a few seconds; the cycle family at
-# n = 22 with its letters copied out to 64 would need 2**28 images.  It is
-# below 2**31, so array('i') holds every image source.
+# 2 * (2**24 - 1), just below it, in 4 s; mostly new images take up to
+# half a minute (module docstring).  The cycle family at n = 22 with its
+# letters copied out to 64 would need 2**28 images.  It is below 2**31, so
+# array('i') holds every image source.
 MAX_ORACLE_IMAGES = 1 << 25
 
 # Bytes a reached mask costs the subset BFS's set: its slot in a hash table
@@ -226,6 +229,13 @@ def _bfs_witnesses(dfa: PartialDfa):
                         seen[t] = 1
                         nxt.append(t)
                         src.append(j)
+            # per block, so one wide level cannot take the set far past it
+            if sparse and len(seen) > sparse_limit:
+                marks = bytearray(1 << n)
+                for t in seen:
+                    marks[t] = 1
+                seen = marks
+                sparse = False
         if not nxt:
             break
         new = set(map(int.bit_count, nxt)) - found
@@ -240,12 +250,6 @@ def _bfs_witnesses(dfa: PartialDfa):
         subsets += len(nxt)
         level = array("i", nxt)
         sources.append(array("i", src))
-        if sparse and len(seen) > sparse_limit:
-            marks = bytearray(1 << n)
-            for t in seen:
-                marks[t] = 1
-            seen = marks
-            sparse = False
 
     # read each witness back to the full set, one divmod per level
     out = [None] * (n + 1)
@@ -291,9 +295,7 @@ def duplicating_identity_check(dfa: PartialDfa):
             f"identity check limited to {MAX_ORACLE_STATES // 2} states (the "
             f"duplicated automaton has 2n = {2 * dfa.n} states and the oracle "
             f"takes at most {MAX_ORACLE_STATES}), got {dfa.n}")
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected(
-            "identity check needs a strongly connected automaton")
+    require_strongly_connected(dfa)
     from .constructions import duplicating
     dup = duplicating(dfa)  # validates completeness
     base_rep = subset_bfs(dfa)

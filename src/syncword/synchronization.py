@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
-                        is_strongly_connected)
-from .errors import (InputError, NotStronglyConnected, NotSynchronizing,
-                     SyncwordError, Value)
+                        require_strongly_connected)
+from .errors import InputError, NotSynchronizing, SyncwordError, Value
 
 if TYPE_CHECKING:
     from .constructions import CollectingTree
@@ -31,9 +30,7 @@ def pair_table(dfa: PartialDfa) -> PairTable:
 
 def is_synchronizing(dfa: PartialDfa) -> bool:
     """True iff some word has rank 1; requires strong connectivity."""
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected(
-            "synchronizability is only decided for strongly connected automata")
+    require_strongly_connected(dfa)
     return pair_table(dfa).all_compressible()
 
 
@@ -70,8 +67,7 @@ def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
     """Repeatedly apply a shortest word compressing a pair of the current
     image, starting from the full set; stops at the minimal non-zero rank.
     """
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected("greedy compression needs strong connectivity")
+    require_strongly_connected(dfa)
     word = []
     trace = []
     S = compress_pairs(pair_table(dfa), dfa.states, word, trace)
@@ -89,8 +85,7 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     """
     from .constructions import fixing, lift_word_to_partial
     from .equivalence import inseparability_partition
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected("needs strong connectivity")
+    require_strongly_connected(dfa)
     fixed_word = greedy_min_rank(fixing(dfa)).word
     lifted = lift_word_to_partial(dfa, dfa.states, fixed_word)
     S = dfa.image(dfa.states, lifted)
@@ -116,8 +111,7 @@ def reduction_to_complete(dfa: PartialDfa) -> tuple[PartialDfa, CollectingTree]:
     """
     from .constructions import collecting, collecting_tree
     from .equivalence import inseparability_partition
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected("reduction needs strong connectivity")
+    require_strongly_connected(dfa)
     part = inseparability_partition(dfa)
     tree = collecting_tree(dfa, part, _smallest_class(part))
     return collecting(dfa, tree), tree
@@ -165,8 +159,7 @@ def rank_target_word(dfa: PartialDfa, r: int, method: str = "greedy") -> Word:
     """
     if method not in ("greedy", "oracle"):
         raise InputError(f"unknown method {method!r}")
-    if not is_strongly_connected(dfa):
-        raise NotStronglyConnected("needs strong connectivity")
+    require_strongly_connected(dfa)
     if not 1 <= r <= dfa.n:
         raise InputError(f"target rank must be in 1..{dfa.n}")
     if r == dfa.n:

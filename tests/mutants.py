@@ -55,9 +55,16 @@ MUTANTS = [
      ["tests/test_oracle.py::test_subset_bfs_moves_to_the_map_mid_search",
       "tests/test_fast_paths.py::test_bfs_kernel_matches_set_bfs_on_three_bytes"]),
     ("bfs-skips-set-to-map-copy", "syncword/oracle.py",
-     "            for t in seen:\n                marks[t] = 1\n",
+     "                for t in seen:\n                    marks[t] = 1\n",
      "",
      ["tests/test_oracle.py::test_subset_bfs_moves_to_the_map_mid_search"]),
+    # the switch tested only in the last block of a level, that is, at the
+    # level boundary
+    ("bfs-map-switch-at-level-end", "syncword/oracle.py",
+     "            if sparse and len(seen) > sparse_limit:\n",
+     "            if sparse and len(seen) > sparse_limit "
+     "and s + block >= len(level):\n",
+     ["tests/test_oracle.py::test_subset_bfs_moves_to_the_map_inside_a_level"]),
     ("canonical-first-slot-off-by-one", "syncword/oracle.py",
      "if any(f >= 2 * j for j, f in enumerate(firsts, 1)):",
      "if any(f > 2 * j for j, f in enumerate(firsts, 1)):",
@@ -72,6 +79,17 @@ MUTANTS = [
      "order = sorted((x, e) for e, x in enumerate(rep) if x is not None)",
      "order = [(x, e) for e, x in enumerate(rep) if x is not None]",
      ["tests/test_fast_paths.py::test_built_tables_break_ties_by_states"]),
+    ("strong-connectivity-never-refused", "syncword/automaton.py",
+     '        raise NotStronglyConnected("the automaton is not strongly '
+     'connected")\n',
+     "        return\n",
+     ["tests/test_cli.py::test_not_strongly_connected_is_refused_with_one_message"]),
+    # Hopcroft's one seed splitter, the UNDEF sink, left empty
+    ("predecessors-skip-undefined", "syncword/automaton.py",
+     "            inv[a][n if t is UNDEF else t].append(q)\n",
+     "            if t is not UNDEF:\n                inv[a][t].append(q)\n",
+     ["tests/test_equivalence.py::test_fig1_classes",
+      "tests/test_equivalence.py::test_classes_match_brute_force"]),
     ("strip-gamma-skips-final-replay", "syncword/constructions.py",
      "    if len(dfa.image(tree.partition.classes[root], out)) != 1:\n",
      "    if False:\n",

@@ -185,14 +185,45 @@ def test_collecting_route_fault_after_the_decision_exits_3(capsys, monkeypatch):
                             "root class in the collecting automaton\n")
 
 
-def test_sync_word_rejects_non_strongly_connected(capsys, tmp_path):
+# complete, but state 1 never returns to state 0
+CHAIN = "dfa v1\nstates 2\nalphabet a\n0 a 1\n1 a 1\n"
+REFUSAL = "error: the automaton is not strongly connected\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sync", "check"],
+    *(["sync", "word", "--method", m]
+      for m in ("greedy", "fixing", "collecting", "oracle")),
+    ["rank", "min"],
+    *(["rank", "word", "--target", "1", "--method", m]
+      for m in ("greedy", "oracle")),
+    ["build", "collecting"],
+    ["verify", "duplicating"],
+], ids=" ".join)
+def test_not_strongly_connected_is_refused_with_one_message(capsys, tmp_path,
+                                                            argv):
     path = tmp_path / "chain.dfa"
-    path.write_text("dfa v1\nstates 2\nalphabet a\n0 a 1\n1 a 1\n")
-    for method in ("greedy", "fixing", "collecting", "oracle"):
-        assert run(["sync", "word", str(path), "--method", method]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "strongly connected" in captured.err
+    path.write_text(CHAIN)
+    assert run([*argv[:2], str(path), *argv[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == REFUSAL
+
+
+REFUSAL_SCRIPT = """
+import sys
+from syncword import cli
+
+assert False, "assert statements must be off"
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_not_strongly_connected_is_refused_under_optimize(tmp_path):
+    path = tmp_path / "chain.dfa"
+    path.write_text(CHAIN)
+    proc = run_optimized(REFUSAL_SCRIPT, "sync", "check", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", REFUSAL)
 
 
 def test_sync_check_positive(capsys):

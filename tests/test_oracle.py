@@ -123,6 +123,34 @@ def test_subset_bfs_moves_to_the_map_mid_search(dfa):
     assert (rep.subsets, rep.depth) == ref_bfs_counters(n, k, flat)
 
 
+def test_subset_bfs_moves_to_the_map_inside_a_level(monkeypatch):
+    # 512 random letters over 20 states: level 1 leaves the set below the
+    # promotion count of 2,048 masks, and level 2, up to 512 * 512 images
+    # in blocks of 16 masks, passes it; the map must come before the level
+    # ends, so more blocks are imaged after it.  Level 3 is refused.
+    rng = random.Random(1)
+    n, k = 20, 512
+    flat = [rng.randrange(n) for _ in range(n * k)]
+    events = []
+    real = oracle._images
+
+    def images(*args):
+        events.append("images")
+        return real(*args)
+
+    def spy(*args):
+        if args == (1 << n,):
+            events.append("map")
+        return bytearray(*args)
+    monkeypatch.setattr(oracle, "_images", images)
+    monkeypatch.setattr(oracle, "bytearray", spy, raising=False)
+    with pytest.raises(InputError, match="by level 3"):
+        _bfs_witnesses(flat_dfa(n, k, flat))
+    assert events.count("map") == 1
+    switch = events.index("map")
+    assert 2 <= switch < len(events) - 1
+
+
 def test_subset_bfs_level_spans_several_blocks(monkeypatch):
     # 300 letters: one permutation and maps onto at most three states, so
     # the lattice stays small while level 1 alone holds more masks than one
