@@ -5,9 +5,11 @@ index or UNDEF (None); no implicit sink state exists.  Words are tuples of
 letter indices into the automaton's alphabet.
 
 All values are immutable after construction and all operations are pure,
-with two exceptions.  The cache of chunk actions inside PartialDfa, which
-image fills on use, never changes a result, and concurrent fills store equal
-values, so automata can be shared freely across threads.  A PairTable lists
+with two exceptions.  The caches inside PartialDfa, of the actions of short
+chunks of letters and of runs of chunks, which image fills on use, never
+change a result: concurrent fills of a chunk or a run store equal actions
+(racing threads may each add a run past the bound of 256), so automata can
+be shared freely across threads.  A PairTable lists
 its pairs on demand, from none at build: its reads grow its arrays in place
 and keep its settle masks, without a lock, so share one across threads only
 once it is complete (after all_compressible).  The same holds for an
@@ -57,14 +59,29 @@ def check_cells(n: int, k: int) -> None:
 MAX_PAIR_INDEX = 1 << 24
 
 
+def check_pair_table(n: int, k: int = 1) -> None:
+    """Refuse a pair table over n elements and k letters above the limits
+    before any of it is built: n * n index entries above MAX_PAIR_INDEX,
+    or n * n * k pair transitions above 4 * MAX_PAIR_INDEX."""
+    if n * n > MAX_PAIR_INDEX:
+        raise InputError(f"a pair table over {n} elements needs {n * n} "
+                         f"index entries, above the limit of "
+                         f"{MAX_PAIR_INDEX}")
+    if n * n * k > 4 * MAX_PAIR_INDEX:
+        raise InputError(f"a pair table over {n} elements and {k} letters "
+                         f"needs {n * n * k} pair transitions, above the "
+                         f"limit of {4 * MAX_PAIR_INDEX}")
+
+
 class PartialDfa(Value):
     """A partial deterministic finite automaton (no initial/final states).
 
     trans[q][a] is the successor state or UNDEF.  The alphabet is an ordered
     tuple of distinct non-empty tokens; all tie-breaking everywhere in this
     package follows (letter order, then state order).  columns[a][q] ==
-    trans[q][a].  columns and the chunk caches are set after the fields,
-    so ==, hash and repr use n, alphabet and trans alone.
+    trans[q][a].  columns and the caches of image (_chunks and _runs) are
+    set after the fields, so ==, hash and repr use n, alphabet and trans
+    alone.
     """
 
     _fields = ("n", "alphabet", "trans")
@@ -91,6 +108,7 @@ class PartialDfa(Value):
         object.__setattr__(self, "columns", tuple(zip(*self.trans)))
         object.__setattr__(self, "_chunk_len", _chunk_length(len(self.alphabet)))
         object.__setattr__(self, "_chunks", {})
+        object.__setattr__(self, "_runs", {})
 
     @classmethod
     def build(cls, n, alphabet, edges):
@@ -119,19 +137,18 @@ class PartialDfa(Value):
 
         The one word replay on a set of states; only the oracle replays
         words on bit masks, for n <= 24.  w is applied in chunks of
-        _chunk_len letters whose actions are cached (at most 256 per
-        automaton), the leftover letters one column at a time.
+        _chunk_len letters, the leftover letters one column at a time.
+        Chunks group into runs of _RUN_CHUNKS, counted from the start of w
+        (64 letters at k = 2): a run applies as one action from its second
+        appearance on, as its chunks before that, when it is short or when
+        the run cache is full (_actions).  A word that repeats no run pays
+        one dict probe per run for the cache.
         """
         w = tuple(w)
         cur = set(S)
         L = self._chunk_len
         whole = len(w) - len(w) % L if L > 1 else 0
-        chunks = self._chunks
-        for i in range(0, whole, L):
-            chunk = w[i:i + L]
-            act = chunks.get(chunk)
-            if act is None:
-                act = chunks[chunk] = _ChunkAction(self.trans, chunk)
+        for act in self._actions(w, whole):
             cur = set(map(act.__getitem__, cur))
             cur.discard(UNDEF)
             if not cur:
@@ -144,6 +161,36 @@ class PartialDfa(Value):
             if not cur:
                 break
         return frozenset(cur)
+
+    def _actions(self, w, whole):
+        """The actions whose composition is w[:whole], a word of whole
+        chunks, in order.  _chunks caches one action per chunk (at most 256,
+        as _chunk_len keeps k**L <= 256) and _runs at most 256 runs: a run
+        is marked (_SEEN) on its first appearance and gets an action,
+        composed of its chunks' actions, on its second."""
+        L, runs = self._chunk_len, self._runs
+        span = _RUN_CHUNKS * L
+        for i in range(0, whole, span):
+            run = w[i:min(i + span, whole)]
+            act = runs.get(run)
+            if act is _SEEN:
+                act = runs[run] = _Action(
+                    [self._chunk(run[j:j + L]) for j in range(0, span, L)])
+            if act is not None:
+                yield act
+                continue
+            # a first appearance, a short run or a full cache
+            if len(run) == span and len(runs) < 256:
+                runs[run] = _SEEN
+            for j in range(0, len(run), L):
+                yield self._chunk(run[j:j + L])
+
+    def _chunk(self, chunk):
+        act = self._chunks.get(chunk)
+        if act is None:
+            act = self._chunks[chunk] = _Action(
+                [self.columns[a] for a in chunk])
+        return act
 
     def preimage(self, S, w: Word) -> frozenset[int]:
         """{q : delta(q, w) in S}."""
@@ -189,21 +236,29 @@ def _chunk_length(k: int) -> int:
     return L
 
 
-class _ChunkAction(dict):
-    """The action of a fixed short word, filled state by state on first
-    use: self[q] == run(q, chunk)."""
+#: chunks per run, the second cache level of PartialDfa.image
+_RUN_CHUNKS = 8
 
-    __slots__ = ("trans", "chunk")
+#: the mark of a run seen once, never an action (an empty action is falsy,
+#: so compare with `is`)
+_SEEN = object()
 
-    def __init__(self, trans, chunk):
+
+class _Action(dict):
+    """The action of a fixed word spelled by parts applied in order (the
+    columns of its letters for a chunk, chunk actions for a run), filled
+    state by state on first use: self[q] is q's image, or UNDEF."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
         super().__init__()
-        self.trans = trans
-        self.chunk = chunk
+        self.parts = parts
 
     def __missing__(self, q):
         t = q
-        for a in self.chunk:
-            t = self.trans[t][a]
+        for part in self.parts:
+            t = part[t]
             if t is UNDEF:
                 break
         self[q] = t
@@ -491,18 +546,10 @@ class PairTable(Value):
         """The table of trans seeded by settle_seeds(trans, k, merge), where
         state q of dfa stands for element elem[q]: dfa.trans and range(n)
         for compression (merge set), the quotient and class_of for
-        separation.  Lists nothing (see the class), and refuses an index
-        above MAX_PAIR_INDEX (elements squared), and pair transitions
-        (elements squared times letters) above 4 * MAX_PAIR_INDEX."""
+        separation.  Lists nothing (see the class), and refuses a table
+        above the limits (check_pair_table)."""
         n, k = len(trans), len(dfa.alphabet)
-        if n * n > MAX_PAIR_INDEX:
-            raise InputError(f"a pair table over {n} elements needs {n * n} "
-                             f"index entries, above the limit of "
-                             f"{MAX_PAIR_INDEX}")
-        if n * n * k > 4 * MAX_PAIR_INDEX:
-            raise InputError(f"a pair table over {n} elements and {k} letters "
-                             f"needs {n * n * k} pair transitions, above the "
-                             f"limit of {4 * MAX_PAIR_INDEX}")
+        check_pair_table(n, k)
         arrays = array("i"), array("i"), array("i"), array("i")
         bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge), *arrays)
         next(bfs)
@@ -711,31 +758,48 @@ def _is_decimal(tok: str) -> bool:
 
 def content_lines(text: str):
     """(line number, text) per line of a document, '#' comments and blanks
-    stripped, that leaves any text."""
-    for no, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    stripped, that leaves any text; lines end at LF alone.  Lazy, so a
+    reader that stops early never splits the rest."""
+    no = start = 0
+    while True:
+        no += 1
+        end = text.find("\n", start)
+        stripped = text[start:end if end >= 0 else None] \
+            .split("#", 1)[0].strip()
         if stripped:
             yield no, stripped
+        if end < 0:
+            return
+        start = end + 1
 
 
-def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
-    """Parse a `dfa v1` document; errors carry the offending line number."""
-    items = list(content_lines(text))
-    if not items or items[0][1] != "dfa v1":
+def parse_dfa(text: str, allow_gamma: bool = False,
+              pair_table: bool = False) -> PartialDfa:
+    """Parse a `dfa v1` document; errors carry the offending line number.
+
+    Set pair_table when a pair table over the states will be built: a
+    table above the limits (check_pair_table) is then refused at the
+    states and alphabet lines, before any transition is read."""
+    items = content_lines(text)
+    head = next(items, None)
+    if head is None or head[1] != "dfa v1":
         raise FormatError("expected header 'dfa v1'",
-                          line=items[0][0] if items else 1)
-    if len(items) < 3:
+                          line=head[0] if head else 1)
+    states_item, alpha_item = next(items, None), next(items, None)
+    if alpha_item is None:
         raise FormatError("missing 'states'/'alphabet' lines")
 
-    no, states_line = items[1]
+    no, states_line = states_item
     parts = states_line.split()
     if len(parts) != 2 or parts[0] != "states" or not _is_decimal(parts[1]):
         raise FormatError("expected 'states <n>'", line=no)
     n = int(parts[1])
     if n < 1:
         raise FormatError("need at least one state", line=no)
+    if pair_table:
+        check_pair_table(n)
 
-    no, alpha_line = items[2]
+    no, alpha_line = alpha_item
     parts = alpha_line.split()
     if len(parts) < 2 or parts[0] != "alphabet":
         raise FormatError("expected 'alphabet <tok> ...'", line=no)
@@ -745,10 +809,12 @@ def parse_dfa(text: str, allow_gamma: bool = False) -> PartialDfa:
     if not allow_gamma and GAMMA_TOKEN in alphabet:
         raise FormatError(f"token {GAMMA_TOKEN!r} is reserved", line=no)
     check_cells(n, len(alphabet))
+    if pair_table:
+        check_pair_table(n, len(alphabet))
     index = {tok: i for i, tok in enumerate(alphabet)}
 
     table = [[UNDEF] * len(alphabet) for _ in range(n)]
-    for no, line in items[3:]:
+    for no, line in items:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError("expected '<src> <tok> <dst>'", line=no)

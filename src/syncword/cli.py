@@ -28,11 +28,15 @@ def _read(path):
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_dfa(path):
+def _load_dfa(path, pair_table=False):
+    """Parse an automaton file; set pair_table when the command always
+    builds a pair table over its states, so that one above the limits is
+    refused before the transitions are parsed."""
     from . import automaton
     # analysis commands accept @g automata emitted by the build commands;
     # constructions that add @g themselves reject colliding alphabets
-    dfa = automaton.parse_dfa(_read(path), allow_gamma=True)
+    dfa = automaton.parse_dfa(_read(path), allow_gamma=True,
+                              pair_table=pair_table)
     dead = automaton.fully_undefined_letters(dfa)
     if dead:
         toks = ", ".join(dfa.alphabet[a] for a in dead)
@@ -112,7 +116,7 @@ def _not_synchronizing(args, dfa, min_rank=None):
 
 def _cmd_sync_check(args):
     from . import synchronization as sync_mod
-    dfa = _load_dfa(args.file)
+    dfa = _load_dfa(args.file, pair_table=True)
     if sync_mod.is_synchronizing(dfa):
         _emit(args.format, ["synchronizing"], [("synchronizing", "true")])
         return 0
@@ -128,7 +132,10 @@ def _word_output(args, dfa, word, r):
 def _cmd_sync_word(args):
     from . import automaton
     from . import synchronization as sync_mod
-    dfa = _load_dfa(args.file)
+    # greedy runs on the input, fixing on the fixing automaton, of as many
+    # states and letters
+    dfa = _load_dfa(args.file,
+                    pair_table=args.method in ("greedy", "fixing"))
     automaton.require_strongly_connected(dfa)
     # each method decides synchronizability from the word it computes
     if args.method == "greedy":
@@ -159,7 +166,7 @@ def _cmd_sync_word(args):
 
 def _cmd_rank_min(args):
     from . import synchronization as sync_mod
-    dfa = _load_dfa(args.file)
+    dfa = _load_dfa(args.file, pair_table=True)
     word = sync_mod.greedy_min_rank(dfa).word
     _word_output(args, dfa, word, dfa.rank(word))
     return 0

@@ -86,9 +86,13 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     from .constructions import fixing, lift_word_to_partial
     from .equivalence import inseparability_partition
     require_strongly_connected(dfa)
-    fixed_word = greedy_min_rank(fixing(dfa)).word
-    lifted = lift_word_to_partial(dfa, dfa.states, fixed_word)
+    lifted = greedy_min_rank(fixing(dfa)).word
+    # the lift keeps a word whose image is non-empty, so it runs only when
+    # the word kills every state
     S = dfa.image(dfa.states, lifted)
+    if not S:
+        lifted = lift_word_to_partial(dfa, dfa.states, lifted)
+        S = dfa.image(dfa.states, lifted)
     word = list(lifted)
     trace = [(len(S), lifted)]
     if len(S) >= 2:

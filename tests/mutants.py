@@ -90,6 +90,20 @@ MUTANTS = [
      "            if t is not UNDEF:\n                inv[a][t].append(q)\n",
      ["tests/test_equivalence.py::test_fig1_classes",
       "tests/test_equivalence.py::test_classes_match_brute_force"]),
+    ("run-action-skips-last-chunk", "syncword/automaton.py",
+     "for j in range(0, span, L)])",
+     "for j in range(0, span - L, L)])",
+     ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
+      "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
+    # no mark: a run gets its action on its first appearance, filed under
+    # its first chunk, so runs that share a first chunk share an action
+    ("run-cached-by-first-chunk", "syncword/automaton.py",
+     "            act = runs.get(run)\n            if act is _SEEN:\n"
+     "                act = runs[run] = _Action(\n",
+     "            act = runs.get(run[:L], _SEEN if len(run) == span else None)\n"
+     "            if act is _SEEN:\n                act = runs[run[:L]] = _Action(\n",
+     ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
+      "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
     ("strip-gamma-skips-final-replay", "syncword/constructions.py",
      "    if len(dfa.image(tree.partition.classes[root], out)) != 1:\n",
      "    if False:\n",

@@ -716,14 +716,55 @@ def test_pair_table_letter_limit(tmp_path, command):
 
 def test_strong_connectivity_memory(tmp_path):
     # 200,000 cells are within MAX_CELLS; one bit mask per state took the
-    # strong-connectivity check, which runs before the pair-table guard, to
-    # 1.3 GB on this cycle
+    # strong-connectivity check, which `rank word` runs before the pair-table
+    # guard, to 1.3 GB on this cycle
     path = tmp_path / "cycle.dfa"
     path.write_text(format_dfa(gen_cerny(100000)))
-    proc = run_python("-m", "syncword.cli", "sync", "check", str(path),
-                      timeout=30, address_space=1 << 30)
+    proc = run_python("-m", "syncword.cli", "rank", "word", "--target", "1",
+                      str(path), timeout=30, address_space=1 << 30)
     assert proc.returncode == 2, proc.stderr
     assert "pair table over 100000 elements" in proc.stderr
+
+
+GREEDY_TABLE_COMMANDS = {
+    "sync-check": ["sync", "check"], "sync-word": ["sync", "word"],
+    "sync-word-fixing": ["sync", "word", "--method", "fixing"],
+    "rank-min": ["rank", "min"]}
+
+
+@pytest.mark.parametrize("command", GREEDY_TABLE_COMMANDS.values(),
+                         ids=GREEDY_TABLE_COMMANDS)
+@pytest.mark.parametrize("n, letters, message", [
+    (5000, "a b", "a pair table over 5000 elements needs 25000000 index "
+     "entries, above the limit of 16777216"),
+    (2048, " ".join(f"t{a}" for a in range(64)), "a pair table over 2048 "
+     "elements and 64 letters needs 268435456 pair transitions, above the "
+     "limit of 67108864"),
+], ids=["states", "letters"])
+def test_pair_table_refused_before_the_transitions(capsys, tmp_path, command,
+                                                   n, letters, message):
+    # these commands always build a pair table over the input's states (the
+    # fixing automaton has as many): it is refused at the states or alphabet
+    # line, before the malformed first transition line
+    path = tmp_path / "wide.dfa"
+    path.write_text(f"dfa v1\nstates {n}\nalphabet {letters}\n0 t0\n")
+    assert run([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["classes"], ["build", "collecting"],
+    ["sync", "word", "--method", "collecting"],
+    ["rank", "word", "--target", "1"],
+], ids=["classes", "build", "sync-word", "rank-word"])
+def test_quotient_tables_are_refused_after_parsing(capsys, tmp_path,
+                                                   command):
+    # their pair tables are over classes, and `rank word` builds none for
+    # the target n, so the file is parsed first
+    path = tmp_path / "wide.dfa"
+    path.write_text("dfa v1\nstates 5000\nalphabet a b\n0 t0\n")
+    assert run([*command, str(path)]) == 2
+    assert "expected '<src> <tok> <dst>'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -1,8 +1,10 @@
 """Each fast path pinned to a plain reference.
 
-PartialDfa.image (memoized chunk actions), the pair a greedy step over
-states picks (PairTable.least_pair, a budgeted walk of the pair table, with
-each state of S standing for itself) and rank_target_word (the greedy steps
+PartialDfa.image (memoized actions of chunks, and of runs of chunks from
+a run's second appearance; also on long repetitive words and with threads
+sharing the caches), the pair a greedy step over states picks
+(PairTable.least_pair, a budgeted walk of the pair table, with each state
+of S standing for itself) and rank_target_word (the greedy steps
 up to the first that reaches the target) are checked against the
 letter-by-letter set code they replace, and PairTable.steps refuses a step
 that does not shrink the image; strip_gamma (one
@@ -27,6 +29,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 from array import array
 from collections import Counter, deque
 from itertools import product
@@ -42,7 +45,8 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       is_strongly_connected, literal_automaton, pair_table,
                       parse_dfa, rank_target_word, strip_gamma, subset_bfs)
 from syncword import oracle
-from syncword.automaton import _chunk_length, settle_seeds
+from syncword.automaton import (_RUN_CHUNKS, _SEEN, _chunk_length,
+                               settle_seeds)
 from syncword.constructions import lift_word_to_partial
 from syncword.oracle import _bfs_witnesses, _reaches_zero, _rt_bitmask
 from syncword.synchronization import PairTable
@@ -128,6 +132,53 @@ def test_image_states_die_mid_chunk():
     assert dfa.image({2}, (1,) * 9) == frozenset()
 
 
+@st.composite
+def repetitive_words(draw, k):
+    """A word of a few drawn pieces, each repeated 1-12 times: runs repeat
+    where a piece's repeats line up with the runs."""
+    letters = st.integers(0, k - 1)
+    span = _RUN_CHUNKS * _chunk_length(k)
+    word = []
+    for piece in draw(st.lists(st.lists(letters, min_size=1,
+                                        max_size=span + 3),
+                               min_size=1, max_size=3)):
+        word += piece * draw(st.integers(1, 12))
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(automata(ks=(1, 2, 3, 5, 17)), st.data())
+def test_image_matches_replay_on_repetitive_words(dfa, data):
+    k = len(dfa.alphabet)
+    w = data.draw(repetitive_words(k))
+    # three replays of w: its runs are marked, given actions, then reused
+    for _ in range(3):
+        S = frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
+        for word in (w, w[:len(w) // 2]):
+            assert dfa.image(S, word) == ref_image(dfa, S, word)
+    span = _RUN_CHUNKS * _chunk_length(k)
+    if _chunk_length(k) > 1 and len(w) >= span:
+        assert dfa._runs[w[:span]] is not _SEEN
+    else:
+        assert not dfa._runs
+
+
+def test_image_states_die_mid_run():
+    # a turns a 6-cycle, b kills state 5 and fixes the others: halfway
+    # through each 64-letter run b kills what stands on 5, so states die
+    # inside a run, also once the run has its action, and others survive
+    dfa = PartialDfa(6, ("a", "b"), tuple(
+        ((q + 1) % 6, UNDEF if q == 5 else q) for q in range(6)))
+    run = (0,) * 30 + (1,) + (0,) * 33
+    w = run * 3 + (1, 0, 0)
+    for S in ({0}, {5}, {2, 3}, range(6)):
+        for i in range(len(w) + 1):
+            assert dfa.image(S, w[:i]) == ref_image(dfa, S, w[:i])
+    assert dfa._runs[run] is not _SEEN
+    assert [len(dfa.image(dfa.states, run * m)) for m in range(4)] == \
+        [6, 5, 4, 4]
+
+
 @pytest.mark.parametrize("k, length", [(1, 8), (2, 8), (3, 5), (4, 4),
                                        (5, 3), (6, 3), (7, 2), (16, 2),
                                        (17, 1), (300, 1)])
@@ -149,6 +200,45 @@ def test_chunk_cache_holds_at_most_256_actions(k):
     L = _chunk_length(k)
     assert len(dfa._chunks) <= (256 if L > 1 else 0)
     assert len(dfa._chunks) <= min(256, k ** L)
+    assert len(dfa._runs) <= (256 if L > 1 else 0)
+
+
+def test_image_caches_shared_across_threads():
+    # threads fill the chunk and run caches of one automaton at once, with
+    # a short switch interval so that the fills interleave: every image
+    # still matches the replay, and racing marks pass the run bound by at
+    # most one per thread
+    rng = random.Random(5)
+    n = 40
+    # complete, so no image dies before the word's last run
+    dfa = PartialDfa(n, ("a", "b"), tuple(
+        (rng.randrange(n), rng.randrange(n)) for _ in range(n)))
+    words = [tuple(rng.randrange(2) for _ in range(rng.randrange(1, 70)))
+             * rng.randrange(1, 12) for _ in range(40)]
+    words += [tuple(rng.randrange(2) for _ in range(640)) for _ in range(20)]
+    want = [ref_image(dfa, range(n), w) for w in words]
+    wrong = []
+
+    def replay(seed):
+        order = list(range(len(words)))
+        random.Random(seed).shuffle(order)
+        for i in order * 3:
+            if dfa.image(dfa.states, words[i]) != want[i]:
+                wrong.append(i)
+    threads = [threading.Thread(target=replay, args=(seed,))
+               for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert 256 <= len(dfa._runs) <= 256 + len(threads)
 
 
 @settings(max_examples=80, deadline=None)

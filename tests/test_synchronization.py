@@ -9,7 +9,7 @@ from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
 from syncword import synchronization
-from syncword.automaton import GAMMA_TOKEN, PairTable, settle_seeds
+from syncword.automaton import GAMMA_TOKEN, PairTable, PartialDfa, settle_seeds
 
 from test_cli import run_python
 
@@ -243,6 +243,24 @@ def test_fixing_route_builds_one_pair_table(monkeypatch):
     res = min_rank_word_via_fixing(c12)
     assert res.final_rank == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [4, 12, 40])
+def test_fixing_route_replays_the_word_once(monkeypatch, n):
+    # on a complete automaton the fixing word is the lifted word: the route
+    # replays it from the full set once, not once to lift it and once more
+    dfa = gen_cerny(n)
+    whole = []
+    real = PartialDfa.image
+
+    def spy(self, S, w):
+        if self is dfa and frozenset(S) == dfa.states and len(w) > 1:
+            whole.append(tuple(w))
+        return real(self, S, w)
+    monkeypatch.setattr(PartialDfa, "image", spy)
+    res = min_rank_word_via_fixing(dfa)
+    assert res.final_rank == 1
+    assert whole == [res.word]
 
 
 # -------------------------------------------------------------- reduction
