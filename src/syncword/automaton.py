@@ -5,11 +5,11 @@ index or UNDEF (None); no implicit sink state exists.  Words are tuples of
 letter indices into the automaton's alphabet.
 
 All values are immutable after construction and all operations are pure,
-with two exceptions.  The caches inside PartialDfa, of the actions of short
-chunks of letters and of runs of chunks, which image fills on use, never
-change a result: concurrent fills of a chunk or a run store equal actions
-(racing threads may each add a run past the bound of 256), so automata can
-be shared freely across threads.  A PairTable lists
+with two exceptions.  The caches inside PartialDfa, the actions of chunks
+and runs of chunks of letters that image fills on use and the record of a
+passed strong-connectivity check, never change a result: concurrent fills
+store equal values (racing threads may each add a run past the bound of
+256), so automata can be shared freely across threads.  A PairTable lists
 its pairs on demand, from none at build: its reads grow its arrays in place
 and keep its settle masks, without a lock, so share one across threads only
 once it is complete (after all_compressible).  The same holds for an
@@ -17,9 +17,9 @@ equivalence.Partition, which holds one: share it only after
 part.table.all_compressible().
 
 Three shared rules live here alone: require_strongly_connected, the one
-refusal of every route; predecessors, for the pair BFS, Hopcroft's
-refinement and the collecting tree; and content_lines, for both file
-formats.
+refusal of every route, made once per automaton; predecessors, for the
+pair BFS, Hopcroft's refinement and the collecting tree; and content_lines,
+for both file formats.
 """
 from __future__ import annotations
 
@@ -79,9 +79,9 @@ class PartialDfa(Value):
     trans[q][a] is the successor state or UNDEF.  The alphabet is an ordered
     tuple of distinct non-empty tokens; all tie-breaking everywhere in this
     package follows (letter order, then state order).  columns[a][q] ==
-    trans[q][a].  columns and the caches of image (_chunks and _runs) are
-    set after the fields, so ==, hash and repr use n, alphabet and trans
-    alone.
+    trans[q][a].  columns, the caches of image (_chunks and _runs) and the
+    strong-connectivity record (require_strongly_connected) are set after
+    the fields, so ==, hash and repr use n, alphabet and trans alone.
     """
 
     _fields = ("n", "alphabet", "trans")
@@ -109,6 +109,7 @@ class PartialDfa(Value):
         object.__setattr__(self, "_chunk_len", _chunk_length(len(self.alphabet)))
         object.__setattr__(self, "_chunks", {})
         object.__setattr__(self, "_runs", {})
+        object.__setattr__(self, "_strongly_connected", False)
 
     @classmethod
     def build(cls, n, alphabet, edges):
@@ -320,9 +321,11 @@ def is_strongly_connected(dfa: PartialDfa) -> bool:
 
 def require_strongly_connected(dfa: PartialDfa) -> None:
     """Refuse an automaton that is not strongly connected, as every route
-    does: the reductions hold only for strongly connected input."""
-    if not is_strongly_connected(dfa):
+    does: the reductions hold only for strongly connected input.  A passed
+    check is recorded on dfa, so later calls on it check nothing."""
+    if not (dfa._strongly_connected or is_strongly_connected(dfa)):
         raise NotStronglyConnected("the automaton is not strongly connected")
+    object.__setattr__(dfa, "_strongly_connected", True)
 
 
 def predecessors(trans, k):

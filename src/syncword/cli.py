@@ -30,8 +30,9 @@ def _read(path):
 
 def _load_dfa(path, pair_table=False):
     """Parse an automaton file; set pair_table when the command always
-    builds a pair table over its states, so that one above the limits is
-    refused before the transitions are parsed."""
+    builds a pair table over as many states and at least as many letters,
+    so that one above the limits is refused before the transitions are
+    parsed.  The routes check strong connectivity, once per automaton."""
     from . import automaton
     # analysis commands accept @g automata emitted by the build commands;
     # constructions that add @g themselves reject colliding alphabets
@@ -130,13 +131,10 @@ def _word_output(args, dfa, word, r):
 
 
 def _cmd_sync_word(args):
-    from . import automaton
     from . import synchronization as sync_mod
     # greedy runs on the input, fixing on the fixing automaton, of as many
-    # states and letters
-    dfa = _load_dfa(args.file,
-                    pair_table=args.method in ("greedy", "fixing"))
-    automaton.require_strongly_connected(dfa)
+    # states and letters, and collecting on one with a letter more
+    dfa = _load_dfa(args.file, pair_table=args.method != "oracle")
     # each method decides synchronizability from the word it computes
     if args.method == "greedy":
         result = sync_mod.greedy_min_rank(dfa)
@@ -153,8 +151,9 @@ def _cmd_sync_word(args):
             word = sync_mod.reset_word_via_collecting(dfa)
         except NotSynchronizing:
             return _not_synchronizing(args, dfa)
-    else:  # oracle
-        from . import oracle as oracle_mod
+    else:  # oracle, the one route that does not check strong connectivity
+        from . import automaton, oracle as oracle_mod
+        automaton.require_strongly_connected(dfa)
         word = oracle_mod.subset_bfs(dfa).witness(1)
         if word is None:
             return _not_synchronizing(args, dfa)

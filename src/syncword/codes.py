@@ -16,8 +16,6 @@ from .automaton import (EPSILON, UNDEF, PartialDfa, Word, check_cells,
 from .errors import (FormatError, InputError, NotSynchronizing, SyncwordError,
                      Value)
 
-ENUMERATION_CAP = 2 ** 22
-
 #: the most codeword letters, summed over the code, that literal_automaton
 #: accepts.  The costs that grow with the square of the total length stay
 #: below MAX_CODE_LETTERS squared: the characters of the proper prefixes
@@ -259,11 +257,7 @@ def _passes_through_root(lit: LiteralAutomaton, w: Word) -> bool:
 def _through_root_candidates(lit: LiteralAutomaton):
     """Filtered words with the all-through-root property, in the
     lexicographic order of the pivot-letter inputs they come from."""
-    h, n = lit.height, lit.dfa.n
-    length = max(1, (h * n - 1).bit_length())
-    if 2 ** length > ENUMERATION_CAP:
-        raise InputError(
-            f"candidate enumeration 2^{length} exceeds cap {ENUMERATION_CAP}")
+    length = max(1, (lit.height * lit.dfa.n - 1).bit_length())
     _, _, p, (la, lb) = pivot_walk(lit)
     for bits in range(2 ** length):
         w = tuple(lb if (bits >> (length - 1 - i)) & 1 else la
@@ -354,9 +348,7 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
     if len(lit.code.words) < 2:
         raise InputError("one-word codes take the conjugate route instead")
     bound = log_rank_bound(lit)
-    seen_any = False
     for u in _through_root_candidates(lit):
-        seen_any = True
         R = lit.dfa.image(lit.dfa.states, u)
         v = compress_path_word(lit, R)
         word = u + v
@@ -366,8 +358,7 @@ def log_rank_word(lit: LiteralAutomaton) -> Word:
                                 "length <= 2h")
         if r <= bound:
             return word
-    raise SyncwordError("no candidate met the rank bound"
-                        if seen_any else "no all-through-root word found")
+    raise SyncwordError("no all-through-root candidate met the rank bound")
 
 
 def literal_reset_word(lit: LiteralAutomaton) -> Word:
@@ -392,15 +383,16 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
             raise SyncwordError("conjugate split must give a reset word")
         return word
 
-    table = pair_table(dfa)
     word = list(log_rank_word(lit))
-    S = compress_pairs(table, dfa.image(dfa.states, tuple(word)), word, [])
-    if len(S) >= 2:
-        p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)
-                    if table.distance(p, q) is None)
-        raise NotSynchronizing(
-            f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
-            "is incompressible")
+    S = dfa.image(dfa.states, tuple(word))
+    if len(S) >= 2:  # a pair table only when the log-rank word leaves a pair
+        table = pair_table(dfa)
+        if len(compress_pairs(table, S, word, [])) >= 2:
+            p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)
+                        if table.distance(p, q) is None)
+            raise NotSynchronizing(
+                f"not synchronizing: pair {{{lit.prefixes[p]!r}, {lit.prefixes[q]!r}}} "
+                "is incompressible")
     word = tuple(word)
     if dfa.rank(word) != 1:
         raise SyncwordError("greedy compression must end in a reset word")

@@ -68,6 +68,12 @@ def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
     image, starting from the full set; stops at the minimal non-zero rank.
     """
     require_strongly_connected(dfa)
+    return _greedy(dfa)
+
+
+def _greedy(dfa: PartialDfa) -> SyncResult:
+    """greedy_min_rank unchecked, for the fixing and collecting automata of
+    a strongly connected one, which only add self-loops and a letter."""
     word = []
     trace = []
     S = compress_pairs(pair_table(dfa), dfa.states, word, trace)
@@ -86,7 +92,7 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     from .constructions import fixing, lift_word_to_partial
     from .equivalence import inseparability_partition
     require_strongly_connected(dfa)
-    lifted = greedy_min_rank(fixing(dfa)).word
+    lifted = _greedy(fixing(dfa)).word
     # the lift keeps a word whose image is non-empty, so it runs only when
     # the word kills every state
     S = dfa.image(dfa.states, lifted)
@@ -136,7 +142,7 @@ def reset_word_via_collecting(dfa: PartialDfa) -> Word:
     from .constructions import strip_gamma
     from .equivalence import collapse_to_single_class_word, quotient
     coll, tree = reduction_to_complete(dfa)  # rejects non-strongly-connected
-    coll_result = greedy_min_rank(coll)
+    coll_result = _greedy(coll)
     if coll_result.final_rank != 1:
         raise NotSynchronizing("automaton is not synchronizing")
     part = tree.partition

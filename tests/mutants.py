@@ -84,6 +84,25 @@ MUTANTS = [
      'connected")\n',
      "        return\n",
      ["tests/test_cli.py::test_not_strongly_connected_is_refused_with_one_message"]),
+    # every automaton recorded as strongly connected, never checked
+    ("sc-recorded-at-construction", "syncword/automaton.py",
+     '        object.__setattr__(self, "_strongly_connected", False)\n',
+     '        object.__setattr__(self, "_strongly_connected", True)\n',
+     ["tests/test_cli.py::test_not_strongly_connected_is_refused_with_one_message",
+      "tests/test_automaton.py::test_strong_connectivity_is_recorded_only_when_it_holds"]),
+    # the record written before the check's result is known: the first
+    # call refuses, every later one on the same automaton passes
+    ("sc-recorded-before-the-check-passes", "syncword/automaton.py",
+     "    if not (dfa._strongly_connected or is_strongly_connected(dfa)):\n"
+     '        raise NotStronglyConnected("the automaton is not strongly '
+     'connected")\n'
+     '    object.__setattr__(dfa, "_strongly_connected", True)\n',
+     "    ok = dfa._strongly_connected or is_strongly_connected(dfa)\n"
+     '    object.__setattr__(dfa, "_strongly_connected", True)\n'
+     "    if not ok:\n"
+     '        raise NotStronglyConnected("the automaton is not strongly '
+     'connected")\n',
+     ["tests/test_automaton.py::test_strong_connectivity_is_recorded_only_when_it_holds"]),
     # Hopcroft's one seed splitter, the UNDEF sink, left empty
     ("predecessors-skip-undefined", "syncword/automaton.py",
      "            inv[a][n if t is UNDEF else t].append(q)\n",
@@ -104,6 +123,19 @@ MUTANTS = [
      "            if act is _SEEN:\n                act = runs[run[:L]] = _Action(\n",
      ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
       "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
+    # the fixing automaton keeps the last state's undefined transitions
+    # (one on fig1).  No check runs on the derived automata, so the routes'
+    # own checks must catch it: the collecting route's replay of the
+    # stripped word (strip_gamma) refuses greedy's word on the collecting
+    # automaton, and the fixing route's word changes
+    ("fixing-leaves-last-row-partial", "syncword/constructions.py",
+     "                  for q, row in enumerate(dfa.trans))\n"
+     "    return PartialDfa(dfa.n, dfa.alphabet, table)\n",
+     "                  for q, row in enumerate(dfa.trans[:-1])) "
+     "+ dfa.trans[-1:]\n"
+     "    return PartialDfa(dfa.n, dfa.alphabet, table)\n",
+     ["tests/test_synchronization.py::test_collecting_route_rejects_nonsynchronizing",
+      "tests/test_golden.py::test_golden_words"]),
     ("strip-gamma-skips-final-replay", "syncword/constructions.py",
      "    if len(dfa.image(tree.partition.classes[root], out)) != 1:\n",
      "    if False:\n",

@@ -182,6 +182,22 @@ def test_strong_connectivity(fig1):
     assert not is_strongly_connected(line)
 
 
+def test_strong_connectivity_is_recorded_only_when_it_holds(sc_checks):
+    # a passed check is recorded on the automaton, outside ==, hash and
+    # repr; a failed one is not, so every later call refuses again
+    text = fixture_text("fig1left.dfa")
+    dfa = parse_dfa(text)
+    line = parse_dfa("dfa v1\nstates 2\nalphabet a\n0 a 1\n")
+    for _ in range(3):
+        automaton.require_strongly_connected(dfa)
+        with pytest.raises(NotStronglyConnected,
+                           match="^the automaton is not strongly connected$"):
+            automaton.require_strongly_connected(line)
+    assert sc_checks == [dfa, line, line, line]
+    fresh = parse_dfa(text)
+    assert (dfa, hash(dfa), repr(dfa)) == (fresh, hash(fresh), repr(fresh))
+
+
 def test_completeness_predicates(fig1):
     complete = parse_dfa("dfa v1\nstates 2\nalphabet a\n0 a 1\n1 a 0\n")
     assert is_complete(complete) and not is_properly_incomplete(complete)

@@ -170,14 +170,15 @@ def test_sync_word_wrong_negative_is_internal_under_optimize():
 def test_collecting_route_fault_after_the_decision_exits_3(capsys, monkeypatch):
     # greedy's empty word on the collecting automaton, with rank 1 claimed,
     # passes the decision; strip_gamma's refusal of it is then a fault of
-    # the route, not of the input
-    real = synchronization.greedy_min_rank
+    # the route, not of the input.  The route runs greedy's unchecked core
+    # on the collecting automaton, whose input it has checked.
+    real = synchronization._greedy
 
     def empty_on_collecting(dfa):
         if constructions.GAMMA_TOKEN in dfa.alphabet:
             return synchronization.SyncResult((), 1, ())
         return real(dfa)
-    monkeypatch.setattr(synchronization, "greedy_min_rank", empty_on_collecting)
+    monkeypatch.setattr(synchronization, "_greedy", empty_on_collecting)
     assert run(["sync", "word", FIG1, "--method", "collecting"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -224,6 +225,35 @@ def test_not_strongly_connected_is_refused_under_optimize(tmp_path):
     path.write_text(CHAIN)
     proc = run_optimized(REFUSAL_SCRIPT, "sync", "check", str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", REFUSAL)
+
+
+SC_CHECKED_COMMANDS = {
+    "sync-check": ["sync", "check"],
+    **{f"sync-word-{m}": ["sync", "word", "--method", m]
+       for m in ("greedy", "fixing", "collecting", "oracle")},
+    "build-collecting": ["build", "collecting"],
+    "rank-min": ["rank", "min"],
+    "rank-word": ["rank", "word", "--target", "2"],
+}
+
+
+@pytest.mark.parametrize("path", [FIG1, LIT_ABAB], ids=["fig1", "lit-abab"])
+@pytest.mark.parametrize("command", SC_CHECKED_COMMANDS.values(),
+                         ids=SC_CHECKED_COMMANDS)
+def test_one_strong_connectivity_check_per_command(capsys, sc_checks,
+                                                   command, path):
+    # the input is checked once, however many routes and cross-checks read
+    # it (lit-abab is not synchronizing, so the sync commands also run
+    # greedy as a cross-check); the fixing and collecting automata of a
+    # checked input are strongly connected and not checked again
+    assert run([*command[:2], path, *command[2:]]) in (0, 1)
+    assert len(sc_checks) == 1
+    assert sc_checks[0] == parse_dfa(pathlib.Path(path).read_text())
+
+
+def test_classes_checks_no_strong_connectivity(capsys, sc_checks):
+    assert run(["classes", FIG1]) == 0
+    assert sc_checks == []
 
 
 def test_sync_check_positive(capsys):
@@ -533,13 +563,12 @@ def test_code_reset_names_an_incompressible_pair(capsys, tmp_path):
 def test_code_reset_lists_only_the_pairs_greedy_reads(capsys, built_tables,
                                                      tmp_path):
     # a positive answer comes from the word, and the log-rank word already
-    # resets the 452-state literal automaton, so its compression table
-    # lists no pair, not even its seeds
+    # resets the 452-state literal automaton, so no compression table is
+    # built at all
     path = tmp_path / "random.code"
     path.write_text(format_code(gen_random_prefix_code(80, 16, 3, 2)))
     assert run(["code", "reset", str(path)]) == 0
-    [(merge, table)] = built_tables
-    assert (merge, table.n, len(table.dist)) == (True, 452, 0)
+    assert built_tables == []
 
 
 def test_code_oneword(capsys):
@@ -729,6 +758,7 @@ def test_strong_connectivity_memory(tmp_path):
 GREEDY_TABLE_COMMANDS = {
     "sync-check": ["sync", "check"], "sync-word": ["sync", "word"],
     "sync-word-fixing": ["sync", "word", "--method", "fixing"],
+    "sync-word-collecting": ["sync", "word", "--method", "collecting"],
     "rank-min": ["rank", "min"]}
 
 
@@ -744,8 +774,9 @@ GREEDY_TABLE_COMMANDS = {
 def test_pair_table_refused_before_the_transitions(capsys, tmp_path, command,
                                                    n, letters, message):
     # these commands always build a pair table over the input's states (the
-    # fixing automaton has as many): it is refused at the states or alphabet
-    # line, before the malformed first transition line
+    # fixing automaton has as many, the collecting automaton as many and a
+    # letter more): it is refused at the states or alphabet line, before
+    # the malformed first transition line
     path = tmp_path / "wide.dfa"
     path.write_text(f"dfa v1\nstates {n}\nalphabet {letters}\n0 t0\n")
     assert run([*command, str(path)]) == 2
@@ -753,13 +784,12 @@ def test_pair_table_refused_before_the_transitions(capsys, tmp_path, command,
 
 
 @pytest.mark.parametrize("command", [
-    ["classes"], ["build", "collecting"],
-    ["sync", "word", "--method", "collecting"],
-    ["rank", "word", "--target", "1"],
-], ids=["classes", "build", "sync-word", "rank-word"])
+    ["classes"], ["build", "collecting"], ["rank", "word", "--target", "1"],
+], ids=["classes", "build", "rank-word"])
 def test_quotient_tables_are_refused_after_parsing(capsys, tmp_path,
                                                    command):
-    # their pair tables are over classes, and `rank word` builds none for
+    # their pair tables are over classes (`build collecting` builds no
+    # table over its collecting automaton), and `rank word` builds none for
     # the target n, so the file is parsed first
     path = tmp_path / "wide.dfa"
     path.write_text("dfa v1\nstates 5000\nalphabet a b\n0 t0\n")
@@ -774,7 +804,9 @@ def test_quotient_tables_are_refused_after_parsing(capsys, tmp_path,
 def test_partition_size_limit(tmp_path, command):
     # a cycle with a second letter defined on state 0 only has 20,000
     # classes; the partition must refuse their pair table before proving
-    # them separable, whose refinement rounds number as many as the classes
+    # them separable, whose refinement rounds number as many as the classes.
+    # `sync word --method collecting` refuses the pair table of its
+    # collecting automaton, over as many states, earlier, at the states line
     path = tmp_path / "cycle.dfa"
     path.write_text(format_dfa(PartialDfa(20000, ("a", "b"), tuple(
         ((q + 1) % 20000, 0 if q == 0 else UNDEF) for q in range(20000)))))

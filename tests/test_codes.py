@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from syncword import (EPSILON, UNDEF, InputError, NotSynchronizing,
                       SyncwordError, all_through_root_word, compress_path_word,
-                      filtering_alpha, gen_oneword_code,
+                      filtering_alpha, format_code, gen_oneword_code,
                       gen_random_prefix_code, literal_automaton,
                       literal_reset_word, log_rank_word, one_word_rank,
                       parse_code, pivot_walk, primitive_root, subset_bfs,
@@ -14,7 +14,7 @@ from syncword import (EPSILON, UNDEF, InputError, NotSynchronizing,
 from syncword import codes
 from syncword.synchronization import compress_pairs, pair_table
 
-from test_cli import run_optimized
+from test_cli import run, run_optimized
 
 
 # -------------------------------------------------------------- validation
@@ -451,11 +451,23 @@ def test_log_rank_rejects_one_word_code():
         log_rank_word(lit)
 
 
-def test_candidate_enumeration_cap():
-    # h*n beyond 2^22 would need millions of filtered candidates
-    lit = literal_automaton(validate_code(["a" * 4100 + "b", "b"]))
-    with pytest.raises(InputError, match="cap"):
-        all_through_root_word(lit)
+def test_long_two_word_code_gets_its_words(capsys, tmp_path):
+    # h n is near 2^24, so the theorem enumerates 2^25 candidates; the
+    # enumeration is lazy and stops at the first that passes.  The 4,101
+    # states are above the pair-table limit, and `code reset` needs no
+    # table: the log-rank word already has rank 1
+    code = validate_code(["a" * 4100 + "b", "b"])
+    lit = literal_automaton(code)
+    word = log_rank_word(lit)
+    assert 0 < lit.dfa.rank(word) <= codes.log_rank_bound(lit)
+    assert len(word) <= 2 * lit.height
+    path = tmp_path / "long.code"
+    path.write_text(format_code(code))
+    assert run(["--format", "summary", "code", "reset", str(path)]) == 0
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["rank"] == "1"
+    assert lit.dfa.rank(lit.dfa.word(fields["word"])) == 1
 
 
 def test_log_rank_random_codes():
