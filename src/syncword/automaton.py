@@ -11,7 +11,7 @@ passed strong-connectivity check, never change a result: concurrent fills
 store equal values (racing threads may each add a run past the bound of
 256), so automata can be shared freely across threads.  A PairTable lists
 its pairs on demand, from none at build: its reads grow its arrays in place
-and keep its settle masks, without a lock, so share one across threads only
+and drop its settle masks, without a lock, so share one across threads only
 once it is complete (after all_compressible).  The same holds for an
 equivalence.Partition, which holds one: share it only after
 part.table.all_compressible().
@@ -59,7 +59,7 @@ def check_cells(n: int, k: int) -> None:
 MAX_PAIR_INDEX = 1 << 24
 
 
-def check_pair_table(n: int, k: int = 1) -> None:
+def check_pair_table(n: int, k: int) -> None:
     """Refuse a pair table over n elements and k letters above the limits
     before any of it is built: n * n index entries above MAX_PAIR_INDEX,
     or n * n * k pair transitions above 4 * MAX_PAIR_INDEX."""
@@ -79,9 +79,9 @@ class PartialDfa(Value):
     trans[q][a] is the successor state or UNDEF.  The alphabet is an ordered
     tuple of distinct non-empty tokens; all tie-breaking everywhere in this
     package follows (letter order, then state order).  columns[a][q] ==
-    trans[q][a].  columns, the caches of image (_chunks and _runs) and the
-    strong-connectivity record (require_strongly_connected) are set after
-    the fields, so ==, hash and repr use n, alphabet and trans alone.
+    trans[q][a].  columns, the caches of image (_chunks, _runs, _marks) and
+    the strong-connectivity record (require_strongly_connected) are set
+    after the fields, so ==, hash and repr use n, alphabet and trans alone.
     """
 
     _fields = ("n", "alphabet", "trans")
@@ -109,6 +109,7 @@ class PartialDfa(Value):
         object.__setattr__(self, "_chunk_len", _chunk_length(len(self.alphabet)))
         object.__setattr__(self, "_chunks", {})
         object.__setattr__(self, "_runs", {})
+        object.__setattr__(self, "_marks", set())
         object.__setattr__(self, "_strongly_connected", False)
 
     @classmethod
@@ -166,23 +167,27 @@ class PartialDfa(Value):
     def _actions(self, w, whole):
         """The actions whose composition is w[:whole], a word of whole
         chunks, in order.  _chunks caches one action per chunk (at most 256,
-        as _chunk_len keeps k**L <= 256) and _runs at most 256 runs: a run
-        is marked (_SEEN) on its first appearance and gets an action,
-        composed of its chunks' actions, on its second."""
-        L, runs = self._chunk_len, self._runs
+        as _chunk_len keeps k**L <= 256) and _runs at most 256 run actions:
+        a run is marked on its first appearance, in _marks (at most 256
+        runs, cleared when full), and gets an action, composed of its
+        chunks' actions, on its second."""
+        L, runs, marks = self._chunk_len, self._runs, self._marks
         span = _RUN_CHUNKS * L
         for i in range(0, whole, span):
             run = w[i:min(i + span, whole)]
             act = runs.get(run)
-            if act is _SEEN:
-                act = runs[run] = _Action(
-                    [self._chunk(run[j:j + L]) for j in range(0, span, L)])
+            if act is None and len(run) == span and len(runs) < 256:
+                if run in marks:
+                    act = runs[run] = _Action(
+                        [self._chunk(run[j:j + L]) for j in range(0, span, L)])
+                else:
+                    if len(marks) >= 256:
+                        marks.clear()
+                    marks.add(run)
             if act is not None:
                 yield act
                 continue
             # a first appearance, a short run or a full cache
-            if len(run) == span and len(runs) < 256:
-                runs[run] = _SEEN
             for j in range(0, len(run), L):
                 yield self._chunk(run[j:j + L])
 
@@ -239,10 +244,6 @@ def _chunk_length(k: int) -> int:
 
 #: chunks per run, the second cache level of PartialDfa.image
 _RUN_CHUNKS = 8
-
-#: the mark of a run seen once, never an action (an empty action is falsy,
-#: so compare with `is`)
-_SEEN = object()
 
 
 class _Action(dict):
@@ -412,14 +413,14 @@ def _settled_with(row, undef, same):
             yield a, undef[a] | same[a][t]
 
 
-def settle_seeds(trans, k, merge):
+def settle_seeds(trans, undef, same):
     """The pairs of states of a table that one letter settles, as (p, q,
     letter) with p < q, yielded in (p, q) order: letter is the least that
-    settles them (_settled_with).  These are the distance-1 seeds of
-    _pair_bfs; they are yielded, not collected, because on automata with
-    many undefined transitions most pairs are seeds.
+    settles them (_settled_with over the masks of _settle_masks).  These
+    are the distance-1 seeds of _pair_bfs; they are yielded, not collected,
+    because on automata with many undefined transitions most pairs are
+    seeds.
     """
-    undef, same = _settle_masks(trans, k, merge)
     full = (1 << len(trans)) - 1
     for p, row in enumerate(trans):
         above = full ^ ((2 << p) - 1)
@@ -527,7 +528,8 @@ class PairTable(Value):
     A built table lists nothing, index included, and keeps the BFS paused
     in _bfs.  While it is unlisted, least_pair answers for a subset that
     holds a distance-1 pair, and word for such a pair, from the bit masks
-    of the settle rule (_settle_masks, kept in _masks until it lists), so on
+    of the settle rule (_settle_masks, computed once by build, which seeds
+    the BFS from them, and kept in _masks until the table lists), so on
     automata with many undefined transitions the seeds, most of the table,
     are often never listed.  Otherwise reads list the seed level whole and
     grow the arrays in place, whole levels at a time, so the listed pairs
@@ -535,28 +537,32 @@ class PairTable(Value):
     len(dist) counts the pairs listed so far (0 while unlisted).
     all_compressible, items and == complete the table first; distance lists
     the seeds, and distance and word complete the table before they answer
-    that no word settles a pair.  _bfs is None once the table is complete,
-    and for a table made from complete arrays.
+    that no word settles a pair.  _bfs and _masks are caches set after the
+    fields, like those of PartialDfa: None for a table made from complete
+    arrays, _masks once the table lists and _bfs once it is complete.
     """
 
     _fields = ("n", "pairs", "dist", "letter", "index", "dfa", "trans",
-               "elem", "merge", "_bfs", "_masks")
-    _defaults = {"merge": False, "_bfs": None, "_masks": None}
+               "elem")
     _shown = ("n", "pairs", "dist", "letter", "index")
+    _bfs = _masks = None
 
     @classmethod
     def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:
-        """The table of trans seeded by settle_seeds(trans, k, merge), where
-        state q of dfa stands for element elem[q]: dfa.trans and range(n)
-        for compression (merge set), the quotient and class_of for
+        """The table of trans seeded from _settle_masks(trans, k, merge),
+        where state q of dfa stands for element elem[q]: dfa.trans and
+        range(n) for compression (merge set), the quotient and class_of for
         separation.  Lists nothing (see the class), and refuses a table
         above the limits (check_pair_table)."""
         n, k = len(trans), len(dfa.alphabet)
         check_pair_table(n, k)
+        masks = _settle_masks(trans, k, merge)
         arrays = array("i"), array("i"), array("i"), array("i")
-        bfs = _pair_bfs(trans, k, settle_seeds(trans, k, merge), *arrays)
+        bfs = _pair_bfs(trans, k, settle_seeds(trans, *masks), *arrays)
         next(bfs)
-        return cls(n, *arrays, dfa, trans, elem, merge, bfs)
+        table = cls(n, *arrays, dfa, trans, elem)
+        table.__dict__.update(_bfs=bfs, _masks=masks)
+        return table
 
     def _grow(self, target: int) -> None:
         """List levels until at least target pairs are listed, or all.  A
@@ -570,13 +576,6 @@ class PairTable(Value):
     def _complete(self) -> None:
         if self._bfs is not None:
             self._grow(self.n * (self.n - 1) // 2)
-
-    def _settled(self, e):
-        """_settled_with for element e of the table."""
-        if self._masks is None:
-            object.__setattr__(self, "_masks", _settle_masks(
-                self.trans, len(self.dfa.alphabet), self.merge))
-        return _settled_with(self.trans[e], *self._masks)
 
     def __eq__(self, other):
         if not isinstance(other, PairTable):
@@ -641,7 +640,7 @@ class PairTable(Value):
         for i, (x, e) in enumerate(order):
             later ^= 1 << e
             m = 0
-            for _, settled in self._settled(e):
+            for _, settled in _settled_with(self.trans[e], *self._masks):
                 m |= settled
             m &= later
             if m:
@@ -724,8 +723,8 @@ class PairTable(Value):
         InputError when no word settles {p, q}, as for p == q."""
         if not self.index:
             if p != q:
-                a = next((a for a, settled in self._settled(p)
-                          if settled >> q & 1), None)
+                a = next((a for a, settled in _settled_with(
+                    self.trans[p], *self._masks) if settled >> q & 1), None)
                 if a is not None:
                     return (a,)
             self._grow(0)
@@ -782,7 +781,8 @@ def parse_dfa(text: str, allow_gamma: bool = False,
 
     Set pair_table when a pair table over the states will be built: a
     table above the limits (check_pair_table) is then refused at the
-    states and alphabet lines, before any transition is read."""
+    alphabet line, which like the states line comes before any
+    transition."""
     items = content_lines(text)
     head = next(items, None)
     if head is None or head[1] != "dfa v1":
@@ -799,8 +799,6 @@ def parse_dfa(text: str, allow_gamma: bool = False,
     n = int(parts[1])
     if n < 1:
         raise FormatError("need at least one state", line=no)
-    if pair_table:
-        check_pair_table(n)
 
     no, alpha_line = alpha_item
     parts = alpha_line.split()
@@ -811,9 +809,9 @@ def parse_dfa(text: str, allow_gamma: bool = False,
         raise FormatError("duplicate alphabet token", line=no)
     if not allow_gamma and GAMMA_TOKEN in alphabet:
         raise FormatError(f"token {GAMMA_TOKEN!r} is reserved", line=no)
-    check_cells(n, len(alphabet))
     if pair_table:
         check_pair_table(n, len(alphabet))
+    check_cells(n, len(alphabet))
     index = {tok: i for i, tok in enumerate(alphabet)}
 
     table = [[UNDEF] * len(alphabet) for _ in range(n)]

@@ -395,25 +395,22 @@ def _build_parser():
     p.set_defaults(fn=_cmd_code)
 
     p = sub.add_parser("gen", help="fixture generators")
+    p.set_defaults(fn=_cmd_gen)
     gsub = p.add_subparsers(dest="family", required=True)
     pg = gsub.add_parser("cerny")
     pg.add_argument("--n", type=int, required=True)
-    pg.set_defaults(fn=_cmd_gen, family="cerny")
     pg = gsub.add_parser("oneword")
     pg.add_argument("--k", type=int, required=True)
-    pg.set_defaults(fn=_cmd_gen, family="oneword")
     pg = gsub.add_parser("random-dfa")
     pg.add_argument("--n", type=int, required=True)
     pg.add_argument("--alpha", type=int, default=2)
     pg.add_argument("--density", type=float, default=0.9)
     pg.add_argument("--seed", type=int, required=True)
-    pg.set_defaults(fn=_cmd_gen, family="random-dfa")
     pg = gsub.add_parser("random-code")
     pg.add_argument("--count", type=int, required=True)
     pg.add_argument("--maxlen", type=int, required=True)
     pg.add_argument("--alpha", type=int, default=2)
     pg.add_argument("--seed", type=int, required=True)
-    pg.set_defaults(fn=_cmd_gen, family="random-code")
 
     return top
 

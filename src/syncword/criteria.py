@@ -57,6 +57,13 @@ def _random_corpus(p):
         for i in range(p.automata))
 
 
+@lru_cache(maxsize=1)
+def _searched_corpus(p):
+    """(automaton, the oracle's report on it) per _random_corpus(p)
+    automaton, searched once for criteria 6 and 7."""
+    return tuple((dfa, oracle.subset_bfs(dfa)) for dfa in _random_corpus(p))
+
+
 def _code_corpus(p):
     """Literal automata of seeded prefix codes with >= 2 words, total length
     <= 60 and a positive height."""
@@ -113,9 +120,9 @@ def cerny_thresholds(p):
 def reduction_soundness(p):
     """Criterion 6: the reduction to the complete case keeps the oracle's
     decision, and the pair test agrees on both automata."""
-    for i, dfa in enumerate(_random_corpus(p)):
+    for i, (dfa, rep) in enumerate(_searched_corpus(p)):
         complete, _ = sync.reduction_to_complete(dfa)
-        expected = oracle.subset_bfs(dfa).reset_threshold is not None
+        expected = rep.reset_threshold is not None
         require(sync.is_synchronizing(dfa) == expected,
                 f"automaton {i}: pair test disagrees with the oracle")
         require(sync.is_synchronizing(complete) == expected,
@@ -128,9 +135,9 @@ def reduction_soundness(p):
 
 def greedy_vs_oracle(p):
     """Criterion 7: greedy reaches the oracle's minimal non-zero rank."""
-    for i, dfa in enumerate(_random_corpus(p)):
+    for i, (dfa, rep) in enumerate(_searched_corpus(p)):
         res = sync.greedy_min_rank(dfa)
-        best = oracle.subset_bfs(dfa).min_nonzero_rank
+        best = rep.min_nonzero_rank
         require(res.final_rank == best, f"automaton {i}: greedy rank "
                 f"{res.final_rank} != minimal rank {best}")
         require(dfa.rank(res.word) == res.final_rank,

@@ -3,11 +3,11 @@
 Two states are inseparable when no word kills exactly one of them (the
 definedness of every word action agrees).  Hopcroft's partition refinement
 computes the classes, with UNDEF a sink that is the only accepting state,
-and Moore's refinement proves them.  Separation witnesses are a PairTable
-over class ids, one first letter and level per class pair, listed on demand
-(complete, about 20 bytes per class pair: 4 in each of the pairs, dist and
-letter arrays and two 4-byte index entries), and a witness is walked letter
-by letter.
+and a pass over the states and Moore's refinement of the quotient prove
+them.  Separation witnesses are a PairTable over class ids, one first letter
+and level per class pair, listed on demand (complete, about 20 bytes per
+class pair: 4 in each of the pairs, dist and letter arrays and two 4-byte
+index entries), and a witness is walked letter by letter.
 """
 from __future__ import annotations
 
@@ -69,43 +69,41 @@ def _hopcroft_classes(dfa: PartialDfa) -> list[set[int]]:
     return blocks
 
 
-def _moore(rows, block):
+def _moore(rows):
     """Moore's refinement of rows (a state or UNDEF per letter), UNDEF the
-    one accepting sink, from block ids block[q]: the stable ids, numbered by
-    least state, and each block's row of blocks (UNDEF where it dies).  Each
-    round signs a state with its block and its successors' blocks, a letter
-    column at a time, and names the blocks by least state."""
+    one accepting sink, from one block: for each row, the least row of its
+    stable block.  Each round signs a row with its block and its successors'
+    blocks, a letter column at a time, and names a block by its least row."""
     columns = [[-1 if t is UNDEF else t for t in col] for col in zip(*rows)]
-    ids, blocks = block, None
+    ids, blocks = [0] * len(rows), None
     while True:
         dead, least = [*ids, -1], {}  # UNDEF, coded -1, reads the last -1
         ids = list(map(least.setdefault, zip(
             ids, *[map(dead.__getitem__, col) for col in columns]), count()))
         if len(least) == blocks:  # no block split, and not in the first round
-            break
+            return ids
         blocks = len(least)
-    dense = dict(zip(least.values(), count()))
-    return list(map(dense.__getitem__, ids)), tuple(
-        tuple(UNDEF if b < 0 else dense[b] for b in sig[1:]) for sig in least)
 
 
 def inseparability_partition(dfa: PartialDfa) -> Partition:
-    """Inseparability classes and their separation table.  Two Moore
-    refinements prove Hopcroft's classes: from the classes none splits, so
-    the rows are the quotient, and on the quotient from one block the blocks
-    end as singletons, so distinct classes are separable."""
+    """Inseparability classes and their separation table.  One pass checks
+    that each state's row of classes is that of its class's least state, so
+    no class splits and those rows are the quotient; Moore's refinement of
+    the quotient ends in singletons, so distinct classes are separable."""
     classes = tuple(sorted(map(frozenset, _hopcroft_classes(dfa)), key=min))
     cid = {q: c for c, cls in enumerate(classes) for q in cls}
     class_of = tuple(map(cid.__getitem__, range(dfa.n)))
-    ids, trans = _moore(dfa.trans, class_of)
-    for cls in classes:
-        if len({ids[q] for q in cls}) > 1:
+    rows = list(zip(*[[UNDEF if t is UNDEF else class_of[t] for t in col]
+                      for col in dfa.columns]))
+    trans = tuple(rows[min(cls)] for cls in classes)
+    for cls, row in zip(classes, trans):
+        if any(rows[q] != row for q in cls):
             raise SyncwordError(f"class {sorted(cls)} splits on its letters")
     # built first, as it refuses a quotient above MAX_PAIR_INDEX: the
     # rounds of the refinement below can number as many as the classes
     table = PairTable.build(dfa, trans, class_of, merge=False)
-    for c, b in enumerate(_moore(trans, [0] * len(trans))[0]):
-        if b != c:  # blocks are numbered by least class, so b < c
+    for c, b in enumerate(_moore(trans)):
+        if b != c:  # b is the least class of c's block, so b < c
             raise SyncwordError(f"classes {sorted(classes[b])} and "
                                 f"{sorted(classes[c])} are not separable")
     return Partition(class_of, classes, table)

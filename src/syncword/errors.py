@@ -42,19 +42,18 @@ def require(ok, message):
 class Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its constructor fields in order in _fields, and the
-    defaults of trailing ones in _defaults.  ==, hash and repr use the
-    fields in _compare and _shown, all of _fields unless the class lists
-    others; == holds only between values of the same class.  __init__ sets
-    the fields, then calls __post_init__ if the class has one.  No attribute
-    can be set or deleted afterwards, except by object.__setattr__, which
-    fills the caches inside a value.  The methods are written out rather
+    A subclass lists its constructor fields in order in _fields; every
+    field must be given.  ==, hash and repr use the fields in _compare and
+    _shown, all of _fields unless the class lists others; == holds only
+    between values of the same class.  __init__ sets the fields, then calls
+    __post_init__ if the class has one.  No attribute can be set or deleted
+    afterwards, except through object.__setattr__ or __dict__, which fill
+    the caches inside a value.  The methods are written out rather
     than generated: the standard data-class generator costs a CLI job about
     5 ms of imports (inspect, ast, dis) and 0.3-0.55 ms per class.
     """
 
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         for listed in "_compare", "_shown":
@@ -63,7 +62,7 @@ class Value:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        values = dict(zip(names, args), **kwargs)
         if len(args) > len(names) or values.keys() != set(names) or \
                 not kwargs.keys().isdisjoint(names[:len(args)]):
             raise TypeError(f"{type(self).__name__} takes the fields "

@@ -117,12 +117,39 @@ MUTANTS = [
     # no mark: a run gets its action on its first appearance, filed under
     # its first chunk, so runs that share a first chunk share an action
     ("run-cached-by-first-chunk", "syncword/automaton.py",
-     "            act = runs.get(run)\n            if act is _SEEN:\n"
-     "                act = runs[run] = _Action(\n",
-     "            act = runs.get(run[:L], _SEEN if len(run) == span else None)\n"
-     "            if act is _SEEN:\n                act = runs[run[:L]] = _Action(\n",
+     "            act = runs.get(run)\n"
+     "            if act is None and len(run) == span and len(runs) < 256:\n"
+     "                if run in marks:\n"
+     "                    act = runs[run] = _Action(\n",
+     "            act = runs.get(run[:L])\n"
+     "            if act is None and len(run) == span and len(runs) < 256:\n"
+     "                if True:\n"
+     "                    act = runs[run[:L]] = _Action(\n",
      ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
       "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
+    # the marks stop at 256 instead of being cleared, so a run first seen
+    # after the 256th mark never gets an action
+    ("run-marks-never-cleared", "syncword/automaton.py",
+     "                    if len(marks) >= 256:\n"
+     "                        marks.clear()\n"
+     "                    marks.add(run)\n",
+     "                    if len(marks) < 256:\n"
+     "                        marks.add(run)\n",
+     ["tests/test_fast_paths.py::test_run_actions_follow_a_full_set_of_marks"]),
+    # the stability pass compares each class's least state with itself
+    # only, so a class that splits is let through
+    ("stability-checks-least-states-only", "syncword/equivalence.py",
+     "        if any(rows[q] != row for q in cls):\n",
+     "        if any(rows[q] != row for q in [min(cls)]):\n",
+     ["tests/test_equivalence.py::test_wrong_classes_are_refused[too-coarse]"]),
+    # Moore's refinement of the quotient stops after its first round, so
+    # classes separated only by longer words are refused as inseparable
+    ("moore-stops-after-one-round", "syncword/equivalence.py",
+     "        if len(least) == blocks:  # no block split, and not in the first "
+     "round\n",
+     "        if True:\n",
+     ["tests/test_equivalence.py::test_fig1_classes",
+      "tests/test_equivalence.py::test_classes_match_brute_force"]),
     # the fixing automaton keeps the last state's undefined transitions
     # (one on fig1).  No check runs on the derived automata, so the routes'
     # own checks must catch it: the collecting route's replay of the

@@ -137,6 +137,30 @@ def test_constructor_and_replace_check_the_fields():
             PartialDfa(*args, **kwargs)
 
 
+@pytest.mark.parametrize("alphabet, trans, message", [
+    ((), ((),), "automaton needs at least one letter"),
+    (("a", "a"), ((0, 0),), "alphabet tokens must be distinct"),
+    (("a", ""), ((0, 0),), "alphabet tokens must be non-empty"),
+    (("a", "b"), ((0,),), "state 0: row width != alphabet size"),
+    (("a",), ((1,),), "state 0: target 1 out of range"),
+], ids=["no-letter", "duplicate-token", "empty-token", "row-width",
+        "target-out-of-range"])
+def test_constructor_refusals(alphabet, trans, message):
+    # parse_dfa refuses each of these inputs first, with its own message;
+    # the constructor refuses them for a caller that builds one directly
+    with pytest.raises(InputError) as exc:
+        PartialDfa(1, alphabet, trans)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "dfa v1\n", "dfa v1\nstates 2\n", "dfa v1\n# no alphabet\n\nstates 2\n"])
+def test_parse_missing_states_or_alphabet_line(text):
+    with pytest.raises(FormatError) as exc:
+        parse_dfa(text)
+    assert str(exc.value) == "missing 'states'/'alphabet' lines"
+
+
 # ------------------------------------------------------------ word actions
 
 def test_image_of_full_set_under_b(fig1):
@@ -232,6 +256,14 @@ def test_eulerian():
     assert is_eulerian(shift)
     loop = parse_dfa("dfa v1\nstates 1\nalphabet a\n0 a 0\n")
     assert is_eulerian(loop)
+
+
+def test_eulerian_needs_strong_connectivity():
+    # two self-loops: each state has in-degree 1 and out-degree 1, but
+    # neither reaches the other
+    loops = PartialDfa(2, ("a",), ((0,), (1,)))
+    assert not is_strongly_connected(loops)
+    assert not is_eulerian(loops)
 
 
 def test_fig1_not_eulerian(fig1):

@@ -775,8 +775,8 @@ def test_pair_table_refused_before_the_transitions(capsys, tmp_path, command,
                                                    n, letters, message):
     # these commands always build a pair table over the input's states (the
     # fixing automaton has as many, the collecting automaton as many and a
-    # letter more): it is refused at the states or alphabet line, before
-    # the malformed first transition line
+    # letter more): it is refused at the alphabet line, before the
+    # malformed first transition line
     path = tmp_path / "wide.dfa"
     path.write_text(f"dfa v1\nstates {n}\nalphabet {letters}\n0 t0\n")
     assert run([*command, str(path)]) == 2
@@ -806,7 +806,8 @@ def test_partition_size_limit(tmp_path, command):
     # classes; the partition must refuse their pair table before proving
     # them separable, whose refinement rounds number as many as the classes.
     # `sync word --method collecting` refuses the pair table of its
-    # collecting automaton, over as many states, earlier, at the states line
+    # collecting automaton, over as many states, earlier, at the alphabet
+    # line
     path = tmp_path / "cycle.dfa"
     path.write_text(format_dfa(PartialDfa(20000, ("a", "b"), tuple(
         ((q + 1) % 20000, 0 if q == 0 else UNDEF) for q in range(20000)))))
@@ -860,6 +861,28 @@ def test_verify_all_smallest_size_cap(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     assert all("status=ok" in line for line in lines)
+
+
+def test_verify_all_searches_each_corpus_automaton_once(monkeypatch):
+    # criteria 6 and 7 share the oracle's report on each automaton of the
+    # random corpus; only the complete automata of the reduction are
+    # searched apart
+    from syncword import criteria, oracle
+    searched = []
+    real = oracle.subset_bfs
+
+    def counted(dfa, *args, **kwargs):
+        searched.append(dfa)
+        return real(dfa, *args, **kwargs)
+    monkeypatch.setattr(oracle, "subset_bfs", counted)
+    criteria._searched_corpus.cache_clear()
+    profile = criteria.quick(5, 2)
+    assert criteria.reduction_soundness(profile)
+    assert criteria.greedy_vs_oracle(profile)
+    corpus = criteria._random_corpus(profile)
+    assert [sum(dfa is c for dfa in searched) for c in corpus] == \
+        [1] * profile.automata
+    assert len(searched) == 2 * profile.automata
 
 
 def test_verify_all_reports_a_fault_and_goes_on(capsys, monkeypatch):

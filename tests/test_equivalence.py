@@ -205,6 +205,24 @@ def test_quotient_well_defined_random():
                     assert len({part.class_of[t] for t in targets}) == 1
 
 
+def test_one_moore_refinement_per_partition(monkeypatch, fig1):
+    # the stability check is one pass over the states: Moore's refinement
+    # runs once, on the quotient, to prove distinct classes separable
+    from syncword import equivalence
+    calls = []
+    real = equivalence._moore
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(equivalence, "_moore", counted)
+    for dfa in (fig1, gen_cerny(5),
+                literal_automaton(gen_random_prefix_code(12, 6, 3, 1)).dfa):
+        calls.clear()
+        part = inseparability_partition(dfa)
+        assert calls == [(part.table.trans,)]
+
+
 def refinement_levels(dfa):
     """Moore-style chain of level-k partitions, coarsest first.
 

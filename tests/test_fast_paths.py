@@ -45,7 +45,7 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       is_strongly_connected, literal_automaton, pair_table,
                       parse_dfa, rank_target_word, strip_gamma, subset_bfs)
 from syncword import oracle
-from syncword.automaton import (_RUN_CHUNKS, _SEEN, _chunk_length,
+from syncword.automaton import (_RUN_CHUNKS, _chunk_length, _settle_masks,
                                settle_seeds)
 from syncword.constructions import lift_word_to_partial
 from syncword.oracle import _bfs_witnesses, _reaches_zero, _rt_bitmask
@@ -158,9 +158,9 @@ def test_image_matches_replay_on_repetitive_words(dfa, data):
             assert dfa.image(S, word) == ref_image(dfa, S, word)
     span = _RUN_CHUNKS * _chunk_length(k)
     if _chunk_length(k) > 1 and len(w) >= span:
-        assert dfa._runs[w[:span]] is not _SEEN
+        assert w[:span] in dfa._runs
     else:
-        assert not dfa._runs
+        assert not dfa._runs and not dfa._marks
 
 
 def test_image_states_die_mid_run():
@@ -174,7 +174,7 @@ def test_image_states_die_mid_run():
     for S in ({0}, {5}, {2, 3}, range(6)):
         for i in range(len(w) + 1):
             assert dfa.image(S, w[:i]) == ref_image(dfa, S, w[:i])
-    assert dfa._runs[run] is not _SEEN
+    assert run in dfa._runs
     assert [len(dfa.image(dfa.states, run * m)) for m in range(4)] == \
         [6, 5, 4, 4]
 
@@ -201,6 +201,26 @@ def test_chunk_cache_holds_at_most_256_actions(k):
     assert len(dfa._chunks) <= (256 if L > 1 else 0)
     assert len(dfa._chunks) <= min(256, k ** L)
     assert len(dfa._runs) <= (256 if L > 1 else 0)
+    assert len(dfa._marks) <= (256 if L > 1 else 0)
+
+
+def test_run_actions_follow_a_full_set_of_marks():
+    # 300 random 64-letter words at k = 2 are 300 runs seen once: the marks
+    # fill, are cleared at 256 and no run gets an action.  A repetitive
+    # word replayed afterwards still gets one for its run
+    rng = random.Random(2)
+    n = 12
+    dfa = PartialDfa(n, ("a", "b"), tuple(
+        (rng.randrange(n), rng.randrange(n)) for _ in range(n)))
+    for _ in range(300):
+        w = tuple(rng.randrange(2) for _ in range(64))
+        assert dfa.image(dfa.states, w) == ref_image(dfa, range(n), w)
+    run = tuple(rng.randrange(2) for _ in range(64))
+    for _ in range(2):
+        assert dfa.image(dfa.states, run * 20) == \
+            ref_image(dfa, range(n), run * 20)
+    assert list(dfa._runs) == [run]
+    assert len(dfa._marks) == 300 - 256 + 1
 
 
 def test_image_caches_shared_across_threads():
@@ -697,7 +717,8 @@ def nested(table):
 def test_settle_seeds_match_pair_loops(table, merge):
     trans = nested(table)
     k = table[1]
-    assert [((p, q), a) for p, q, a in settle_seeds(trans, k, merge)] == \
+    seeds = settle_seeds(trans, *_settle_masks(trans, k, merge))
+    assert [((p, q), a) for p, q, a in seeds] == \
         list(ref_settle_seeds(trans, k, merge).items())
 
 

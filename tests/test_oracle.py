@@ -313,6 +313,21 @@ def test_extremal_runs_one_bfs_per_canonical_table(monkeypatch):
     assert (res.best_rt, res.candidates) == (6, 3 * 2 * 4384)
 
 
+def test_extremal_needs_two_states():
+    with pytest.raises(InputError) as exc:
+        extremal_search(1)
+    assert str(exc.value) == "need at least two states"
+
+
+def test_best_tables_without_a_synchronizing_table():
+    # a swaps the two states and b fixes them (rows of target bit masks):
+    # no word merges them, so the BFS ends with no reset threshold and the
+    # best stays -1 with no table
+    flat = (2, 1, 1, 2)
+    assert oracle._rt_bitmask(flat[0::2], flat[1::2], 2) is None
+    assert oracle._best_tables(2, [flat]) == (-1, [], 1)
+
+
 def test_extremal_exhaustive_guardrail():
     with pytest.raises(InputError, match="limited to n <= 5"):
         extremal_search(6, exhaustive=True)

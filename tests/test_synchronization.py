@@ -8,8 +8,9 @@ from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       literal_automaton, min_rank_word_via_fixing, pair_table,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
-from syncword import synchronization
-from syncword.automaton import GAMMA_TOKEN, PairTable, PartialDfa, settle_seeds
+from syncword import automaton, synchronization
+from syncword.automaton import (GAMMA_TOKEN, PairTable, PartialDfa,
+                               _settle_masks, settle_seeds)
 
 from test_cli import run_python
 
@@ -346,11 +347,13 @@ def test_collecting_route_lists_one_level(monkeypatch):
     tables = built_tables(monkeypatch)
     assert dfa.rank(reset_word_via_collecting(dfa)) == 1
     (merge, coll), = [(m, t) for m, t in tables if m]
-    seeds = list(settle_seeds(coll.trans, len(coll.dfa.alphabet), True))
+    seeds = list(settle_seeds(coll.trans, *_settle_masks(
+        coll.trans, len(coll.dfa.alphabet), True)))
     assert (coll.n, len(coll.dist), len(seeds)) == (22, 0, 62)
     assert coll._bfs is not None
     (_, separation), = [(m, t) for m, t in tables if not m]
-    seeds = list(settle_seeds(separation.trans, len(dfa.alphabet), False))
+    seeds = list(settle_seeds(separation.trans, *_settle_masks(
+        separation.trans, len(dfa.alphabet), False)))
     assert (separation.n, len(separation.dist), len(seeds)) == (19, 0, 146)
     assert separation._bfs is not None
 
@@ -366,6 +369,28 @@ def test_greedy_lists_the_cycle_family_table(monkeypatch, n, listed):
     (_, table), = tables
     assert len(table.dist) == listed
     assert (table._bfs is None) == (listed == n * (n - 1) // 2)
+
+
+def test_settle_masks_computed_once_per_table(monkeypatch):
+    # greedy on the 12-state cycle answers its first step from the masks of
+    # its unlisted table, then lists the table, seeded from the same masks
+    masks, seeds = [], []
+    real_masks, real_seed = automaton._settle_masks, PairTable._least_seed
+
+    def counted(*args):
+        masks.append(args)
+        return real_masks(*args)
+
+    def least_seed(self, rep):
+        seeds.append(real_seed(self, rep))
+        return seeds[-1]
+    monkeypatch.setattr(automaton, "_settle_masks", counted)
+    monkeypatch.setattr(PairTable, "_least_seed", least_seed)
+    tables = built_tables(monkeypatch)
+    assert greedy_min_rank(gen_cerny(12)).final_rank == 1
+    (_, table), = tables
+    assert seeds[0] is not None and len(table.dist) == 64
+    assert len(masks) == 1
 
 
 # ------------------------------------------------------------- rank target
