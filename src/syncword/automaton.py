@@ -4,16 +4,18 @@ States are dense indices 0..n-1.  A transition table entry is either a state
 index or UNDEF (None); no implicit sink state exists.  Words are tuples of
 letter indices into the automaton's alphabet.
 
-All values are immutable after construction and all operations are pure,
-with two exceptions.  The caches inside PartialDfa, the actions of chunks
-and runs of chunks of letters that image fills on use and the record of a
-passed strong-connectivity check, never change a result: concurrent fills
-store equal values (racing threads may each add a run past the bound of
-256), so automata can be shared freely across threads.  A PairTable lists
-its pairs on demand, from none at build: its reads grow its arrays in place
-and drop its settle masks, without a lock, so share one across threads only
-once it is complete (after all_compressible).  The same holds for an
-equivalence.Partition, which holds one: share it only after
+All values are immutable after construction and all operations are pure:
+==, hash and repr read only the fields a value was built from, and its
+caches, set outside them and filled on use, never change a result.  They
+differ in how they may be shared.  The caches of PartialDfa, the actions
+of chunks and runs of chunks of letters that image fills and the record
+of a passed strong-connectivity check, store equal values on concurrent
+fills (racing threads may each add a run past the bound of 256), so
+automata can be shared freely across threads.  A PairTable lists its
+pairs on demand, from none at construction: its reads grow its arrays in
+place and drop its settle masks, without a lock, so share one across
+threads only once it is complete (after all_compressible).  The same
+holds for an equivalence.Partition, which holds one: share it only after
 part.table.all_compressible().
 
 Three shared rules live here alone: require_strongly_connected, the one
@@ -51,8 +53,8 @@ def check_cells(n: int, k: int) -> None:
                          f"{MAX_CELLS} transition-table cells")
 
 
-#: the most index entries (elements squared) of a pair table that
-#: PairTable.build accepts; it also takes at most 4 * MAX_PAIR_INDEX pair
+#: the most index entries (elements squared) of a pair table that the
+#: PairTable constructor accepts; it also takes at most 4 * MAX_PAIR_INDEX pair
 #: transitions (elements squared times letters), so 4 letters at 4,096
 #: elements.  At the cap, `sync check` takes about 4 s at 180 MB max RSS and
 #: `classes` 1.4-1.9 s at 84 MB (README)
@@ -464,7 +466,7 @@ def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
     """
     n = len(trans)
     target = yield
-    # PairTable.build keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
+    # PairTable keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
     # code and position
     index.append(0)
     index *= n * n
@@ -511,58 +513,54 @@ def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
 
 
 class PairTable(Value):
-    """The _pair_bfs result for the unordered pairs of the n elements of a
-    table, made by build: shortest words that settle a pair.
+    """The _pair_bfs result for the unordered pairs of the elements of a
+    table: shortest words that settle a pair.
 
-    The seeds say what settles a pair: a merge or one state dying for the
-    compression table of synchronization (merge set), exactly one class
-    dying for the separation table of an inseparability partition.
+    The fields are what the table is built on: dfa, the table trans of its
+    n = len(trans) elements (trans[e][a] is an element or UNDEF), elem,
+    where state q of dfa stands for element elem[q], and merge, the settle
+    rule of its seeds (_settle_masks): a merge or one state dying for the
+    compression table of synchronization (dfa.trans and range(n), merge
+    set), exactly one class dying for the separation table of an
+    inseparability partition (the quotient and class_of, merge clear).
+    The constructor refuses a table above the limits (check_pair_table).
+
     Settled pairs are listed in BFS order, so distances never decrease
     along the list: pairs[i] is the code p * n + q (p < q) of the i-th
     pair, dist[i] the length of a shortest word settling it and letter[i]
     the first letter of one such word.  index[p * n + q] ==
-    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.  The
-    table keeps dfa, the table trans it was built on and elem, where state
-    q of dfa stands for element elem[q].
+    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.  n, these
+    arrays, the BFS paused in _bfs and the settle masks in _masks are
+    caches set after the fields, like those of PartialDfa, so ==, hash and
+    repr use the fields alone.
 
-    A built table lists nothing, index included, and keeps the BFS paused
-    in _bfs.  While it is unlisted, least_pair answers for a subset that
-    holds a distance-1 pair, and word for such a pair, from the bit masks
-    of the settle rule (_settle_masks, computed once by build, which seeds
-    the BFS from them, and kept in _masks until the table lists), so on
-    automata with many undefined transitions the seeds, most of the table,
-    are often never listed.  Otherwise reads list the seed level whole and
-    grow the arrays in place, whole levels at a time, so the listed pairs
-    are always levels 1..L of the complete table, in its order, and
-    len(dist) counts the pairs listed so far (0 while unlisted).
-    all_compressible, items and == complete the table first; distance lists
-    the seeds, and distance and word complete the table before they answer
-    that no word settles a pair.  _bfs and _masks are caches set after the
-    fields, like those of PartialDfa: None for a table made from complete
-    arrays, _masks once the table lists and _bfs once it is complete.
+    A new table lists nothing, index included.  While it is unlisted,
+    least_pair answers for a subset that holds a distance-1 pair, and word
+    for such a pair, from the settle masks (computed once, at
+    construction, to seed the BFS, and kept in _masks until the table
+    lists), so on automata with many undefined transitions the seeds, most
+    of the table, are often never listed.  Otherwise reads list the seed
+    level whole and grow the arrays in place, whole levels at a time, so
+    the listed pairs are always levels 1..L of the complete table, in its
+    order, and len(dist) counts the pairs listed so far (0 while
+    unlisted).  all_compressible and items complete the table first;
+    distance and word list the seeds, and complete the table before they
+    answer that no word settles a pair.  _masks is None once the table
+    lists and _bfs once it is complete.
     """
 
-    _fields = ("n", "pairs", "dist", "letter", "index", "dfa", "trans",
-               "elem")
-    _shown = ("n", "pairs", "dist", "letter", "index")
-    _bfs = _masks = None
+    _fields = ("dfa", "trans", "elem", "merge")
 
-    @classmethod
-    def build(cls, dfa: PartialDfa, trans, elem, merge: bool) -> PairTable:
-        """The table of trans seeded from _settle_masks(trans, k, merge),
-        where state q of dfa stands for element elem[q]: dfa.trans and
-        range(n) for compression (merge set), the quotient and class_of for
-        separation.  Lists nothing (see the class), and refuses a table
-        above the limits (check_pair_table)."""
-        n, k = len(trans), len(dfa.alphabet)
+    def __post_init__(self):
+        trans = self.trans
+        n, k = len(trans), len(self.dfa.alphabet)
         check_pair_table(n, k)
-        masks = _settle_masks(trans, k, merge)
+        masks = _settle_masks(trans, k, self.merge)
         arrays = array("i"), array("i"), array("i"), array("i")
         bfs = _pair_bfs(trans, k, settle_seeds(trans, *masks), *arrays)
         next(bfs)
-        table = cls(n, *arrays, dfa, trans, elem)
-        table.__dict__.update(_bfs=bfs, _masks=masks)
-        return table
+        self.__dict__.update(zip(("pairs", "dist", "letter", "index"), arrays),
+                             n=n, _bfs=bfs, _masks=masks)
 
     def _grow(self, target: int) -> None:
         """List levels until at least target pairs are listed, or all.  A
@@ -577,22 +575,18 @@ class PairTable(Value):
         if self._bfs is not None:
             self._grow(self.n * (self.n - 1) // 2)
 
-    def __eq__(self, other):
-        if not isinstance(other, PairTable):
-            return NotImplemented
-        self._complete()
-        other._complete()
-        return (self.n, self.pairs, self.dist, self.letter, self.index) == \
-            (other.n, other.pairs, other.dist, other.letter, other.index)
+    def _position(self, p: int, q: int) -> int:
+        """index[p * n + q], read after the seeds are listed, and after the
+        whole table is when it reads <= 0 (no word settles {p, q})."""
+        if not self.index:
+            self._grow(0)
+        if self.index[p * self.n + q] <= 0:
+            self._complete()
+        return self.index[p * self.n + q]
 
     def distance(self, p: int, q: int):
         """Length of a shortest word settling {p, q}, or None."""
-        if not self.index:
-            self._grow(0)
-        i = self.index[p * self.n + q]
-        if i <= 0 and self._bfs is not None:
-            self._complete()
-            i = self.index[p * self.n + q]
+        i = self._position(p, q)
         return self.dist[i - 1] if i > 0 else None
 
     def all_compressible(self) -> bool:
@@ -649,29 +643,29 @@ class PairTable(Value):
         return None
 
     def _least_listed(self, rep, states):
-        """least_pair among the listed pairs.  Pairs are listed in
-        non-decreasing distance order, so the first level holding a pair of
-        the subset, walked to its end, gives the answer.  The walk gets as
-        many checks as the subset has pairs; when they run out first, the
-        pairs of the subset are scanned instead."""
-        n = self.n
-        budget = len(states) * (len(states) - 1) // 2
-        # p * N + q with N above every state orders pairs as (p, q) does
-        N = max(states) + 1
-        level = key = None
-        for c, d in islice(zip(self.pairs, self.dist), budget):
-            if level is not None and d > level:
-                return (level, *divmod(key, N))
-            x = rep[c // n]
-            if x is not None:
-                y = rep[c % n]
-                if y is not None:
-                    k = x * N + y if x < y else y * N + x
-                    if key is None or k < key:
-                        level, key = d, k
-        if budget >= len(self.dist):
+        """least_pair among the listed pairs, by a walk or a scan, never
+        both.  When no more pairs are listed than the subset has, the
+        listed pairs are walked: they are in non-decreasing distance order,
+        so the first level holding a pair of the subset, walked to its end,
+        gives the answer.  Otherwise the pairs of the subset are scanned in
+        the index."""
+        n, dist = self.n, self.dist
+        if len(dist) <= len(states) * (len(states) - 1) // 2:
+            # p * N + q with N above every state orders pairs as (p, q) does
+            N = max(states) + 1
+            level = key = None
+            for c, d in zip(self.pairs, dist):
+                if level is not None and d > level:
+                    break
+                x = rep[c // n]
+                if x is not None:
+                    y = rep[c % n]
+                    if y is not None:
+                        k = x * N + y if x < y else y * N + x
+                        if key is None or k < key:
+                            level, key = d, k
             return None if key is None else (level, *divmod(key, N))
-        dist, index = self.dist, self.index
+        index = self.index
         elements = [e for e, x in enumerate(rep) if x is not None]
         best = None
         for i, e in enumerate(elements):
@@ -721,25 +715,23 @@ class PairTable(Value):
         two elements merge or at least one of them dies; on an unlisted
         table, the least letter that settles a distance-1 pair.  Raises
         InputError when no word settles {p, q}, as for p == q."""
-        if not self.index:
-            if p != q:
-                a = next((a for a, settled in _settled_with(
-                    self.trans[p], *self._masks) if settled >> q & 1), None)
-                if a is not None:
-                    return (a,)
-            self._grow(0)
-        n, trans, letter, index = self.n, self.trans, self.letter, self.index
-        if index[p * n + q] <= 0:
-            self._complete()
-        if index[p * n + q] <= 0:
+        if not self.index and p != q:
+            a = next((a for a, settled in _settled_with(
+                self.trans[p], *self._masks) if settled >> q & 1), None)
+            if a is not None:
+                return (a,)
+        i = self._position(p, q)
+        if i <= 0:
             raise InputError(f"pair {(min(p, q), max(p, q))} is not settled")
+        n, trans, letter, index = self.n, self.trans, self.letter, self.index
         out = []
         while True:
-            a = letter[index[p * n + q] - 1]
+            a = letter[i - 1]
             out.append(a)
             p, q = trans[p][a], trans[q][a]
             if p is UNDEF or q is UNDEF or p == q:
                 return tuple(out)
+            i = index[p * n + q]
 
 
 # ---------------------------------------------------------------------------

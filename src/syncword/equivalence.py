@@ -101,7 +101,7 @@ def inseparability_partition(dfa: PartialDfa) -> Partition:
             raise SyncwordError(f"class {sorted(cls)} splits on its letters")
     # built first, as it refuses a quotient above MAX_PAIR_INDEX: the
     # rounds of the refinement below can number as many as the classes
-    table = PairTable.build(dfa, trans, class_of, merge=False)
+    table = PairTable(dfa, trans, class_of, merge=False)
     for c, b in enumerate(_moore(trans)):
         if b != c:  # b is the least class of c's block, so b < c
             raise SyncwordError(f"classes {sorted(classes[b])} and "

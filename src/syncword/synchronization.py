@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 
 def pair_table(dfa: PartialDfa) -> PairTable:
-    return PairTable.build(dfa, dfa.trans, range(dfa.n), merge=True)
+    return PairTable(dfa, dfa.trans, range(dfa.n), merge=True)
 
 
 def is_synchronizing(dfa: PartialDfa) -> bool:

@@ -36,3 +36,16 @@ def sc_checks(monkeypatch):
         return real(dfa)
     monkeypatch.setattr(automaton, "is_strongly_connected", counting)
     return checked
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """(merge, table) for every pair table built while the test runs."""
+    built = []
+    real = automaton.PairTable.__post_init__
+
+    def recording(table):
+        real(table)
+        built.append((table.merge, table))
+    monkeypatch.setattr(automaton.PairTable, "__post_init__", recording)
+    return built

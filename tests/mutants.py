@@ -79,6 +79,26 @@ MUTANTS = [
      "order = sorted((x, e) for e, x in enumerate(rep) if x is not None)",
      "order = [(x, e) for e, x in enumerate(rep) if x is not None]",
      ["tests/test_fast_paths.py::test_built_tables_break_ties_by_states"]),
+    # a pair read as unsettled while the BFS is still paused short of it
+    ("pair-lookup-skips-completion", "syncword/automaton.py",
+     "        if self.index[p * self.n + q] <= 0:\n"
+     "            self._complete()\n",
+     "",
+     ["tests/test_fast_paths.py::test_negative_reads_complete_the_table"]),
+    # separation tables seeded by the compression rule, settling two
+    # classes that one letter maps to one class
+    ("pair-table-seeds-always-merge", "syncword/automaton.py",
+     "masks = _settle_masks(trans, k, self.merge)",
+     "masks = _settle_masks(trans, k, True)",
+     ["tests/test_equivalence.py::test_separating_word_kills_exactly_one_side",
+      "tests/test_fast_paths.py::test_pair_bfs_matches_dict_bfs_in_order"]),
+    # a compression and a separation table on the same automaton compare
+    # equal
+    ("pair-table-compares-without-merge", "syncword/automaton.py",
+     '    _fields = ("dfa", "trans", "elem", "merge")\n',
+     '    _fields = ("dfa", "trans", "elem", "merge")\n'
+     '    _compare = ("dfa", "trans", "elem")\n',
+     ["tests/test_values.py::test_pair_table_is_hashable_and_equal_by_what_it_was_built_on"]),
     ("strong-connectivity-never-refused", "syncword/automaton.py",
      '        raise NotStronglyConnected("the automaton is not strongly '
      'connected")\n',

@@ -37,11 +37,11 @@ def cycle(n, letters="a"):
 def test_pair_limit_is_elements_squared(monkeypatch, merge):
     dfa = cycle(math.isqrt(MAX_PAIR_INDEX) + 1)
     with pytest.raises(InputError, match="above the limit"):
-        PairTable.build(dfa, dfa.trans, range(dfa.n), merge)
+        PairTable(dfa, dfa.trans, range(dfa.n), merge)
     monkeypatch.setattr(automaton, "MAX_PAIR_INDEX", 16)
-    assert PairTable.build(cycle(4), cycle(4).trans, range(4), merge).n == 4
+    assert PairTable(cycle(4), cycle(4).trans, range(4), merge).n == 4
     with pytest.raises(InputError, match="5 elements"):
-        PairTable.build(cycle(5), cycle(5).trans, range(5), merge)
+        PairTable(cycle(5), cycle(5).trans, range(5), merge)
 
 
 @pytest.mark.parametrize("merge", [True, False])
@@ -50,11 +50,11 @@ def test_pair_limit_counts_letters(monkeypatch, merge):
     # against 4 x 16: four letters are the most
     monkeypatch.setattr(automaton, "MAX_PAIR_INDEX", 16)
     four = cycle(4, "abcd")
-    assert PairTable.build(four, four.trans, range(4), merge).n == 4
+    assert PairTable(four, four.trans, range(4), merge).n == 4
     five = cycle(4, "abcde")
     with pytest.raises(InputError, match="4 elements and 5 letters needs 80 "
                        "pair transitions, above the limit of 64"):
-        PairTable.build(five, five.trans, range(4), merge)
+        PairTable(five, five.trans, range(4), merge)
 
 
 def test_parse_one_state_loop():

@@ -10,7 +10,7 @@ from syncword import (cli, constructions, format_code, format_dfa, gen_cerny,
                       gen_oneword_code, gen_random_partial,
                       gen_random_prefix_code, literal_automaton, oracle,
                       parse_code, parse_dfa, synchronization, validate_code)
-from syncword.automaton import UNDEF, PairTable, PartialDfa
+from syncword.automaton import UNDEF, PartialDfa
 from syncword.cli import run
 
 from conftest import FIXTURES
@@ -293,19 +293,6 @@ def test_sync_word_nonsynchronizing_output(capsys, tmp_path, method):
     assert run(["--format", "summary", "sync", "word", str(path),
                 "--method", method]) == 1
     assert capsys.readouterr().out == "synchronizing=false\nmin_rank=2\n"
-
-
-@pytest.fixture
-def built_tables(monkeypatch):
-    """(merge, table) for every pair table built while the test runs."""
-    built = []
-    real = PairTable.build
-
-    def keeping(dfa, trans, elem, merge):
-        built.append((merge, real(dfa, trans, elem, merge)))
-        return built[-1][1]
-    monkeypatch.setattr(PairTable, "build", staticmethod(keeping))
-    return built
 
 
 def table_counts(built):

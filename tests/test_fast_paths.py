@@ -3,7 +3,7 @@
 PartialDfa.image (memoized actions of chunks, and of runs of chunks from
 a run's second appearance; also on long repetitive words and with threads
 sharing the caches), the pair a greedy step over states picks
-(PairTable.least_pair, a budgeted walk of the pair table, with each state
+(PairTable.least_pair, a walk or a scan of the pair table, with each state
 of S standing for itself) and rank_target_word (the greedy steps
 up to the first that reaches the target) are checked against the
 letter-by-letter set code they replace, and PairTable.steps refuses a step
@@ -75,16 +75,21 @@ def min_pair(table, S):
 
 
 def hand_table(n, dist):
-    """A PairTable listing the pairs of the ordered {(p, q): distance} dist
-    (p < q) in that order, every first letter 0, built on no automaton."""
+    """A complete PairTable listing the pairs of the ordered
+    {(p, q): distance} dist (p < q) in that order, every first letter 0:
+    the caches of a table built on no automaton, filled by hand, so it has
+    no fields and only least_pair, distance and items can read it."""
     index = array("i", [0] * (n * n))
     for q in range(n):
         index[q * n + q] = -1
     for i, (p, q) in enumerate(dist, start=1):
         index[p * n + q] = index[q * n + p] = i
-    return PairTable(n, array("i", [p * n + q for p, q in dist]),
-                     array("i", dist.values()), array("i", [0] * len(dist)),
-                     index, None, None, None)
+    table = object.__new__(PairTable)
+    table.__dict__.update(
+        n=n, pairs=array("i", [p * n + q for p, q in dist]),
+        dist=array("i", dist.values()), letter=array("i", [0] * len(dist)),
+        index=index, _bfs=None, _masks=None)
+    return table
 
 
 # ------------------------------------------------------------------ image
@@ -438,7 +443,7 @@ def stalled_step_outcomes():
                                (((0,), (1,), (2,)), (0, 0, 1), False)]:
         dfa = PartialDfa(len(trans), ("a",), trans)
         try:
-            list(PairTable.build(dfa, stalled, elem, merge).steps(dfa.states))
+            list(PairTable(dfa, stalled, elem, merge).steps(dfa.states))
             outcomes.append("accepted")
         except SyncwordError as exc:
             outcomes.append("raised" if "greedy step" in str(exc) else "other")
@@ -729,7 +734,7 @@ def test_pair_bfs_matches_dict_bfs_in_order(table, merge):
     trans = nested(table)
     n, k = table[0], table[1]
     seeds = ref_settle_seeds(trans, k, merge)
-    drained = PairTable.build(flat_dfa(*table), trans, range(n), merge)
+    drained = PairTable(flat_dfa(*table), trans, range(n), merge)
     drained.all_compressible()
     pairs, dist, letter, index = (drained.pairs, drained.dist, drained.letter,
                                   drained.index)
@@ -754,9 +759,9 @@ def test_pair_table_grows_by_whole_levels(table, merge):
     trans = nested(table)
     n = table[0]
     dfa = flat_dfa(*table)
-    drained = PairTable.build(dfa, trans, range(n), merge)
+    drained = PairTable(dfa, trans, range(n), merge)
     drained.all_compressible()
-    grown = PairTable.build(dfa, trans, range(n), merge)
+    grown = PairTable(dfa, trans, range(n), merge)
     assert (len(grown.pairs), len(grown.index)) == (0, 0)
     grown._grow(0)
     assert set(grown.dist) <= {1}
@@ -866,14 +871,14 @@ def test_fresh_tables_read_as_drained_with_and_without_seeds(dfa, data):
     not_least = frozenset(range(dfa.n)) - {min(c) for c in part.classes
                                            if len(c) > 1}
     for S in [*drawn, *no_seeds, not_least]:
-        fresh = PairTable.build(dfa, drained.trans, part.class_of, merge=False)
+        fresh = PairTable(dfa, drained.trans, part.class_of, merge=False)
         best = class_pick(part, S)
         assert best == fresh_class_pick(fresh, part, S)
         if best is not None:
             c1, c2 = part.class_of[best[1]], part.class_of[best[2]]
             assert fresh.word(c1, c2) == drained.word(c1, c2)
             assert len(fresh.dist) == 0 or best[0] > 1
-        fresh = PairTable.build(dfa, drained.trans, part.class_of, merge=False)
+        fresh = PairTable(dfa, drained.trans, part.class_of, merge=False)
         assert list(fresh.steps(S)) == list(drained.steps(S))
 
 
@@ -935,16 +940,19 @@ def test_negative_reads_complete_the_table():
     assert table._bfs is None and len(table.dist) == 20
 
 
-def test_tables_compare_as_complete_tables():
-    # unlisted, seeds only, grown past the seeds: all compare as complete
+def test_tables_compare_by_what_they_were_built_on():
+    # unlisted, seeds only, grown past the seeds: all compare and hash
+    # alike, and comparing them lists nothing
     dfa = gen_cerny(12)
     fresh, seeded, grown = pair_table(dfa), pair_table(dfa), pair_table(dfa)
     seeded._grow(0)
     grown._grow(0)
     grown._grow(len(grown.dist) + 1)
-    assert 0 == len(fresh.dist) < len(seeded.dist) < len(grown.dist) < 66
+    listed = [len(t.dist) for t in (fresh, seeded, grown)]
+    assert 0 == listed[0] < listed[1] < listed[2] < 66
     assert grown == fresh == seeded
-    assert all(t._bfs is None for t in (fresh, seeded, grown))
+    assert hash(grown) == hash(fresh) == hash(seeded)
+    assert [len(t.dist) for t in (fresh, seeded, grown)] == listed
     assert pair_table(dfa) != pair_table(gen_cerny(11))
 
 
@@ -1006,13 +1014,12 @@ def test_class_pick_matches_pair_scan_random(n, k, density, data):
 def test_class_pick_matches_pair_scan_literal():
     lit = literal_automaton(gen_random_prefix_code(12, 6, 3, 6)).dfa
     part = inseparability_partition(lit)
-    # the levels below are read off the complete table
+    # on the complete table a pick walks the listed pairs when the subset
+    # has as many class pairs as the table, and scans them otherwise
     assert part.table.all_compressible()
-    level_end = {}
-    for pos, lvl in enumerate(part.table.dist):
-        level_end[lvl] = pos + 1
+    listed = len(part.table.dist)
     rng = random.Random(11)
-    walks = fallbacks = 0
+    walks = scans = 0
     for _ in range(300):
         S = frozenset(rng.sample(range(lit.n), rng.randrange(1, lit.n + 1)))
         best = ref_least_separated_pair(part, S)
@@ -1023,11 +1030,11 @@ def test_class_pick_matches_pair_scan_literal():
                 part.table.word(part.class_of[best[1]], part.class_of[best[2]])
         kappa = part.kappa(S)
         if best is not None:
-            if kappa * (kappa - 1) // 2 < level_end[best[0]]:
-                fallbacks += 1
+            if kappa * (kappa - 1) // 2 < listed:
+                scans += 1
             else:
                 walks += 1
-    assert walks >= 30 and fallbacks >= 30
+    assert walks >= 30 and scans >= 30
 
 
 def test_class_pick_breaks_ties_by_states():
@@ -1035,7 +1042,7 @@ def test_class_pick_breaks_ties_by_states():
     # the pair (0, 1), that is states (1, 5)
     table = hand_table(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
     assert table.least_pair([5, 1, 3]) == (1, 1, 3)
-    # the same tie in the fallback scan: three checks pass element 0's pairs
+    # the same tie in the scan: six listed pairs against the subset's three
     table = hand_table(4, {(0, 1): 1, (0, 2): 2, (0, 3): 2, (1, 2): 2,
                            (1, 3): 2, (2, 3): 2})
     assert table.least_pair([None, 5, 1, 3]) == (2, 1, 3)

@@ -326,32 +326,19 @@ def test_collecting_route_random():
         assert dfa.rank(w) == 1
 
 
-def built_tables(monkeypatch):
-    """The pair tables PairTable.build makes from now on, as (merge, table)."""
-    tables = []
-    real = PairTable.build
-
-    def recording(dfa, trans, elem, merge):
-        tables.append((merge, real(dfa, trans, elem, merge)))
-        return tables[-1][1]
-    monkeypatch.setattr(PairTable, "build", staticmethod(recording))
-    return tables
-
-
-def test_collecting_route_lists_one_level(monkeypatch):
+def test_collecting_route_lists_one_level(built_tables):
     # greedy on the collecting automaton finds a distance-1 pair in every
     # image, and so do the class steps in the separation table: neither
     # table lists a pair, not even its seeds (62 of 231 pairs and 146 of
     # 171 class pairs), yet both have them
     dfa = literal_automaton(gen_random_prefix_code(12, 6, 3, 1)).dfa
-    tables = built_tables(monkeypatch)
     assert dfa.rank(reset_word_via_collecting(dfa)) == 1
-    (merge, coll), = [(m, t) for m, t in tables if m]
+    (_, coll), = [(m, t) for m, t in built_tables if m]
     seeds = list(settle_seeds(coll.trans, *_settle_masks(
         coll.trans, len(coll.dfa.alphabet), True)))
     assert (coll.n, len(coll.dist), len(seeds)) == (22, 0, 62)
     assert coll._bfs is not None
-    (_, separation), = [(m, t) for m, t in tables if not m]
+    (_, separation), = [(m, t) for m, t in built_tables if not m]
     seeds = list(settle_seeds(separation.trans, *_settle_masks(
         separation.trans, len(dfa.alphabet), False)))
     assert (separation.n, len(separation.dist), len(seeds)) == (19, 0, 146)
@@ -363,15 +350,14 @@ def test_collecting_route_lists_one_level(monkeypatch):
 # time, the table lists a power of two of pairs, or all n(n-1)/2
 @pytest.mark.parametrize("n, listed", [(5, 10), (12, 64), (100, 4096),
                                        (170, 14365)])
-def test_greedy_lists_the_cycle_family_table(monkeypatch, n, listed):
-    tables = built_tables(monkeypatch)
+def test_greedy_lists_the_cycle_family_table(built_tables, n, listed):
     assert greedy_min_rank(gen_cerny(n)).final_rank == 1
-    (_, table), = tables
+    (_, table), = built_tables
     assert len(table.dist) == listed
     assert (table._bfs is None) == (listed == n * (n - 1) // 2)
 
 
-def test_settle_masks_computed_once_per_table(monkeypatch):
+def test_settle_masks_computed_once_per_table(monkeypatch, built_tables):
     # greedy on the 12-state cycle answers its first step from the masks of
     # its unlisted table, then lists the table, seeded from the same masks
     masks, seeds = [], []
@@ -386,9 +372,8 @@ def test_settle_masks_computed_once_per_table(monkeypatch):
         return seeds[-1]
     monkeypatch.setattr(automaton, "_settle_masks", counted)
     monkeypatch.setattr(PairTable, "_least_seed", least_seed)
-    tables = built_tables(monkeypatch)
     assert greedy_min_rank(gen_cerny(12)).final_rank == 1
-    (_, table), = tables
+    (_, table), = built_tables
     assert seeds[0] is not None and len(table.dist) == 64
     assert len(masks) == 1
 

@@ -2,9 +2,11 @@
 immutability, pinned on one small instance of each."""
 import pytest
 
-from syncword import (PartialDfa, collecting_tree, extremal_search,
-                      greedy_min_rank, induced, inseparability_partition,
-                      literal_automaton, pair_table, subset_bfs, validate_code)
+from syncword import (PairTable, PartialDfa, collecting_tree,
+                      extremal_search, gen_cerny, greedy_min_rank, induced,
+                      inseparability_partition, literal_automaton, pair_table,
+                      subset_bfs, validate_code)
+from syncword.automaton import require_strongly_connected
 from syncword.criteria import QUICK
 from syncword.equivalence import Partition
 from syncword.oracle import OracleReport
@@ -27,8 +29,8 @@ def values():
     return [
         (DFA, DFA_REPR),
         (complete_table(DFA),
-         "PairTable(n=2, pairs=array('i', [1]), dist=array('i', [1]), "
-         "letter=array('i', [1]), index=array('i', [-1, 1, 1, -1]))"),
+         f"PairTable(dfa={DFA_REPR}, trans=((1, None), (0, 0)), "
+         "elem=range(0, 2), merge=True)"),
         (greedy_min_rank(DFA),
          "SyncResult(word=(1,), final_rank=1, trace=((1, (1,)),))"),
         (code, "PrefixCode(words=('a', 'ba'))"),
@@ -93,10 +95,45 @@ def test_partition_equality_and_hash_leave_out_its_table():
     assert Partition((0, 0), (frozenset({0, 1}),), part.table) != part
 
 
-def test_pair_table_is_unhashable_and_equal_by_its_lists():
-    assert pair_table(DFA) == complete_table(DFA)
-    with pytest.raises(TypeError):
-        hash(pair_table(DFA))
+def test_pair_table_is_hashable_and_equal_by_what_it_was_built_on():
+    fresh, listed = pair_table(DFA), complete_table(DFA)
+    assert fresh == listed and hash(fresh) == hash(listed)
+    assert len(fresh.dist) == 0
+    assert PairTable(DFA, DFA.trans, range(DFA.n), True) != \
+        PairTable(DFA, DFA.trans, range(DFA.n), False)
+
+
+def test_caches_leave_repr_equality_and_hash_alone():
+    # each read fills caches; what the value shows, compares and hashes is
+    # that of an equal value never read
+    def unchanged(value, twin):
+        return (repr(value), hash(value), value) == \
+            (repr(twin), hash(twin), twin)
+
+    dfa = gen_cerny(6)
+    dfa.image(dfa.states, (0, 1) * 200)
+    require_strongly_connected(dfa)
+    assert unchanged(dfa, gen_cerny(6))
+    table, twin = pair_table(dfa), pair_table(gen_cerny(6))
+    assert table.least_pair([0, None, None, 3, None, None]) is not None
+    assert unchanged(table, twin)
+    assert table.word(0, 3)
+    assert unchanged(table, twin)
+    assert table.all_compressible()
+    assert unchanged(table, twin) and len(twin.dist) == 0
+
+
+def test_replace_rebuilds_a_partly_listed_table():
+    dfa = gen_cerny(5)
+    table = pair_table(dfa)
+    table._grow(0)
+    table._grow(len(table.dist) + 1)
+    assert 0 < len(table.dist) < 10
+    copy = table.replace(merge=True)
+    assert copy == table and copy.all_compressible()
+    assert list(copy.items()) == list(pair_table(dfa).items())
+    assert table.replace(merge=False) == \
+        PairTable(dfa, dfa.trans, range(dfa.n), False)
 
 
 @pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=IDS)
