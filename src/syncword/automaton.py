@@ -18,10 +18,11 @@ threads only once it is complete (after all_compressible).  The same
 holds for an equivalence.Partition, which holds one: share it only after
 part.table.all_compressible().
 
-Three shared rules live here alone: require_strongly_connected, the one
+Four shared rules live here alone: require_strongly_connected, the one
 refusal of every route, made once per automaton; predecessors, for the
-pair BFS, Hopcroft's refinement and the collecting tree; and content_lines,
-for both file formats.
+pair BFS, Hopcroft's refinement and the collecting tree; bfs_tree, the
+breadth-first tree of connecting words and of the collecting tree; and
+content_lines, for both file formats.
 """
 from __future__ import annotations
 
@@ -40,8 +41,9 @@ GAMMA_TOKEN = "@g"
 Word = tuple[int, ...]
 EPSILON: Word = ()
 
-#: the most transition-table cells (states x letters) parse_dfa and the
-#: generators accept; at the cap, `classes` peaks near 0.36 GB (README)
+#: the most transition-table cells (states x letters) of any automaton: the
+#: PartialDfa constructor refuses more; at the cap, `classes` peaks near
+#: 0.36 GB (README)
 MAX_CELLS = 1 << 20
 
 
@@ -93,6 +95,7 @@ class PartialDfa(Value):
             raise InputError("automaton needs at least one state")
         if not self.alphabet:
             raise InputError("automaton needs at least one letter")
+        check_cells(self.n, len(self.alphabet))
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InputError("alphabet tokens must be distinct")
         if any(not tok for tok in self.alphabet):
@@ -113,16 +116,6 @@ class PartialDfa(Value):
         object.__setattr__(self, "_runs", {})
         object.__setattr__(self, "_marks", set())
         object.__setattr__(self, "_strongly_connected", False)
-
-    @classmethod
-    def build(cls, n, alphabet, edges):
-        """Construct from an iterable of (src, letter_token, dst) triples."""
-        alphabet = tuple(alphabet)
-        index = {tok: i for i, tok in enumerate(alphabet)}
-        table = [[UNDEF] * len(alphabet) for _ in range(n)]
-        for src, tok, dst in edges:
-            table[src][index[tok]] = dst
-        return cls(n, alphabet, tuple(tuple(row) for row in table))
 
     @property
     def states(self) -> frozenset[int]:
@@ -357,31 +350,39 @@ def is_eulerian(dfa: PartialDfa) -> bool:
     return indeg == outdeg
 
 
+def bfs_tree(start, steps) -> dict:
+    """Breadth-first tree from start: {node: (letter, parent)} for every
+    node reached, start mapped to None.  steps(u) yields the (letter, node)
+    edges out of u in tie-break order; a node keeps the first edge that
+    reaches it, so each path back to start is a shortest one and, among
+    those, the least in that order."""
+    tree = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for a, v in steps(u):
+            if v not in tree:
+                tree[v] = (a, u)
+                queue.append(v)
+    return tree
+
+
 def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
     """Shortest word with delta(p, w) = q, ties broken by letter order.
 
     Always has length <= n-1.  Raises NotStronglyConnected when q is not
     reachable from p.
     """
-    if p == q:
-        return EPSILON
-    prev: dict[int, tuple[int, int]] = {p: None}
-    queue = deque([p])
-    while queue:
-        u = queue.popleft()
-        for a in range(len(dfa.alphabet)):
-            v = dfa.trans[u][a]
-            if v is not UNDEF and v not in prev:
-                prev[v] = (u, a)
-                if v == q:
-                    letters = []
-                    while v != p:
-                        u, a = prev[v]
-                        letters.append(a)
-                        v = u
-                    return tuple(reversed(letters))
-                queue.append(v)
-    raise NotStronglyConnected(f"state {q} not reachable from state {p}")
+    trans = dfa.trans
+    tree = bfs_tree(p, lambda u: ((a, v) for a, v in enumerate(trans[u])
+                                  if v is not UNDEF))
+    if q not in tree:
+        raise NotStronglyConnected(f"state {q} not reachable from state {p}")
+    letters = []
+    while q != p:
+        a, q = tree[q]
+        letters.append(a)
+    return tuple(reversed(letters))
 
 
 def _settle_masks(trans, k, merge):

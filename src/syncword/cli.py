@@ -229,18 +229,15 @@ def _cmd_verify_all(args):
 def _cmd_search_extremal(args):
     from . import automaton
     from . import oracle as oracle_mod
-    if args.exhaustive and (args.seed is not None or args.trials is not None):
+    # only the options given, so extremal_search keeps its own defaults
+    given = {name: v for name, v in (("seed", args.seed),
+                                     ("trials", args.trials)) if v is not None}
+    if args.exhaustive and given:
         raise InputError("--exhaustive excludes --seed/--trials")
-    exhaustive = args.exhaustive or (args.seed is None and args.trials is None)
-    res = oracle_mod.extremal_search(
-        args.n, exhaustive=exhaustive,
-        seed=args.seed if args.seed is not None else 0,
-        trials=args.trials if args.trials is not None else 10000)
+    res = oracle_mod.extremal_search(args.n, exhaustive=not given, **given)
     pairs = [("n", res.n), ("target", res.target), ("best_rt", res.best_rt),
              ("attained", _bool(res.attained)), ("candidates", res.candidates)]
-    lines = [f"n={res.n} target={res.target} best_rt={res.best_rt} "
-             f"attained={_bool(res.attained)} candidates={res.candidates}"]
-    _emit(args.format, lines, pairs)
+    _emit(args.format, [" ".join(f"{k}={v}" for k, v in pairs)], pairs)
     if args.format != "summary" and res.best_dfa is not None:
         print()
         sys.stdout.write(automaton.format_dfa(res.best_dfa))
@@ -251,8 +248,6 @@ def _cmd_code(args):
     from . import automaton, codes
     if args.what == "oneword":
         word = args.file  # positional doubles as the codeword
-        if not word:
-            raise InputError("give the codeword")
         code = codes.validate_code([word])
         y, k = codes.primitive_root(word)
         lines = [f"primitive_root={y}", f"power={k}", f"rank={k}"]

@@ -8,11 +8,11 @@ rank threshold while making the automaton properly incomplete.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
-from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word, is_complete,
-                        predecessors, require_strongly_connected)
+from .automaton import (GAMMA_TOKEN, UNDEF, PartialDfa, Word, bfs_tree,
+                        check_cells, is_complete, predecessors,
+                        require_strongly_connected)
 from .errors import InputError, SyncwordError, Value
 
 if TYPE_CHECKING:
@@ -68,20 +68,12 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
     if not 0 <= root_class < kappa_:
         raise InputError(f"no class {root_class}")
     inv = predecessors(qtable, len(dfa.alphabet))
-    parent = {}
-    seen = {root_class}
-    queue = deque([root_class])
-    while queue:
-        target = queue.popleft()
-        for a, inv_a in enumerate(inv):
-            for c in inv_a[target]:
-                if c not in seen:
-                    parent[c] = (a, target)
-                    seen.add(c)
-                    queue.append(c)
-    if len(seen) != kappa_:
+    parent = bfs_tree(root_class, lambda t: ((a, c) for a, inv_a in
+                                             enumerate(inv) for c in inv_a[t]))
+    if len(parent) != kappa_:
         raise SyncwordError(
             "quotient of a strongly connected automaton must be strongly connected")
+    del parent[root_class]
     return CollectingTree(root_class, parent, part)
 
 
@@ -94,6 +86,7 @@ def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
     """
     if GAMMA_TOKEN in dfa.alphabet:
         raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
+    check_cells(dfa.n, len(dfa.alphabet) + 1)
     part = tree.partition
     fixed = fixing(dfa)
     table = []
@@ -221,6 +214,7 @@ def duplicating(dfa: PartialDfa) -> PartialDfa:
     if GAMMA_TOKEN in dfa.alphabet:
         raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
     n, k = dfa.n, len(dfa.alphabet)
+    check_cells(2 * n, k + 1)
     table = []
     for q in range(n):
         table.append(tuple([q] * k) + (n + q,))

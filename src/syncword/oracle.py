@@ -30,11 +30,12 @@ stores its source, the index p * k + a of the image that first reached it
 (p the parent's position in the previous level, a the letter), in one
 array('i') per level: the index is below the images computed, which the
 budget below keeps under 2**31.  Memory is the set or the map, 4 bytes of
-source per reached subset, the frontier's masks, and 36 to 72 bytes per
-mask of the level being built, which is a Python list (gen_cerny(16) peaks
-at 0.34 MiB, about 5.5 bytes per subset); the lists dominate a wide level
-(below).  As each level closes, the first
-mask of every new subset size is recorded as a (level, position) pair.
+source per reached subset, the frontier's masks, and 8 bytes per mask of
+the level being built, whose masks and sources are arrays that take over
+the Python lists of each block (36 to 72 bytes per new mask) once the
+block is done (gen_cerny(16) peaks at 0.37 MiB, about 6 bytes per
+subset).  As each level closes, the first mask of every new subset size is
+recorded as a (level, position) pair.
 Images are walked in (mask, letter) order, so the source of a mask is its
 first parent under the least letter that reaches it, and a witness reads
 back to the full set with one divmod per level.
@@ -47,10 +48,11 @@ an InputError when that count would pass MAX_ORACLE_IMAGES; it never
 computes more images than the budget, and the binary full lattice at
 n = 24 stays below it.  `syncword oracle` on gen_cerny(24) takes 4.0 s at
 105 MB max RSS, and on the 22-state cycle with its letters copied out to
-64 exits 2 in 1.5 s at 27 MB, before imaging its level 49.  Mostly new
-images run near 1 M a second: with 4,096 random letters over 24 states,
-level 2 (at most 16.8 M images, 6.0 M subsets) takes 14-16 s at 554 MB,
-and level 3 is refused (Python 3.11.7, 2-vCPU VM).
+64 exits 2 in 1.5 s at 27 MB, before imaging its level 49.  A level of
+mostly new images is the slow case: with 4,096 random letters over 24
+states, level 2 (at most 16.8 M images) takes 44 s at 95 MB in-process,
+and level 3 is refused (Python 3.11.7, 2-vCPU VM; 50 s at 552 MB while a
+level was built in Python lists).
 """
 from __future__ import annotations
 
@@ -211,24 +213,28 @@ def _bfs_witnesses(dfa: PartialDfa):
                 f"the subset BFS would compute {k * subsets} images (reached "
                 f"subsets times {k} letters) by level {len(sources)}, above "
                 f"the limit of {MAX_ORACLE_IMAGES}")
-        # appending Python ints is cheaper to a list than to an array, so a
-        # level and its sources become arrays only once the level is complete
-        nxt = []
-        src = []
+        # appending Python ints is cheaper to a list than to an array, so
+        # each block's new masks and sources go to lists that the level's
+        # arrays take over once the block is done: no list outlives a block
+        nxt = array("i")
+        src = array("i")
         for s in range(0, len(level), block):
             images = _images(level[s:s + block], k, plan)
+            fresh, fresh_src = [], []
             if sparse:
                 for j, t in enumerate(images, s * k):
                     if t not in seen:
                         seen.add(t)
-                        nxt.append(t)
-                        src.append(j)
+                        fresh.append(t)
+                        fresh_src.append(j)
             else:
                 for j, t in enumerate(images, s * k):
                     if not seen[t]:
                         seen[t] = 1
-                        nxt.append(t)
-                        src.append(j)
+                        fresh.append(t)
+                        fresh_src.append(j)
+            nxt.fromlist(fresh)
+            src.fromlist(fresh_src)
             # per block, so one wide level cannot take the set far past it
             if sparse and len(seen) > sparse_limit:
                 marks = bytearray(1 << n)
@@ -248,8 +254,8 @@ def _bfs_witnesses(dfa: PartialDfa):
                 new.remove(c)
                 first[c] = (len(sources), j)
         subsets += len(nxt)
-        level = array("i", nxt)
-        sources.append(array("i", src))
+        level = nxt
+        sources.append(src)
 
     # read each witness back to the full set, one divmod per level
     out = [None] * (n + 1)

@@ -1,10 +1,17 @@
 import pathlib
 
 import pytest
+from hypothesis import settings, strategies as st
 
-from syncword import automaton, parse_dfa, parse_code, literal_automaton
+from syncword import (UNDEF, PartialDfa, automaton, parse_dfa, parse_code,
+                      literal_automaton)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# tests/mutants.py runs with --hypothesis-profile mutants: every run draws
+# the same examples and none come from the local example database, so a
+# mutant is killed on every run or on none
+settings.register_profile("mutants", database=None, derandomize=True)
 
 
 def fixture_text(name):
@@ -49,3 +56,23 @@ def built_tables(monkeypatch):
         built.append((table.merge, table))
     monkeypatch.setattr(automaton.PairTable, "__post_init__", recording)
     return built
+
+
+@st.composite
+def small_automata(draw, strongly_connected=False):
+    """Partial automata of at most 6 states over at most 3 letters; an
+    entry is undefined as often as it is any one state, so words of one
+    length often tie.  With strongly_connected set, a table that is not
+    gets a cycle through every state, one drawn letter per state."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    entry = st.sampled_from([UNDEF, *range(n)])
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    alphabet = tuple("abc"[:k])
+    if strongly_connected and not automaton.is_strongly_connected(
+            PartialDfa(n, alphabet, tuple(map(tuple, rows)))):
+        order = draw(st.permutations(range(n)))
+        for q, t in zip(order, order[1:] + order[:1]):
+            rows[q][draw(st.integers(0, k - 1))] = t
+    return PartialDfa(n, alphabet, tuple(map(tuple, rows)))

@@ -15,9 +15,11 @@ Run it from any directory:
     python tests/mutants.py NAME ...    # the named ones
 
 For each mutant the runner copies src/ to a temporary directory, applies
-the mutant there and runs the mutant's node ids against the copy.  It
-prints one line per mutant and exits 1 if any mutant survives, that is, if
-any of its node ids passes.
+the mutant there and runs the mutant's node ids against the copy, under the
+hypothesis profile "mutants" (tests/conftest.py): derandomized and with no
+example database, so every run draws the same examples and a kill does not
+rest on a lucky draw.  It prints one line per mutant and exits 1 if any
+mutant survives, that is, if any of its node ids passes.
 """
 import os
 import pathlib
@@ -50,8 +52,8 @@ MUTANTS = [
      "        raise\n",
      ["tests/test_cli.py::test_collecting_route_fault_after_the_decision_exits_3"]),
     ("bfs-sources-in-int8", "syncword/oracle.py",
-     'sources.append(array("i", src))',
-     'sources.append(array("b", src))',
+     '        src = array("i")\n',
+     '        src = array("b")\n',
      ["tests/test_oracle.py::test_subset_bfs_moves_to_the_map_mid_search",
       "tests/test_fast_paths.py::test_bfs_kernel_matches_set_bfs_on_three_bytes"]),
     ("bfs-skips-set-to-map-copy", "syncword/oracle.py",
@@ -183,6 +185,13 @@ MUTANTS = [
      "    return PartialDfa(dfa.n, dfa.alphabet, table)\n",
      ["tests/test_synchronization.py::test_collecting_route_rejects_nonsynchronizing",
       "tests/test_golden.py::test_golden_words"]),
+    # the shared tree read depth first: every node still gets a parent,
+    # but connecting words and collecting trees are no longer shortest
+    ("bfs-tree-depth-first", "syncword/automaton.py",
+     "        u = queue.popleft()\n",
+     "        u = queue.pop()\n",
+     ["tests/test_automaton.py::test_connecting_word_is_the_least_shortest_word",
+      "tests/test_constructions.py::test_collecting_tree_matches_reference_bfs"]),
     ("strip-gamma-skips-final-replay", "syncword/constructions.py",
      "    if len(dfa.image(tree.partition.classes[root], out)) != 1:\n",
      "    if False:\n",
@@ -213,7 +222,8 @@ def survivors(mutant):
         # run and for the child interpreters the tests start
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE",
-             "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *node_ids],
+             "-p", "no:cacheprovider", "-o", f"pythonpath={src}",
+             "--hypothesis-profile", "mutants", *node_ids],
             cwd=ROOT, capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(src)))
     failed = failed_ids(proc.stdout)

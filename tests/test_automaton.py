@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syncword import (EPSILON, UNDEF, FormatError, InputError,
                       NotStronglyConnected, PartialDfa, connecting_word,
@@ -12,7 +13,7 @@ from syncword import automaton
 from syncword.automaton import (MAX_CELLS, MAX_PAIR_INDEX, PairTable,
                                 check_cells, fully_undefined_letters)
 
-from conftest import fixture_text
+from conftest import fixture_text, small_automata
 
 
 # ---------------------------------------------------------------- parsing
@@ -25,6 +26,13 @@ def test_cell_limit_is_states_times_letters():
     with pytest.raises(InputError, match="above the limit"):
         parse_dfa("dfa v1\nstates 2\nalphabet "
                   + " ".join(f"t{i}" for i in range(MAX_CELLS // 2 + 1)) + "\n")
+
+
+def test_constructor_refuses_a_table_above_the_cell_limit():
+    # refused before the rows are read, so no derived automaton is larger
+    # than an input may be
+    with pytest.raises(InputError, match="transition-table cells"):
+        PartialDfa(MAX_CELLS + 1, ("a",), ())
 
 
 def cycle(n, letters="a"):
@@ -249,10 +257,30 @@ def test_connecting_word_length_bound(fig1):
             assert len(connecting_word(fig1, p, q)) <= fig1.n - 1
 
 
+@settings(deadline=None)
+# breadth first, 0 -> 3 is a b; depth first from the last node queued, b a
+@example(PartialDfa(4, ("a", "b"), ((1, 2), (2, 3), (3, UNDEF), (0, UNDEF))))
+@given(small_automata())
+def test_connecting_word_is_the_least_shortest_word(dfa):
+    k = len(dfa.alphabet)
+    for p in range(dfa.n):
+        # words by length, each length in lexicographic order: the first to
+        # reach q is the least of the shortest
+        least = {}
+        for length in range(dfa.n):
+            for w in itertools.product(range(k), repeat=length):
+                least.setdefault(dfa.run(p, w), w)
+        for q in range(dfa.n):
+            if q in least:
+                assert connecting_word(dfa, p, q) == least[q]
+            else:
+                with pytest.raises(NotStronglyConnected):
+                    connecting_word(dfa, p, q)
+
+
 def test_eulerian():
-    shift = PartialDfa.build(4, ("a", "b"),
-                             [(q, "a", (q + 1) % 4) for q in range(4)]
-                             + [(q, "b", (q + 2) % 4) for q in range(4)])
+    shift = PartialDfa(4, ("a", "b"),
+                       tuple(((q + 1) % 4, (q + 2) % 4) for q in range(4)))
     assert is_eulerian(shift)
     loop = parse_dfa("dfa v1\nstates 1\nalphabet a\n0 a 0\n")
     assert is_eulerian(loop)

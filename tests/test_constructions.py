@@ -1,7 +1,8 @@
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
@@ -11,8 +12,10 @@ from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       is_properly_incomplete, is_strongly_connected,
                       lift_word_to_partial, parse_dfa, strip_gamma,
                       subset_bfs, greedy_min_rank, is_synchronizing)
-from syncword.automaton import GAMMA_TOKEN
+from syncword.automaton import GAMMA_TOKEN, MAX_CELLS, predecessors
 from syncword.constructions import _composite_token
+
+from conftest import small_automata
 
 
 # ------------------------------------------------------------------ fixing
@@ -34,9 +37,8 @@ def test_fixing_fig1(fig1):
 
 def test_fixing_preserves_eulerian():
     # partial Eulerian: cycle on a, b partially defined as a 2-cycle on {0,1}
-    dfa = PartialDfa.build(4, ("a", "b"),
-                           [(q, "a", (q + 1) % 4) for q in range(4)]
-                           + [(0, "b", 1), (1, "b", 0)])
+    dfa = PartialDfa(4, ("a", "b"),
+                     ((1, 1), (2, 0), (3, UNDEF), (0, UNDEF)))
     assert is_eulerian(dfa)
     assert is_eulerian(fixing(dfa))
 
@@ -130,6 +132,38 @@ def test_collecting_tree_requires_strong_connectivity():
     part = inseparability_partition(line)
     with pytest.raises(NotStronglyConnected):
         collecting_tree(line, part, 0)
+
+
+def ref_collecting_parent(qtable, k, root_class):
+    """The parent map of collecting_tree by a BFS loop of its own, a
+    reference that shares no code with automaton.bfs_tree."""
+    inv = predecessors(qtable, k)
+    parent = {}
+    seen = {root_class}
+    queue = deque([root_class])
+    while queue:
+        target = queue.popleft()
+        for a, inv_a in enumerate(inv):
+            for c in inv_a[target]:
+                if c not in seen:
+                    parent[c] = (a, target)
+                    seen.add(c)
+                    queue.append(c)
+    return parent
+
+
+@settings(deadline=None)
+# four classes, whose trees differ when the queue is read depth first
+@example(PartialDfa(4, ("a", "b"), ((1, 2), (3, UNDEF), (1, 1), (0, 2))))
+@given(small_automata(strongly_connected=True))
+def test_collecting_tree_matches_reference_bfs(dfa):
+    part = inseparability_partition(dfa)
+    for root in range(len(part.classes)):
+        parent = collecting_tree(dfa, part, root).parent
+        expected = ref_collecting_parent(part.table.trans, len(dfa.alphabet),
+                                         root)
+        # in discovery order too, which the tree's repr shows
+        assert list(parent.items()) == list(expected.items())
 
 
 def test_collecting_automaton_fig1(fig1):
@@ -332,6 +366,22 @@ def test_duplicating_doubles_cerny_reset_threshold():
 def test_duplicating_requires_complete(fig1):
     with pytest.raises(InputError):
         duplicating(fig1)
+
+
+def test_derived_automata_above_the_cell_limit_are_refused():
+    # a complete 2-cycle over 2^19 letters is within the limit; its
+    # collecting automaton has 2 x (2^19 + 1) cells and its duplicating one
+    # 4 x (2^19 + 1).  collecting refuses before it reads the tree, so a
+    # tree of a small automaton stands in for the costly one
+    k = MAX_CELLS // 2
+    wide = PartialDfa(2, tuple(f"x{i}" for i in range(k)),
+                      ((1,) * k, (0,) * k))
+    with pytest.raises(InputError, match="transition-table cells"):
+        duplicating(wide)
+    small = parse_dfa("dfa v1\nstates 1\nalphabet a\n0 a 0\n")
+    tree = collecting_tree(small, inseparability_partition(small), 0)
+    with pytest.raises(InputError, match="transition-table cells"):
+        collecting(wide, tree)
 
 
 def test_duplicating_random_properly_incomplete():
