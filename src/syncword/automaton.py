@@ -42,8 +42,8 @@ Word = tuple[int, ...]
 EPSILON: Word = ()
 
 #: the most transition-table cells (states x letters) of any automaton: the
-#: PartialDfa constructor refuses more; at the cap, `classes` peaks near
-#: 0.36 GB (README)
+#: PartialDfa constructor refuses more.  At the cap, `classes` peaks near
+#: 0.6 GB, on one state with 2**20 letters (README)
 MAX_CELLS = 1 << 20
 
 
@@ -83,7 +83,7 @@ class PartialDfa(Value):
     trans[q][a] is the successor state or UNDEF.  The alphabet is an ordered
     tuple of distinct non-empty tokens; all tie-breaking everywhere in this
     package follows (letter order, then state order).  columns[a][q] ==
-    trans[q][a].  columns, the caches of image (_chunks, _runs, _marks) and
+    trans[q][a].  columns, the caches of image (_chunks, _runs) and
     the strong-connectivity record (require_strongly_connected) are set
     after the fields, so ==, hash and repr use n, alphabet and trans alone.
     """
@@ -114,7 +114,6 @@ class PartialDfa(Value):
         object.__setattr__(self, "_chunk_len", _chunk_length(len(self.alphabet)))
         object.__setattr__(self, "_chunks", {})
         object.__setattr__(self, "_runs", {})
-        object.__setattr__(self, "_marks", set())
         object.__setattr__(self, "_strongly_connected", False)
 
     @property
@@ -137,9 +136,9 @@ class PartialDfa(Value):
         _chunk_len letters, the leftover letters one column at a time.
         Chunks group into runs of _RUN_CHUNKS, counted from the start of w
         (64 letters at k = 2): a run applies as one action from its second
-        appearance on, as its chunks before that, when it is short or when
-        the run cache is full (_actions).  A word that repeats no run pays
-        one dict probe per run for the cache.
+        appearance on, as its chunks on its first or when it is short
+        (_actions).  A word that repeats no run pays one dict probe and
+        one empty action per run for the cache.
         """
         w = tuple(w)
         cur = set(S)
@@ -162,29 +161,24 @@ class PartialDfa(Value):
     def _actions(self, w, whole):
         """The actions whose composition is w[:whole], a word of whole
         chunks, in order.  _chunks caches one action per chunk (at most 256,
-        as _chunk_len keeps k**L <= 256) and _runs at most 256 run actions:
-        a run is marked on its first appearance, in _marks (at most 256
-        runs, cleared when full), and gets an action, composed of its
-        chunks' actions, on its second."""
-        L, runs, marks = self._chunk_len, self._runs, self._marks
+        as _chunk_len keeps k**L <= 256) and _runs one action per run of
+        _RUN_CHUNKS chunks (at most 256, cleared when full).  A run's first
+        appearance files a still-empty action over its chunks' actions and
+        applies those; its later ones apply that action."""
+        L, runs = self._chunk_len, self._runs
         span = _RUN_CHUNKS * L
         for i in range(0, whole, span):
             run = w[i:min(i + span, whole)]
             act = runs.get(run)
-            if act is None and len(run) == span and len(runs) < 256:
-                if run in marks:
-                    act = runs[run] = _Action(
-                        [self._chunk(run[j:j + L]) for j in range(0, span, L)])
-                else:
-                    if len(marks) >= 256:
-                        marks.clear()
-                    marks.add(run)
             if act is not None:
                 yield act
                 continue
-            # a first appearance, a short run or a full cache
-            for j in range(0, len(run), L):
-                yield self._chunk(run[j:j + L])
+            parts = [self._chunk(run[j:j + L]) for j in range(0, len(run), L)]
+            if len(run) == span:
+                if len(runs) >= 256:
+                    runs.clear()
+                runs[run] = _Action(parts)
+            yield from parts
 
     def _chunk(self, chunk):
         act = self._chunks.get(chunk)

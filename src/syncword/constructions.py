@@ -77,6 +77,15 @@ def collecting_tree(dfa: PartialDfa, part: Partition, root_class: int) -> Collec
     return CollectingTree(root_class, parent, part)
 
 
+def gamma_alphabet(dfa: PartialDfa, n: int) -> tuple[str, ...]:
+    """dfa's alphabet plus @g, for an n-state automaton over both; refuses
+    an alphabet that holds @g or a table above MAX_CELLS before any work."""
+    if GAMMA_TOKEN in dfa.alphabet:
+        raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
+    check_cells(n, len(dfa.alphabet) + 1)
+    return dfa.alphabet + (GAMMA_TOKEN,)
+
+
 def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
     """Complete automaton over the alphabet plus the collecting letter @g.
 
@@ -84,9 +93,7 @@ def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
     tree edge of each state's class and is the identity on the root class,
     so @g^(n-1) maps everything into the root class.
     """
-    if GAMMA_TOKEN in dfa.alphabet:
-        raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
-    check_cells(dfa.n, len(dfa.alphabet) + 1)
+    alphabet = gamma_alphabet(dfa, dfa.n)
     part = tree.partition
     fixed = fixing(dfa)
     table = []
@@ -101,7 +108,7 @@ def collecting(dfa: PartialDfa, tree: CollectingTree) -> PartialDfa:
                 raise SyncwordError(
                     "tree edge letter must be defined on the whole class")
         table.append(fixed.trans[q] + (g,))
-    return PartialDfa(dfa.n, dfa.alphabet + (GAMMA_TOKEN,), tuple(table))
+    return PartialDfa(dfa.n, alphabet, tuple(table))
 
 
 def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
@@ -119,10 +126,8 @@ def strip_gamma(dfa: PartialDfa, tree: CollectingTree, w: Word) -> Word:
     identity on the root class and elsewhere the tree letter, defined on the
     whole class.  So one replay of the output checks the input as well.
     """
-    if GAMMA_TOKEN in dfa.alphabet:
-        raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
+    gamma = len(gamma_alphabet(dfa, dfa.n)) - 1
     root, qtable = tree.root_class, tree.partition.table.trans
-    gamma = len(dfa.alphabet)
     out = []
     cls = root
     for a in w:
@@ -211,13 +216,11 @@ def duplicating(dfa: PartialDfa) -> PartialDfa:
     """
     if not is_complete(dfa):
         raise InputError("duplicating automaton is defined for complete automata")
-    if GAMMA_TOKEN in dfa.alphabet:
-        raise InputError(f"alphabet already uses the reserved token {GAMMA_TOKEN!r}")
     n, k = dfa.n, len(dfa.alphabet)
-    check_cells(2 * n, k + 1)
+    alphabet = gamma_alphabet(dfa, 2 * n)
     table = []
     for q in range(n):
         table.append(tuple([q] * k) + (n + q,))
     for q in range(n):
         table.append(dfa.trans[q] + (UNDEF,))
-    return PartialDfa(2 * n, dfa.alphabet + (GAMMA_TOKEN,), tuple(table))
+    return PartialDfa(2 * n, alphabet, tuple(table))

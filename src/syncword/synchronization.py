@@ -119,9 +119,10 @@ def reduction_to_complete(dfa: PartialDfa) -> tuple[PartialDfa, CollectingTree]:
     The collecting automaton for the deterministic tree rooted at the
     smallest inseparability class (ties by least state id).
     """
-    from .constructions import collecting, collecting_tree
+    from .constructions import collecting, collecting_tree, gamma_alphabet
     from .equivalence import inseparability_partition
     require_strongly_connected(dfa)
+    gamma_alphabet(dfa, dfa.n)  # refuses before the partition
     part = inseparability_partition(dfa)
     tree = collecting_tree(dfa, part, _smallest_class(part))
     return collecting(dfa, tree), tree

@@ -132,32 +132,26 @@ MUTANTS = [
      ["tests/test_equivalence.py::test_fig1_classes",
       "tests/test_equivalence.py::test_classes_match_brute_force"]),
     ("run-action-skips-last-chunk", "syncword/automaton.py",
-     "for j in range(0, span, L)])",
-     "for j in range(0, span - L, L)])",
+     "runs[run] = _Action(parts)",
+     "runs[run] = _Action(parts[:-1])",
      ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
-      "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
-    # no mark: a run gets its action on its first appearance, filed under
-    # its first chunk, so runs that share a first chunk share an action
-    ("run-cached-by-first-chunk", "syncword/automaton.py",
-     "            act = runs.get(run)\n"
-     "            if act is None and len(run) == span and len(runs) < 256:\n"
-     "                if run in marks:\n"
-     "                    act = runs[run] = _Action(\n",
-     "            act = runs.get(run[:L])\n"
-     "            if act is None and len(run) == span and len(runs) < 256:\n"
-     "                if True:\n"
-     "                    act = runs[run[:L]] = _Action(\n",
-     ["tests/test_fast_paths.py::test_image_matches_replay_on_repetitive_words",
-      "tests/test_fast_paths.py::test_image_states_die_mid_run"]),
-    # the marks stop at 256 instead of being cleared, so a run first seen
-    # after the 256th mark never gets an action
-    ("run-marks-never-cleared", "syncword/automaton.py",
-     "                    if len(marks) >= 256:\n"
-     "                        marks.clear()\n"
-     "                    marks.add(run)\n",
-     "                    if len(marks) < 256:\n"
-     "                        marks.add(run)\n",
-     ["tests/test_fast_paths.py::test_run_actions_follow_a_full_set_of_marks"]),
+      "tests/test_fast_paths.py::test_image_states_die_mid_run",
+      "tests/test_fast_paths.py::test_run_actions_follow_a_full_run_cache"]),
+    # the run cache stops at nothing: every run seen once stays filed for
+    # the life of the automaton
+    ("run-cache-never-cleared", "syncword/automaton.py",
+     "                if len(runs) >= 256:\n"
+     "                    runs.clear()\n",
+     "",
+     ["tests/test_fast_paths.py::test_run_actions_follow_a_full_run_cache",
+      "tests/test_fast_paths.py::test_chunk_cache_holds_at_most_256_actions",
+      "tests/test_fast_paths.py::test_image_caches_shared_across_threads"]),
+    # the reduction sized only by collecting, after the partition and the
+    # tree
+    ("reduction-sized-after-the-partition", "syncword/synchronization.py",
+     "    gamma_alphabet(dfa, dfa.n)  # refuses before the partition\n",
+     "",
+     ["tests/test_synchronization.py::test_reduction_refuses_before_the_partition"]),
     # the stability pass compares each class's least state with itself
     # only, so a class that splits is let through
     ("stability-checks-least-states-only", "syncword/equivalence.py",
@@ -192,6 +186,30 @@ MUTANTS = [
      "        u = queue.pop()\n",
      ["tests/test_automaton.py::test_connecting_word_is_the_least_shortest_word",
       "tests/test_constructions.py::test_collecting_tree_matches_reference_bfs"]),
+    # the one-word route returns the longer part of the Weinbaum split
+    ("weinbaum-split-takes-longer-side", "syncword/codes.py",
+     "        word = lit.letters(u if len(u) <= len(v) else v)\n",
+     "        word = lit.letters(v if len(u) <= len(v) else u)\n",
+     ["tests/test_codes.py::test_single_letter_word_is_reset_by_the_empty_word",
+      "tests/test_codes.py::test_oneword_family_reset_words",
+      "tests/test_codes.py::test_literal_reset_word_z2",
+      "tests/test_acceptance.py::test_criterion_2_oneword_family",
+      "tests/test_cli.py::test_code_oneword",
+      "tests/test_cli.py::test_code_oneword_long_word",
+      "tests/test_cli.py::test_verify_all_quick",
+      "tests/test_cli.py::test_verify_all_smallest_size_cap",
+      "tests/test_cli.py::test_verify_all_fails_under_optimize",
+      "tests/test_cli.py::test_command_loads_only_its_modules",
+      "tests/test_cli.py::test_command_loads_no_introspection_modules",
+      "tests/test_transcript.py::test_transcript"]),
+    # the log-rank word's bound one state too loose
+    ("log-rank-bound-plus-one", "syncword/codes.py",
+     "    return math.ceil(math.log2(h * lit.dfa.n)) + math.ceil(math.log2(h))\n",
+     "    return math.ceil(math.log2(h * lit.dfa.n)) + math.ceil(math.log2(h)) + 1\n",
+     ["tests/test_codes.py::test_log_rank_deep_pivot_families",
+      "tests/test_codes.py::test_log_rank_random_codes",
+      "tests/test_cli.py::test_code_logrank",
+      "tests/test_transcript.py::test_transcript"]),
     ("strip-gamma-skips-final-replay", "syncword/constructions.py",
      "    if len(dfa.image(tree.partition.classes[root], out)) != 1:\n",
      "    if False:\n",

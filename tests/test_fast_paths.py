@@ -156,7 +156,8 @@ def repetitive_words(draw, k):
 def test_image_matches_replay_on_repetitive_words(dfa, data):
     k = len(dfa.alphabet)
     w = data.draw(repetitive_words(k))
-    # three replays of w: its runs are marked, given actions, then reused
+    # three replays of w: its runs are filed, applied through their
+    # actions, then reused
     for _ in range(3):
         S = frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
         for word in (w, w[:len(w) // 2]):
@@ -165,7 +166,10 @@ def test_image_matches_replay_on_repetitive_words(dfa, data):
     if _chunk_length(k) > 1 and len(w) >= span:
         assert w[:span] in dfa._runs
     else:
-        assert not dfa._runs and not dfa._marks
+        assert not dfa._runs
+    # each state a run action was applied to went through the whole run
+    for run, act in dfa._runs.items():
+        assert all(t == dfa.run(q, run) for q, t in act.items())
 
 
 def test_image_states_die_mid_run():
@@ -206,13 +210,12 @@ def test_chunk_cache_holds_at_most_256_actions(k):
     assert len(dfa._chunks) <= (256 if L > 1 else 0)
     assert len(dfa._chunks) <= min(256, k ** L)
     assert len(dfa._runs) <= (256 if L > 1 else 0)
-    assert len(dfa._marks) <= (256 if L > 1 else 0)
 
 
-def test_run_actions_follow_a_full_set_of_marks():
-    # 300 random 64-letter words at k = 2 are 300 runs seen once: the marks
-    # fill, are cleared at 256 and no run gets an action.  A repetitive
-    # word replayed afterwards still gets one for its run
+def test_run_actions_follow_a_full_run_cache():
+    # 300 random 64-letter words at k = 2 are 300 runs seen once: each is
+    # filed with an empty action, and the cache is cleared when it holds
+    # 256.  A run repeated afterwards is still served by its action
     rng = random.Random(2)
     n = 12
     dfa = PartialDfa(n, ("a", "b"), tuple(
@@ -220,18 +223,21 @@ def test_run_actions_follow_a_full_set_of_marks():
     for _ in range(300):
         w = tuple(rng.randrange(2) for _ in range(64))
         assert dfa.image(dfa.states, w) == ref_image(dfa, range(n), w)
+        assert len(dfa._runs) <= 256
+        assert not dfa._runs[w]
     run = tuple(rng.randrange(2) for _ in range(64))
-    for _ in range(2):
-        assert dfa.image(dfa.states, run * 20) == \
-            ref_image(dfa, range(n), run * 20)
-    assert list(dfa._runs) == [run]
-    assert len(dfa._marks) == 300 - 256 + 1
+    assert dfa.image(dfa.states, run * 20) == \
+        ref_image(dfa, range(n), run * 20)
+    assert len(dfa._runs) == 300 - 256 + 1
+    # every state of the image met the run's action on its second
+    # appearance
+    assert set(dfa._runs[run]) >= ref_image(dfa, range(n), run)
 
 
 def test_image_caches_shared_across_threads():
     # threads fill the chunk and run caches of one automaton at once, with
     # a short switch interval so that the fills interleave: every image
-    # still matches the replay, and racing marks pass the run bound by at
+    # still matches the replay, and racing fills pass the run bound by at
     # most one per thread
     rng = random.Random(5)
     n = 40
@@ -263,7 +269,7 @@ def test_image_caches_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert 256 <= len(dfa._runs) <= 256 + len(threads)
+    assert len(dfa._runs) <= 256 + len(threads)
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,7 +12,7 @@ from syncword import automaton, synchronization
 from syncword.automaton import (GAMMA_TOKEN, PairTable, PartialDfa,
                                _settle_masks, settle_seeds)
 
-from test_cli import run_python
+from test_cli import FIG1, run_python
 
 
 # -------------------------------------------------------------- pair table
@@ -280,6 +280,27 @@ def test_reduction_keeps_fixing_part_on_complete_input():
     complete, _ = reduction_to_complete(c4)
     assert complete.alphabet == ("a", "b", GAMMA_TOKEN)
     assert all(complete.trans[q][:2] == c4.trans[q] for q in range(4))
+
+
+def test_reduction_refuses_before_the_partition(fig1, monkeypatch, capsys):
+    # with the cap at 17 cells, fig1 (6 x 2) passes and its collecting
+    # automaton (6 x 3) does not; neither refusal may wait for the
+    # inseparability partition
+    from syncword import equivalence
+    from syncword.cli import run
+
+    def no_partition(dfa):
+        pytest.fail("the partition ran before the refusal")
+    monkeypatch.setattr(equivalence, "inseparability_partition", no_partition)
+    monkeypatch.setattr(automaton, "MAX_CELLS", 17)
+    with pytest.raises(InputError, match="transition-table cells"):
+        reduction_to_complete(fig1)
+    reserved = PartialDfa(2, ("a", GAMMA_TOKEN), ((1, 0), (0, 1)))
+    with pytest.raises(InputError, match="reserved token '@g'"):
+        reduction_to_complete(reserved)
+    assert run(["build", "collecting", FIG1]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "transition-table cells" in err
 
 
 def test_reduction_equivalence_random():
