@@ -1,6 +1,7 @@
 """Synchronization toolkit for strongly connected partial DFAs.
 
-Core surface: partial automata with their word actions (automaton),
+Core surface: partial automata with their word actions and pair tables
+(automaton, whose late greedy steps search forward in forward),
 inseparability equivalence and voiding words (equivalence), the fixing /
 collecting / induced / duplicating transformations (constructions), the
 generalized pair-compression algorithms and reduction to the complete case

@@ -410,6 +410,15 @@ def _settled_with(row, undef, same):
             yield a, undef[a] | same[a][t]
 
 
+def _settled_mask(row, masks):
+    """The elements that some letter settles with the element whose
+    transition row is row: _settled_with over every letter."""
+    m = 0
+    for _, settled in _settled_with(row, *masks):
+        m |= settled
+    return m
+
+
 def settle_seeds(trans, undef, same):
     """The pairs of states of a table that one letter settles, as (p, q,
     letter) with p < q, yielded in (p, q) order: letter is the least that
@@ -542,6 +551,11 @@ class PairTable(Value):
     distance and word list the seeds, and complete the table before they
     answer that no word settles a pair.  _masks is None once the table
     lists and _bfs once it is complete.
+
+    steps goes further: while the table is unlisted, a step whose subset
+    holds no distance-1 pair is answered, with the same pair and word, by
+    a forward search from the subset's pairs (_step), so late greedy
+    steps list nothing; a search past its budget lists the table.
     """
 
     _fields = ("dfa", "trans", "elem", "merge")
@@ -628,10 +642,7 @@ class PairTable(Value):
             later |= 1 << e
         for i, (x, e) in enumerate(order):
             later ^= 1 << e
-            m = 0
-            for _, settled in _settled_with(self.trans[e], *self._masks):
-                m |= settled
-            m &= later
+            m = _settled_mask(self.trans[e], self._masks) & later
             if m:
                 return 1, x, next(y for y, f in islice(order, i + 1, None)
                                   if m >> f & 1)
@@ -687,7 +698,7 @@ class PairTable(Value):
         step: each element met by the image stands for its least state
         there, and each step applies the word of the least settled pair
         (least_pair), leaving a non-empty image that meets fewer elements.
-        Stops when the image has no settled pair."""
+        Stops when the image has no settled pair (_step)."""
         n, elem, image, w = self.n, self.elem, self.dfa.image, None
         while True:
             rep = [None] * n
@@ -698,11 +709,30 @@ class PairTable(Value):
                 require(0 < met < was, "greedy step must leave a non-empty "
                         "image meeting fewer elements")
                 yield w, S
-            best = self.least_pair(rep)
-            if best is None:
+            w = self._step(rep, met)
+            if w is None:
                 return
-            w = self.word(elem[best[1]], elem[best[2]])
             S, was = image(S, w), met
+
+    def _step(self, rep, met):
+        """The word of least_pair(rep), or None when that is None, from
+        forward.least_pair_forward while the table is unlisted and the met
+        elements hold pairs but no distance-1 pair, unless the search visits
+        more than n(n - 1)/32 pairs.  Imported here alone, the module is
+        compiled only by a job that takes such a step."""
+        best, budget = None, self.n * (self.n - 1) // 32
+        if self._masks is not None and 1 < met \
+                and met * (met - 1) // 2 <= budget:
+            best = self._least_seed(rep)
+            if best is None:
+                from .forward import least_pair_forward
+                found = least_pair_forward(self, rep, budget)
+                if found is not None:
+                    return found[1]
+        best = best or self.least_pair(rep)
+        if best is None:
+            return None
+        return self.word(self.elem[best[1]], self.elem[best[2]])
 
     def word(self, p: int, q: int) -> Word:
         """The word the table records for the settled pair {p, q} of

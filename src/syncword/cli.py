@@ -102,9 +102,10 @@ def _cmd_build(args):
 
 
 def _not_synchronizing(args, dfa, min_rank=None):
-    """Report a negative decision with the greedy minimum rank.  A method
-    other than greedy passes no rank: greedy then runs here as a cross-check,
-    and an automaton it synchronizes is an internal fault, never exit 1."""
+    """Report a negative decision with the greedy minimum rank.  A caller
+    that ran no greedy loop passes no rank: greedy then runs here as a
+    cross-check, and an automaton it synchronizes is an internal fault,
+    never exit 1."""
     from . import synchronization as sync_mod
     if min_rank is None:
         min_rank = sync_mod.greedy_min_rank(dfa).final_rank
@@ -116,12 +117,16 @@ def _not_synchronizing(args, dfa, min_rank=None):
 
 
 def _cmd_sync_check(args):
-    from . import synchronization as sync_mod
+    from . import automaton, synchronization as sync_mod
     dfa = _load_dfa(args.file, pair_table=True)
-    if sync_mod.is_synchronizing(dfa):
+    automaton.require_strongly_connected(dfa)
+    table = sync_mod.pair_table(dfa)
+    if table.all_compressible():
         _emit(args.format, ["synchronizing"], [("synchronizing", "true")])
         return 0
-    return _not_synchronizing(args, dfa)
+    # greedy runs on the table the decision completed, not on a new one
+    S = sync_mod.compress_pairs(table, dfa.states, [], [])
+    return _not_synchronizing(args, dfa, len(S))
 
 
 def _word_output(args, dfa, word, r):

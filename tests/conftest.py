@@ -3,8 +3,8 @@ import pathlib
 import pytest
 from hypothesis import settings, strategies as st
 
-from syncword import (UNDEF, PartialDfa, automaton, parse_dfa, parse_code,
-                      literal_automaton)
+from syncword import (UNDEF, PartialDfa, automaton, gen_cerny, parse_dfa,
+                      parse_code, literal_automaton)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -29,6 +29,15 @@ def fig1():
 def decoder_lit():
     """Literal automaton of {abaaa, abaab, abab, abba} (6 states, height 4)."""
     return literal_automaton(parse_code(fixture_text("fig1right.code")))
+
+
+def cerny_times_parity(m):
+    """The cycle family on m states times a bit that letter 0 flips: strongly
+    connected for odd m, and no word merges states of different bits."""
+    c = gen_cerny(m)
+    return PartialDfa(2 * m, c.alphabet, tuple(
+        tuple(c.trans[q][a] * 2 + (b ^ (a == 0)) for a in range(2))
+        for q in range(m) for b in range(2)))
 
 
 @pytest.fixture

@@ -179,6 +179,17 @@ MUTANTS = [
      "    return PartialDfa(dfa.n, dfa.alphabet, table)\n",
      ["tests/test_synchronization.py::test_collecting_route_rejects_nonsynchronizing",
       "tests/test_golden.py::test_golden_words"]),
+    # the forward search ranks each level by pair code alone, dropping the
+    # rank of the successor each pair picks
+    ("forward-level-order-by-pair-code", "syncword/forward.py",
+     "        keyed.sort()\n",
+     "        keyed.sort(key=lambda kc: kc[1])\n",
+     ["tests/test_fast_paths.py::test_forward_search_reads_as_drained",
+      "tests/test_synchronization.py::test_fixing_route_on_a_literal_automaton_lists_no_pair"]),
+    ("forward-search-ignores-its-budget", "syncword/forward.py",
+     "            if len(seen) > budget:\n                return None\n",
+     "",
+     ["tests/test_fast_paths.py::test_forward_search_past_its_budget_lists_the_table"]),
     # the shared tree read depth first: every node still gets a parent,
     # but connecting words and collecting trees are no longer shortest
     ("bfs-tree-depth-first", "syncword/automaton.py",

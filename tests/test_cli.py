@@ -13,7 +13,7 @@ from syncword import (cli, constructions, format_code, format_dfa, gen_cerny,
 from syncword.automaton import UNDEF, PartialDfa
 from syncword.cli import run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cerny_times_parity
 
 FIG1 = str(FIXTURES / "fig1left.dfa")
 LIT_ABAB = str(FIXTURES / "lit-abab.dfa")
@@ -313,6 +313,18 @@ def test_sync_word_pair_tables_per_method(capsys, built_tables, method, tables):
     assert run(["sync", "word", FIG1, "--method", method]) == 0
     separations = 1 if method == "collecting" else 0
     assert table_counts(built_tables) == (tables, separations)
+
+
+def test_negative_sync_check_builds_one_table(capsys, built_tables,
+                                              tmp_path):
+    # greedy, the cross-check of a negative answer, runs on the table the
+    # decision completed
+    path = tmp_path / "parity.dfa"
+    path.write_text(format_dfa(cerny_times_parity(7)))
+    assert run(["sync", "check", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        "not synchronizing: minimal non-zero rank 2\n"
+    assert table_counts(built_tables) == (1, 0)
 
 
 def test_sync_word_fixing_separates_above_rank_one(capsys, built_tables,

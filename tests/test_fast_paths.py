@@ -12,7 +12,8 @@ replay, in the partial automaton) against the copy that checked its input on
 a rebuilt collecting automaton; the pair BFS (integer pair codes in
 flat arrays, listed a level at a time on demand) against a BFS on
 tuple-keyed dicts, its seeds (bit masks), the picks and words of a table
-that lists nothing (the same masks) against a drained table, and
+that lists nothing (the same masks), also those of its forward search
+from a subset's pairs, against a drained table, and
 the class pick of a step over the partition's table (the same walk, with
 each class standing for its least state of S, ties broken by those states)
 against the loops they replace; the subset-BFS kernel (translate tables
@@ -24,6 +25,7 @@ and extremal search (bit mask rows over BFS-canonical tables)
 against an enumeration of transition tables, and its canonical tables
 against the BFS relabelings of the strongly connected ones.
 """
+import math
 import os
 import pathlib
 import random
@@ -49,8 +51,10 @@ from syncword.automaton import (_RUN_CHUNKS, _chunk_length, _settle_masks,
                                settle_seeds)
 from syncword.constructions import lift_word_to_partial
 from syncword.oracle import _bfs_witnesses, _reaches_zero, _rt_bitmask
+from syncword.forward import least_pair_forward
 from syncword.synchronization import PairTable
 
+from conftest import cerny_times_parity
 from test_golden import CASES
 
 
@@ -888,13 +892,60 @@ def test_fresh_tables_read_as_drained_with_and_without_seeds(dfa, data):
         assert list(fresh.steps(S)) == list(drained.steps(S))
 
 
-def cerny_times_parity(m):
-    """The cycle family on m states times a bit that letter 0 flips: strongly
-    connected for odd m, and no word merges states of different bits."""
-    c = gen_cerny(m)
-    return PartialDfa(2 * m, c.alphabet, tuple(
-        tuple(c.trans[q][a] * 2 + (b ^ (a == 0)) for a in range(2))
-        for q in range(m) for b in range(2)))
+def assert_forward_reads_as_drained(fresh, drained, rep):
+    """The forward search with no budget, on the unlisted table fresh,
+    answers as drained, the same table drained: its least_pair, and the
+    word it records for that pair of elements."""
+    best = drained.least_pair(rep)
+    word = None
+    if best is not None:
+        elem = {x: e for e, x in enumerate(rep) if x is not None}
+        word = drained.word(elem[best[1]], elem[best[2]])
+    assert least_pair_forward(fresh, rep, math.inf) == (best, word)
+    assert len(fresh.dist) == 0 and fresh._masks is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(automata(ks=(2, 3, 4)), blown_up_automata()), st.data())
+def test_forward_search_reads_as_drained(dfa, data):
+    # the real budget, a sixteenth of the table, keeps tables this small off
+    # the search, so it runs here with none: on the compression table (merge,
+    # each state stands for itself) and the separation table (no merge, each
+    # class stands for its least state of S), for drawn subsets and subsets
+    # with no distance-1 pair
+    drawn = [frozenset(data.draw(st.sets(st.integers(0, dfa.n - 1))))
+             for _ in range(3)]
+    drained = pair_table(dfa)
+    drained.all_compressible()
+    for S in drawn + subsets_without_seeds(drained):
+        rep = [q if q in S else None for q in range(dfa.n)]
+        assert_forward_reads_as_drained(pair_table(dfa), drained, rep)
+    part = inseparability_partition(dfa)
+    drained = part.table
+    drained.all_compressible()
+    no_seeds = [frozenset(min(part.classes[c]) for c in pair)
+                for pair in subsets_without_seeds(drained)]
+    for S in drawn + no_seeds:
+        rep = [None] * len(part.classes)
+        for q in sorted(S, reverse=True):
+            rep[part.class_of[q]] = q
+        fresh = PairTable(dfa, drained.trans, part.class_of, merge=False)
+        assert_forward_reads_as_drained(fresh, drained, rep)
+
+
+def test_forward_search_past_its_budget_lists_the_table():
+    # greedy's last step on this 10-state automaton has the states {4, 5},
+    # settled at distance 2: their one pair fits the budget of 2 visited
+    # pairs (10 * 9 / 32), but the search visits 3, so the table lists, and
+    # answers as the search does with one more pair of budget
+    dfa = gen_random_partial(10, 2, 0.7, 4)
+    table = pair_table(dfa)
+    steps = list(table.steps(dfa.states))
+    assert steps[-2][1] == {4, 5} and len(table.dist) == 45
+    rep = [q if q in (4, 5) else None for q in range(10)]
+    assert least_pair_forward(pair_table(dfa), rep, 2) is None
+    assert least_pair_forward(pair_table(dfa), rep, 3) == \
+        ((2, 4, 5), steps[-1][0])
 
 
 def test_fresh_table_reads_as_drained_parity():

@@ -378,6 +378,26 @@ def test_greedy_lists_the_cycle_family_table(built_tables, n, listed):
     assert (table._bfs is None) == (listed == n * (n - 1) // 2)
 
 
+# the fixing route's word on a 473-state literal automaton, recorded before
+# greedy steps searched forward, when they listed 108,983 of the fixing
+# automaton's 111,628 pairs
+LITERAL_26_FIXING_WORD = ("a a a a b b c c b b b a c c c a c c c a b a b a c "
+                          "a b a a c c a a c a b a b b a a b a b a b c c a b "
+                          "c c b b")
+
+
+def test_fixing_route_on_a_literal_automaton_lists_no_pair(built_tables):
+    # every late greedy step on the fixing automaton is answered by the
+    # forward search, so its table lists nothing, and the word is unchanged
+    lit = literal_automaton(gen_random_prefix_code(80, 16, 3, 26)).dfa
+    assert lit.n == 473
+    result = min_rank_word_via_fixing(lit)
+    assert result.final_rank == 1
+    assert lit.format_word(result.word) == LITERAL_26_FIXING_WORD
+    (merge, table), = built_tables
+    assert merge and table.dfa != lit and len(table.dist) == 0
+
+
 def test_settle_masks_computed_once_per_table(monkeypatch, built_tables):
     # greedy on the 12-state cycle answers its first step from the masks of
     # its unlisted table, then lists the table, seeded from the same masks
