@@ -1,10 +1,10 @@
 """Synchronization toolkit for strongly connected partial DFAs.
 
-Core surface: partial automata with their word actions and pair tables
-(automaton, whose late greedy steps search forward in forward),
-inseparability equivalence and voiding words (equivalence), the fixing /
-collecting / induced / duplicating transformations (constructions), the
-generalized pair-compression algorithms and reduction to the complete case
+Core surface: partial automata with their word actions (automaton), pair
+tables of shortest pair-settling words (pairs), inseparability equivalence
+and voiding words (equivalence), the fixing / collecting / induced /
+duplicating transformations (constructions), the generalized
+pair-compression algorithms and reduction to the complete case
 (synchronization), prefix codes with literal automata and low-rank words
 (codes), an exact subset-BFS oracle (oracle), and fixture generators
 (generators).
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "automaton": (
-        "EPSILON", "GAMMA_TOKEN", "UNDEF", "PairTable", "PartialDfa", "Word",
+        "EPSILON", "GAMMA_TOKEN", "UNDEF", "PartialDfa", "Word",
         "connecting_word", "format_dfa", "is_complete", "is_eulerian",
         "is_properly_incomplete", "is_strongly_connected", "parse_dfa"),
     "codes": (
@@ -43,6 +43,7 @@ _EXPORTS = {
     "oracle": (
         "KERNEL_BACKEND", "OracleReport", "duplicating_identity_check",
         "extremal_search", "subset_bfs"),
+    "pairs": ("PairTable",),
     "synchronization": (
         "SyncResult", "greedy_min_rank", "is_synchronizing",
         "min_rank_word_via_fixing", "pair_table", "rank_target_word",

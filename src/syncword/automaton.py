@@ -11,12 +11,8 @@ differ in how they may be shared.  The caches of PartialDfa, the actions
 of chunks and runs of chunks of letters that image fills and the record
 of a passed strong-connectivity check, store equal values on concurrent
 fills (racing threads may each add a run past the bound of 256), so
-automata can be shared freely across threads.  A PairTable lists its
-pairs on demand, from none at construction: its reads grow its arrays in
-place and drop its settle masks, without a lock, so share one across
-threads only once it is complete (after all_compressible).  The same
-holds for an equivalence.Partition, which holds one: share it only after
-part.table.all_compressible().
+automata can be shared freely across threads; pair tables may not
+(syncword.pairs).
 
 Four shared rules live here alone: require_strongly_connected, the one
 refusal of every route, made once per automaton; predecessors, for the
@@ -26,12 +22,9 @@ content_lines, for both file formats.
 """
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from itertools import islice
 
-from .errors import (FormatError, InputError, NotStronglyConnected, Value,
-                     require)
+from .errors import FormatError, InputError, NotStronglyConnected, Value
 
 UNDEF = None
 
@@ -56,10 +49,10 @@ def check_cells(n: int, k: int) -> None:
 
 
 #: the most index entries (elements squared) of a pair table that the
-#: PairTable constructor accepts; it also takes at most 4 * MAX_PAIR_INDEX pair
-#: transitions (elements squared times letters), so 4 letters at 4,096
-#: elements.  At the cap, `sync check` takes about 4 s at 180 MB max RSS and
-#: `classes` 1.4-1.9 s at 84 MB (README)
+#: pairs.PairTable constructor accepts; it also takes at most
+#: 4 * MAX_PAIR_INDEX pair transitions (elements squared times letters), so
+#: 4 letters at 4,096 elements.  At the cap, `sync check` takes about 4 s at
+#: 180 MB max RSS and `classes` 1.4-1.9 s at 84 MB (README)
 MAX_PAIR_INDEX = 1 << 24
 
 
@@ -377,386 +370,6 @@ def connecting_word(dfa: PartialDfa, p: int, q: int) -> Word:
         a, q = tree[q]
         letters.append(a)
     return tuple(reversed(letters))
-
-
-def _settle_masks(trans, k, merge):
-    """The bit masks behind the one-letter settle rule of a table's
-    elements: undef[a] holds the elements letter a kills and, when merge is
-    set, same[a][t] those it maps to t (same is None otherwise)."""
-    undef = [0] * k
-    same = [[0] * len(trans) for _ in range(k)] if merge else None
-    for q, row in enumerate(trans):
-        bit = 1 << q
-        for a, t in enumerate(row):
-            if t is UNDEF:
-                undef[a] |= bit
-            elif merge:
-                same[a][t] |= bit
-    return undef, same
-
-
-def _settled_with(row, undef, same):
-    """(a, m) per letter a, for the element e whose transition row is row:
-    m holds the elements that a settles with e, those for which exactly one
-    of the two is undefined or, when same is given, both go to the same
-    state.  m may hold e itself, and bits above every element; callers mask
-    it."""
-    for a, t in enumerate(row):
-        if t is UNDEF:
-            yield a, ~undef[a]
-        elif same is None:
-            yield a, undef[a]
-        else:
-            yield a, undef[a] | same[a][t]
-
-
-def _settled_mask(row, masks):
-    """The elements that some letter settles with the element whose
-    transition row is row: _settled_with over every letter."""
-    m = 0
-    for _, settled in _settled_with(row, *masks):
-        m |= settled
-    return m
-
-
-def settle_seeds(trans, undef, same):
-    """The pairs of states of a table that one letter settles, as (p, q,
-    letter) with p < q, yielded in (p, q) order: letter is the least that
-    settles them (_settled_with over the masks of _settle_masks).  These
-    are the distance-1 seeds of _pair_bfs; they are yielded, not collected,
-    because on automata with many undefined transitions most pairs are
-    seeds.
-    """
-    full = (1 << len(trans)) - 1
-    for p, row in enumerate(trans):
-        above = full ^ ((2 << p) - 1)
-        first = {}
-        taken = 0
-        for a, m in _settled_with(row, undef, same):
-            m &= above & ~taken
-            if not m:
-                continue
-            taken |= m
-            while m:
-                low = m & -m
-                first[low.bit_length() - 1] = a
-                m ^= low
-            if taken == above:
-                break
-        for q in sorted(first):
-            yield p, q, first[q]
-
-
-def _pair_bfs(trans, k, seeds, pairs, dist, letter, index):
-    """Backward BFS over unordered pairs of the states of a table, listed a
-    few levels at a time into the empty arrays pairs, dist, letter and
-    index, which it grows in place.
-
-    trans[q][a] is a state or UNDEF; seeds yields (p, q, letter) (p < q)
-    for the pairs a single letter settles, in order (see settle_seeds).  A
-    pair that some letter maps onto a distinct pair at distance d gets
-    distance d + 1, with the first such letter in (queue, letter,
-    predecessor p, q) order.
-
-    A pair {p, q} with p < q is coded p * n + q.  Primed with next(), the
-    generator has listed nothing; each send(target) lists levels until at
-    least target pairs are listed or the BFS ends (StopIteration), and
-    pauses only where a level ends, so send(0) lists the seeds alone.
-    pairs holds the codes of the listed pairs in BFS order, so dist is
-    non-decreasing; dist and letter run parallel to it; index, allocated
-    by the first send, holds index[p * n + q] == index[q * n + p], the
-    position of {p, q} in pairs plus 1, or <= 0 while the pair is not
-    listed.
-    """
-    n = len(trans)
-    target = yield
-    # PairTable keeps n * n <= MAX_PAIR_INDEX, so int32 holds every
-    # code and position
-    index.append(0)
-    index *= n * n
-    for q in range(n):
-        index[q * n + q] = -1
-    for p, q, a in seeds:
-        pairs.append(p * n + q)
-        letter.append(a)
-        index[p * n + q] = index[q * n + p] = len(pairs)
-    # every seed has distance 1; repeated in place, with no temporary array
-    dist.append(1)
-    dist *= len(pairs)
-    inv = predecessors(trans, k)
-    # into[t]: (a, predecessors of t under a, inv[a]) for the letters a,
-    # ascending, under which t has a predecessor
-    into = [[(a, inv[a][t], inv[a]) for a in range(k) if inv[a][t]]
-            for t in range(n)]
-    put_pair, put_dist, put_letter = pairs.append, dist.append, letter.append
-    found, every, level = len(pairs), n * (n - 1) // 2, 0
-    # pairs and dist grow while zip walks them: they are the queue
-    for c, d in zip(pairs, dist):
-        if found >= target and d > level:
-            # the queue reaches level d, so levels 1..d are listed in full
-            # and level d + 1 not at all
-            if found == every:
-                return
-            target = yield
-        level = d
-        tp, tq = divmod(c, n)
-        d += 1
-        for a, preds_p, inv_a in into[tp]:
-            preds_q = inv_a[tq]
-            if not preds_q:
-                continue
-            for p in preds_p:
-                row = p * n
-                for q in preds_q:
-                    if not index[row + q]:
-                        put_pair(row + q if p < q else q * n + p)
-                        put_dist(d)
-                        put_letter(a)
-                        found += 1
-                        index[row + q] = index[q * n + p] = found
-
-
-class PairTable(Value):
-    """The _pair_bfs result for the unordered pairs of the elements of a
-    table: shortest words that settle a pair.
-
-    The fields are what the table is built on: dfa, the table trans of its
-    n = len(trans) elements (trans[e][a] is an element or UNDEF), elem,
-    where state q of dfa stands for element elem[q], and merge, the settle
-    rule of its seeds (_settle_masks): a merge or one state dying for the
-    compression table of synchronization (dfa.trans and range(n), merge
-    set), exactly one class dying for the separation table of an
-    inseparability partition (the quotient and class_of, merge clear).
-    The constructor refuses a table above the limits (check_pair_table).
-
-    Settled pairs are listed in BFS order, so distances never decrease
-    along the list: pairs[i] is the code p * n + q (p < q) of the i-th
-    pair, dist[i] the length of a shortest word settling it and letter[i]
-    the first letter of one such word.  index[p * n + q] ==
-    index[q * n + p] is i + 1, or <= 0 when {p, q} is not listed.  n, these
-    arrays, the BFS paused in _bfs and the settle masks in _masks are
-    caches set after the fields, like those of PartialDfa, so ==, hash and
-    repr use the fields alone.
-
-    A new table lists nothing, index included.  While it is unlisted,
-    least_pair answers for a subset that holds a distance-1 pair, and word
-    for such a pair, from the settle masks (computed once, at
-    construction, to seed the BFS, and kept in _masks until the table
-    lists), so on automata with many undefined transitions the seeds, most
-    of the table, are often never listed.  Otherwise reads list the seed
-    level whole and grow the arrays in place, whole levels at a time, so
-    the listed pairs are always levels 1..L of the complete table, in its
-    order, and len(dist) counts the pairs listed so far (0 while
-    unlisted).  all_compressible and items complete the table first;
-    distance and word list the seeds, and complete the table before they
-    answer that no word settles a pair.  _masks is None once the table
-    lists and _bfs once it is complete.
-
-    steps goes further: while the table is unlisted, a step whose subset
-    holds no distance-1 pair is answered, with the same pair and word, by
-    a forward search from the subset's pairs (_step), so late greedy
-    steps list nothing; a search past its budget lists the table.
-    """
-
-    _fields = ("dfa", "trans", "elem", "merge")
-
-    def __post_init__(self):
-        trans = self.trans
-        n, k = len(trans), len(self.dfa.alphabet)
-        check_pair_table(n, k)
-        masks = _settle_masks(trans, k, self.merge)
-        arrays = array("i"), array("i"), array("i"), array("i")
-        bfs = _pair_bfs(trans, k, settle_seeds(trans, *masks), *arrays)
-        next(bfs)
-        self.__dict__.update(zip(("pairs", "dist", "letter", "index"), arrays),
-                             n=n, _bfs=bfs, _masks=masks)
-
-    def _grow(self, target: int) -> None:
-        """List levels until at least target pairs are listed, or all.  A
-        table that lists anything has no more use for its settle masks."""
-        object.__setattr__(self, "_masks", None)
-        try:
-            self._bfs.send(target)
-        except StopIteration:
-            object.__setattr__(self, "_bfs", None)
-
-    def _complete(self) -> None:
-        if self._bfs is not None:
-            self._grow(self.n * (self.n - 1) // 2)
-
-    def _position(self, p: int, q: int) -> int:
-        """index[p * n + q], read after the seeds are listed, and after the
-        whole table is when it reads <= 0 (no word settles {p, q})."""
-        if not self.index:
-            self._grow(0)
-        if self.index[p * self.n + q] <= 0:
-            self._complete()
-        return self.index[p * self.n + q]
-
-    def distance(self, p: int, q: int):
-        """Length of a shortest word settling {p, q}, or None."""
-        i = self._position(p, q)
-        return self.dist[i - 1] if i > 0 else None
-
-    def all_compressible(self) -> bool:
-        """Every pair of distinct states is settled by some word."""
-        self._complete()
-        return len(self.dist) == self.n * (self.n - 1) // 2
-
-    def least_pair(self, rep):
-        """The settled pair of a subset minimizing (distance, p, q), as
-        (distance, p, q), or None when the subset has no settled pair.
-
-        rep[e] is the state that element e of the table stands for, or None
-        when e is outside the subset; distinct elements stand for distinct
-        states, and p < q are the states of the pair's two elements, so
-        ties break by states, not by elements.  An unlisted table first
-        looks for a distance-1 pair (_least_seed), and lists its seeds only
-        when the subset holds none.  A pair of the subset among the listed
-        levels beats every pair of a later level, so the table grows, to at
-        least twice the pairs listed, only while the listed levels hold
-        none.
-        """
-        states = [x for x in rep if x is not None]
-        if len(states) < 2:
-            return None
-        if not self.index:
-            best = self._least_seed(rep)
-            if best is not None:
-                return best
-            self._grow(0)
-        while True:
-            best = self._least_listed(rep, states)
-            if best is not None or self._bfs is None:
-                return best
-            self._grow(2 * len(self.dist))
-
-    def _least_seed(self, rep):
-        """least_pair among the distance-1 pairs, from the settle masks:
-        the elements of the subset are walked in the order of the states
-        they stand for, and the first that one letter settles with a later
-        one is p, the least of those later ones q."""
-        order = sorted((x, e) for e, x in enumerate(rep) if x is not None)
-        later = 0
-        for _, e in order:
-            later |= 1 << e
-        for i, (x, e) in enumerate(order):
-            later ^= 1 << e
-            m = _settled_mask(self.trans[e], self._masks) & later
-            if m:
-                return 1, x, next(y for y, f in islice(order, i + 1, None)
-                                  if m >> f & 1)
-        return None
-
-    def _least_listed(self, rep, states):
-        """least_pair among the listed pairs, by a walk or a scan, never
-        both.  When no more pairs are listed than the subset has, the
-        listed pairs are walked: they are in non-decreasing distance order,
-        so the first level holding a pair of the subset, walked to its end,
-        gives the answer.  Otherwise the pairs of the subset are scanned in
-        the index."""
-        n, dist = self.n, self.dist
-        if len(dist) <= len(states) * (len(states) - 1) // 2:
-            # p * N + q with N above every state orders pairs as (p, q) does
-            N = max(states) + 1
-            level = key = None
-            for c, d in zip(self.pairs, dist):
-                if level is not None and d > level:
-                    break
-                x = rep[c // n]
-                if x is not None:
-                    y = rep[c % n]
-                    if y is not None:
-                        k = x * N + y if x < y else y * N + x
-                        if key is None or k < key:
-                            level, key = d, k
-            return None if key is None else (level, *divmod(key, N))
-        index = self.index
-        elements = [e for e, x in enumerate(rep) if x is not None]
-        best = None
-        for i, e in enumerate(elements):
-            row, x = e * n, rep[e]
-            for f in elements[i + 1:]:
-                j = index[row + f]
-                if j > 0:
-                    y = rep[f]
-                    pick = (dist[j - 1], x, y) if x < y else (dist[j - 1], y, x)
-                    if best is None or pick < best:
-                        best = pick
-        return best
-
-    def items(self):
-        """((p, q), distance, first letter) per settled pair (p < q), in BFS
-        (non-decreasing distance) order."""
-        self._complete()
-        n = self.n
-        for c, d, a in zip(self.pairs, self.dist, self.letter):
-            yield divmod(c, n), d, a
-
-    def steps(self, S):
-        """The greedy loop from the states S of dfa, one (word, image) per
-        step: each element met by the image stands for its least state
-        there, and each step applies the word of the least settled pair
-        (least_pair), leaving a non-empty image that meets fewer elements.
-        Stops when the image has no settled pair (_step)."""
-        n, elem, image, w = self.n, self.elem, self.dfa.image, None
-        while True:
-            rep = [None] * n
-            for q in sorted(S, reverse=True):
-                rep[elem[q]] = q
-            met = n - rep.count(None)
-            if w is not None:
-                require(0 < met < was, "greedy step must leave a non-empty "
-                        "image meeting fewer elements")
-                yield w, S
-            w = self._step(rep, met)
-            if w is None:
-                return
-            S, was = image(S, w), met
-
-    def _step(self, rep, met):
-        """The word of least_pair(rep), or None when that is None, from
-        forward.least_pair_forward while the table is unlisted and the met
-        elements hold pairs but no distance-1 pair, unless the search visits
-        more than n(n - 1)/32 pairs.  Imported here alone, the module is
-        compiled only by a job that takes such a step."""
-        best, budget = None, self.n * (self.n - 1) // 32
-        if self._masks is not None and 1 < met \
-                and met * (met - 1) // 2 <= budget:
-            best = self._least_seed(rep)
-            if best is None:
-                from .forward import least_pair_forward
-                found = least_pair_forward(self, rep, budget)
-                if found is not None:
-                    return found[1]
-        best = best or self.least_pair(rep)
-        if best is None:
-            return None
-        return self.word(self.elem[best[1]], self.elem[best[2]])
-
-    def word(self, p: int, q: int) -> Word:
-        """The word the table records for the settled pair {p, q} of
-        elements: the recorded first letters, followed in trans until the
-        two elements merge or at least one of them dies; on an unlisted
-        table, the least letter that settles a distance-1 pair.  Raises
-        InputError when no word settles {p, q}, as for p == q."""
-        if not self.index and p != q:
-            a = next((a for a, settled in _settled_with(
-                self.trans[p], *self._masks) if settled >> q & 1), None)
-            if a is not None:
-                return (a,)
-        i = self._position(p, q)
-        if i <= 0:
-            raise InputError(f"pair {(min(p, q), max(p, q))} is not settled")
-        n, trans, letter, index = self.n, self.trans, self.letter, self.index
-        out = []
-        while True:
-            a = letter[i - 1]
-            out.append(a)
-            p, q = trans[p][a], trans[q][a]
-            if p is UNDEF or q is UNDEF or p == q:
-                return tuple(out)
-            i = index[p * n + q]
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ def _cmd_sync_word(args):
     elif args.method == "fixing":
         result = sync_mod.min_rank_word_via_fixing(dfa)
         if result.final_rank != 1:
-            return _not_synchronizing(args, dfa)
+            # the route ends in greedy on the input: its rank is the minimum
+            return _not_synchronizing(args, dfa, result.final_rank)
         word = result.word
     elif args.method == "collecting":
         try:

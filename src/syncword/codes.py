@@ -368,8 +368,6 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
     <= |x|/2).  Otherwise: the log-rank word, then greedy pair compression of
     its image, which ends in one state iff every pair settles.
     """
-    from .synchronization import compress_pairs, pair_table
-
     dfa = lit.dfa
     if len(lit.code.words) == 1:
         x = lit.code.words[0]
@@ -386,6 +384,7 @@ def literal_reset_word(lit: LiteralAutomaton) -> Word:
     word = list(log_rank_word(lit))
     S = dfa.image(dfa.states, tuple(word))
     if len(S) >= 2:  # a pair table only when the log-rank word leaves a pair
+        from .synchronization import compress_pairs, pair_table
         table = pair_table(dfa)
         if len(compress_pairs(table, S, word, [])) >= 2:
             p, q = next((p, q) for p in range(dfa.n) for q in range(p + 1, dfa.n)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from itertools import count
 
-from .automaton import UNDEF, PairTable, PartialDfa, Word, predecessors
+from .automaton import UNDEF, PartialDfa, Word, predecessors
 from .errors import InputError, SyncwordError, Value
+from .pairs import PairTable
 
 
 class Partition(Value):

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .automaton import (EPSILON, PairTable, PartialDfa, Word, connecting_word,
+from .automaton import (EPSILON, PartialDfa, Word, connecting_word,
                         require_strongly_connected)
 from .errors import InputError, NotSynchronizing, SyncwordError, Value
 
 if TYPE_CHECKING:
     from .constructions import CollectingTree
     from .equivalence import Partition
+    from .pairs import PairTable
 
 
 def pair_table(dfa: PartialDfa) -> PairTable:
+    from .pairs import PairTable
     return PairTable(dfa, dfa.trans, range(dfa.n), merge=True)
 
 
@@ -72,8 +74,8 @@ def greedy_min_rank(dfa: PartialDfa) -> SyncResult:
 
 
 def _greedy(dfa: PartialDfa) -> SyncResult:
-    """greedy_min_rank unchecked, for the fixing and collecting automata of
-    a strongly connected one, which only add self-loops and a letter."""
+    """greedy_min_rank unchecked, for the collecting automaton of a
+    strongly connected one, which only adds self-loops and a letter."""
     word = []
     trace = []
     S = compress_pairs(pair_table(dfa), dfa.states, word, trace)
@@ -92,7 +94,9 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     from .constructions import fixing, lift_word_to_partial
     from .equivalence import inseparability_partition
     require_strongly_connected(dfa)
-    lifted = _greedy(fixing(dfa)).word
+    word, fixed = [], pair_table(fixing(dfa))
+    compress_pairs(fixed, dfa.states, word, [])
+    lifted = tuple(word)
     # the lift keeps a word whose image is non-empty, so it runs only when
     # the word kills every state
     S = dfa.image(dfa.states, lifted)
@@ -104,7 +108,9 @@ def min_rank_word_via_fixing(dfa: PartialDfa) -> SyncResult:
     if len(S) >= 2:
         S = compress_pairs(inseparability_partition(dfa).table, S, word, trace)
     if len(S) >= 2:
-        S = compress_pairs(pair_table(dfa), S, word, trace)
+        # a complete dfa is its own fixing automaton, and keeps its table
+        table = fixed if fixed.dfa == dfa else pair_table(dfa)
+        S = compress_pairs(table, S, word, trace)
     return SyncResult(tuple(word), len(S), tuple(trace))
 
 

@@ -3,8 +3,8 @@ import pathlib
 import pytest
 from hypothesis import settings, strategies as st
 
-from syncword import (UNDEF, PartialDfa, automaton, gen_cerny, parse_dfa,
-                      parse_code, literal_automaton)
+from syncword import (UNDEF, PartialDfa, automaton, gen_cerny, pairs,
+                      parse_dfa, parse_code, literal_automaton)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -58,12 +58,12 @@ def sc_checks(monkeypatch):
 def built_tables(monkeypatch):
     """(merge, table) for every pair table built while the test runs."""
     built = []
-    real = automaton.PairTable.__post_init__
+    real = pairs.PairTable.__post_init__
 
     def recording(table):
         real(table)
         built.append((table.merge, table))
-    monkeypatch.setattr(automaton.PairTable, "__post_init__", recording)
+    monkeypatch.setattr(pairs.PairTable, "__post_init__", recording)
     return built
 
 

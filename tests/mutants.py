@@ -77,26 +77,26 @@ MUTANTS = [
      "                if True:\n",
      ["tests/test_fast_paths.py::test_canonical_tables_are_the_bfs_relabelings",
       "tests/test_golden.py::test_golden_extremal"]),
-    ("least-seed-in-element-order", "syncword/automaton.py",
+    ("least-seed-in-element-order", "syncword/pairs.py",
      "order = sorted((x, e) for e, x in enumerate(rep) if x is not None)",
      "order = [(x, e) for e, x in enumerate(rep) if x is not None]",
      ["tests/test_fast_paths.py::test_built_tables_break_ties_by_states"]),
     # a pair read as unsettled while the BFS is still paused short of it
-    ("pair-lookup-skips-completion", "syncword/automaton.py",
+    ("pair-lookup-skips-completion", "syncword/pairs.py",
      "        if self.index[p * self.n + q] <= 0:\n"
      "            self._complete()\n",
      "",
      ["tests/test_fast_paths.py::test_negative_reads_complete_the_table"]),
     # separation tables seeded by the compression rule, settling two
     # classes that one letter maps to one class
-    ("pair-table-seeds-always-merge", "syncword/automaton.py",
+    ("pair-table-seeds-always-merge", "syncword/pairs.py",
      "masks = _settle_masks(trans, k, self.merge)",
      "masks = _settle_masks(trans, k, True)",
      ["tests/test_equivalence.py::test_separating_word_kills_exactly_one_side",
       "tests/test_fast_paths.py::test_pair_bfs_matches_dict_bfs_in_order"]),
     # a compression and a separation table on the same automaton compare
     # equal
-    ("pair-table-compares-without-merge", "syncword/automaton.py",
+    ("pair-table-compares-without-merge", "syncword/pairs.py",
      '    _fields = ("dfa", "trans", "elem", "merge")\n',
      '    _fields = ("dfa", "trans", "elem", "merge")\n'
      '    _compare = ("dfa", "trans", "elem")\n',
@@ -181,15 +181,27 @@ MUTANTS = [
       "tests/test_golden.py::test_golden_words"]),
     # the forward search ranks each level by pair code alone, dropping the
     # rank of the successor each pair picks
-    ("forward-level-order-by-pair-code", "syncword/forward.py",
+    ("forward-level-order-by-pair-code", "syncword/pairs.py",
      "        keyed.sort()\n",
      "        keyed.sort(key=lambda kc: kc[1])\n",
      ["tests/test_fast_paths.py::test_forward_search_reads_as_drained",
       "tests/test_synchronization.py::test_fixing_route_on_a_literal_automaton_lists_no_pair"]),
-    ("forward-search-ignores-its-budget", "syncword/forward.py",
+    ("forward-search-ignores-its-budget", "syncword/pairs.py",
      "            if len(seen) > budget:\n                return None\n",
      "",
      ["tests/test_fast_paths.py::test_forward_search_past_its_budget_lists_the_table"]),
+    # a step whose forward search passes its budget leaves the seeds
+    # unlisted, so least_pair checks the subset's seeds a second time
+    ("over-budget-step-checks-seeds-again", "syncword/pairs.py",
+     "                self._grow(0)\n        best = best or self.least_pair(rep)\n",
+     "        best = best or self.least_pair(rep)\n",
+     ["tests/test_fast_paths.py::test_each_greedy_step_checks_its_seeds_once"]),
+    # the fixing route's pair step always on the fixing automaton's table,
+    # also when the input is partial and the two tables differ
+    ("fixing-pair-step-on-the-fixing-table", "syncword/synchronization.py",
+     "        table = fixed if fixed.dfa == dfa else pair_table(dfa)\n",
+     "        table = fixed\n",
+     ["tests/test_cli.py::test_negative_sync_word_fixing_on_a_partial_input"]),
     # the shared tree read depth first: every node still gets a parent,
     # but connecting words and collecting trees are no longer shortest
     ("bfs-tree-depth-first", "syncword/automaton.py",

@@ -10,8 +10,9 @@ from syncword import (EPSILON, UNDEF, FormatError, InputError,
                       is_properly_incomplete, is_strongly_connected,
                       parse_dfa, literal_automaton, validate_code)
 from syncword import automaton
-from syncword.automaton import (MAX_CELLS, MAX_PAIR_INDEX, PairTable,
-                                check_cells, fully_undefined_letters)
+from syncword.automaton import (MAX_CELLS, MAX_PAIR_INDEX, check_cells,
+                                fully_undefined_letters)
+from syncword.pairs import PairTable
 
 from conftest import fixture_text, small_automata
 

@@ -150,12 +150,13 @@ def test_sync_word_rank_check_under_optimize():
 
 WRONG_NEGATIVE_SCRIPT = """
 import sys
-from syncword import cli, synchronization
+from syncword import NotSynchronizing, cli, synchronization
 
-synchronization.min_rank_word_via_fixing = (
-    lambda dfa: synchronization.SyncResult((), 2, ()))
+def wrong_negative(dfa):
+    raise NotSynchronizing("automaton is not synchronizing")
+synchronization.reset_word_via_collecting = wrong_negative
 assert False, "assert statements must be off"
-sys.exit(cli.run(["sync", "word", "--method", "fixing", sys.argv[1]]))
+sys.exit(cli.run(["sync", "word", "--method", "collecting", sys.argv[1]]))
 """
 
 
@@ -325,6 +326,29 @@ def test_negative_sync_check_builds_one_table(capsys, built_tables,
     assert capsys.readouterr().out == \
         "not synchronizing: minimal non-zero rank 2\n"
     assert table_counts(built_tables) == (1, 0)
+
+
+def test_negative_sync_word_fixing_builds_one_table(capsys, built_tables,
+                                                    tmp_path):
+    # the input is complete, so it is its own fixing automaton: the route's
+    # pair step reuses greedy's table, and the negative answer reports the
+    # route's own rank, with no greedy run of its own
+    path = tmp_path / "parity.dfa"
+    path.write_text(format_dfa(cerny_times_parity(7)))
+    assert run(["sync", "word", str(path), "--method", "fixing"]) == 1
+    assert capsys.readouterr().out == \
+        "not synchronizing: minimal non-zero rank 2\n"
+    assert table_counts(built_tables) == (1, 1)
+
+
+def test_negative_sync_word_fixing_on_a_partial_input(capsys, built_tables):
+    # a partial input is not its fixing automaton, so the route's pair step
+    # builds the input's own table, and the answer reports the rank greedy
+    # stops at there
+    assert run(["sync", "word", LIT_ABAB, "--method", "fixing"]) == 1
+    assert capsys.readouterr().out == \
+        "not synchronizing: minimal non-zero rank 2\n"
+    assert table_counts(built_tables) == (2, 1)
 
 
 def test_sync_word_fixing_separates_above_rank_one(capsys, built_tables,
@@ -905,10 +929,11 @@ status = cli.run(sys.argv[1:])
 print(status, *sorted(m for m in sys.modules if m.startswith("syncword.")),
       file=sys.stderr)
 """
-SYNC = ["automaton", "cli", "errors", "synchronization"]
+SYNC = ["automaton", "cli", "errors", "pairs", "synchronization"]
 ORACLE = ["automaton", "cli", "errors", "oracle"]
 ALL = ["automaton", "cli", "codes", "constructions", "criteria",
-       "equivalence", "errors", "generators", "oracle", "synchronization"]
+       "equivalence", "errors", "generators", "oracle", "pairs",
+       "synchronization"]
 
 
 def loads(modules, *argv):
@@ -934,6 +959,9 @@ COMMAND_LINES = [
           "verify", "duplicating", "FILE"),
     loads(["automaton", "cli", "errors", "generators"],
           "gen", "cerny", "--n", "3"),
+    loads(["automaton", "cli", "constructions", "errors"],
+          "build", "fixing", "FILE"),
+    loads(["automaton", "cli", "codes", "errors"], "code", "oneword", "aab"),
     loads(ALL, "verify", "all", "--size-cap", "3"),
 ]
 

@@ -47,12 +47,11 @@ from syncword import (UNDEF, InputError, Lcg64, PartialDfa, SyncwordError,
                       is_strongly_connected, literal_automaton, pair_table,
                       parse_dfa, rank_target_word, strip_gamma, subset_bfs)
 from syncword import oracle
-from syncword.automaton import (_RUN_CHUNKS, _chunk_length, _settle_masks,
-                               settle_seeds)
+from syncword.automaton import _RUN_CHUNKS, _chunk_length
 from syncword.constructions import lift_word_to_partial
 from syncword.oracle import _bfs_witnesses, _reaches_zero, _rt_bitmask
-from syncword.forward import least_pair_forward
-from syncword.synchronization import PairTable
+from syncword.pairs import (PairTable, _settle_masks, least_pair_forward,
+                            settle_seeds)
 
 from conftest import cerny_times_parity
 from test_golden import CASES
@@ -946,6 +945,27 @@ def test_forward_search_past_its_budget_lists_the_table():
     assert least_pair_forward(pair_table(dfa), rep, 2) is None
     assert least_pair_forward(pair_table(dfa), rep, 3) == \
         ((2, 4, 5), steps[-1][0])
+
+
+def test_each_greedy_step_checks_its_seeds_once(monkeypatch):
+    # the same automaton: the step from {4, 5} finds no distance-1 pair, and
+    # its search passes the budget, yet the seeds of {4, 5} are checked once
+    calls = []
+    real = PairTable._least_seed
+
+    def counted(self, rep):
+        calls.append(rep)
+        return real(self, rep)
+    monkeypatch.setattr(PairTable, "_least_seed", counted)
+    dfa = gen_random_partial(10, 2, 0.7, 4)
+    table = pair_table(dfa)
+    per_step, before = [], dfa.states
+    for _, S in table.steps(dfa.states):
+        per_step.append((len(calls), before))
+        calls.clear()
+        before = S
+    assert per_step[-1] == (1, {4, 5}) and len(table.dist) == 45
+    assert all(count <= 1 for count, _ in per_step) and calls == []
 
 
 def test_fresh_table_reads_as_drained_parity():

@@ -8,9 +8,9 @@ from syncword import (EPSILON, UNDEF, InputError, NotStronglyConnected,
                       literal_automaton, min_rank_word_via_fixing, pair_table,
                       parse_dfa, rank_target_word, reduction_to_complete,
                       reset_word_via_collecting, subset_bfs, validate_code)
-from syncword import automaton, synchronization
-from syncword.automaton import (GAMMA_TOKEN, PairTable, PartialDfa,
-                               _settle_masks, settle_seeds)
+from syncword import automaton, pairs, synchronization
+from syncword.automaton import GAMMA_TOKEN, PartialDfa
+from syncword.pairs import PairTable, _settle_masks, settle_seeds
 
 from test_cli import FIG1, run_python
 
@@ -402,7 +402,7 @@ def test_settle_masks_computed_once_per_table(monkeypatch, built_tables):
     # greedy on the 12-state cycle answers its first step from the masks of
     # its unlisted table, then lists the table, seeded from the same masks
     masks, seeds = [], []
-    real_masks, real_seed = automaton._settle_masks, PairTable._least_seed
+    real_masks, real_seed = pairs._settle_masks, PairTable._least_seed
 
     def counted(*args):
         masks.append(args)
@@ -411,7 +411,7 @@ def test_settle_masks_computed_once_per_table(monkeypatch, built_tables):
     def least_seed(self, rep):
         seeds.append(real_seed(self, rep))
         return seeds[-1]
-    monkeypatch.setattr(automaton, "_settle_masks", counted)
+    monkeypatch.setattr(pairs, "_settle_masks", counted)
     monkeypatch.setattr(PairTable, "_least_seed", least_seed)
     assert greedy_min_rank(gen_cerny(12)).final_rank == 1
     (_, table), = built_tables
